@@ -7,7 +7,7 @@
 
 use cvliw_bench::{banner, f2, pct, print_row, suite_for_bench};
 use cvliw_machine::MachineConfig;
-use cvliw_replicate::{macro_replicate, ReplicationEngine};
+use cvliw_replicate::{macro_replicate, EngineScratch, ReplicationEngine};
 
 fn main() {
     banner("Ablation: macro-node vs subgraph replication", "§5.2");
@@ -23,7 +23,7 @@ fn main() {
 
             let mut engine =
                 ReplicationEngine::new(&l.ddg, &machine, mii, partition.to_assignment());
-            engine.run();
+            engine.run(&mut EngineScratch::default());
             let (_, s) = engine.into_parts();
             fine.0 += u64::from(s.initial_coms);
             fine.1 += u64::from(s.removed_coms());

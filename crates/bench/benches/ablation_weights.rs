@@ -10,7 +10,7 @@
 
 use cvliw_bench::{banner, f2, pct, print_row, suite_for_bench};
 use cvliw_machine::MachineConfig;
-use cvliw_replicate::{ReplicationEngine, ReplicationStats};
+use cvliw_replicate::{EngineScratch, ReplicationEngine, ReplicationStats};
 use cvliw_workloads::BenchmarkProgram;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,7 @@ fn run_policy(
             let mut engine =
                 ReplicationEngine::new(&l.ddg, machine, mii, partition.to_assignment());
             let outcome = match policy {
-                Policy::Weight => engine.run(),
+                Policy::Weight => engine.run(&mut EngineScratch::default()),
                 _ => run_custom(&mut engine, policy),
             };
             let fits = outcome == cvliw_replicate::ReplicationOutcome::Fits;
@@ -73,7 +73,7 @@ fn run_custom(
             Policy::Heaviest => {
                 candidates.sort_by(|(wa, _), (wb, _)| wb.partial_cmp(wa).expect("finite weights"));
             }
-            Policy::Weight => unreachable!("handled by engine.run()"),
+            Policy::Weight => unreachable!("handled by engine.run"),
         }
         // Take the first candidate that fits the machine; mirror the
         // engine's feasibility rule by attempting the commit only when the

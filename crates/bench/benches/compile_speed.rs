@@ -13,7 +13,9 @@ use std::hint::black_box;
 
 use cvliw_machine::MachineConfig;
 use cvliw_partition::partition_loop;
-use cvliw_replicate::{compile_loop, compile_loop_with, CompileOptions, LoopAnalysis, Mode};
+use cvliw_replicate::{
+    compile_loop, compile_loop_ctx, CompileContext, CompileOptions, LoopAnalysis, Mode,
+};
 use cvliw_sched::sms_order;
 use cvliw_workloads::{generate_loop, GeneratorParams};
 
@@ -30,7 +32,7 @@ fn representative_loop() -> cvliw_ddg::Ddg {
 fn bench_pipeline(c: &mut Criterion) {
     let ddg = representative_loop();
     let machine = MachineConfig::from_spec("4c1b2l64r").expect("spec parses");
-    let analysis = LoopAnalysis::new(&ddg, &machine);
+    let ctx = CompileContext::new(&ddg, &machine);
 
     c.bench_function("sms_order/40ops", |b| {
         b.iter(|| black_box(sms_order(black_box(&ddg), black_box(&machine))));
@@ -64,28 +66,29 @@ fn bench_pipeline(c: &mut Criterion) {
         });
     });
 
-    // The driver entry the suite actually uses: the analysis built once,
-    // the compile reusing it — the delta vs `compile/replicate` is what
-    // the cache saves per call.
+    // The driver entry the suite and the daemon use: one context built
+    // once, every compile reusing it — the analysis, the memoized
+    // refinement chain and engine outcomes, and the warm scratch. The
+    // delta vs `compile/replicate` is what the context saves per call.
     c.bench_function("compile/replicate_cached", |b| {
         b.iter(|| {
-            black_box(compile_loop_with(
+            black_box(compile_loop_ctx(
                 black_box(&ddg),
                 black_box(&machine),
                 &CompileOptions::replicate(),
-                black_box(&analysis),
+                black_box(&ctx),
             ))
         });
     });
 
     // One grid cell pair's worth of work: all five modes sharing one
-    // analysis, as `cvliw suite` schedules it.
+    // fresh context, as `cvliw suite` schedules it.
     c.bench_function("compile/all_modes_shared_analysis", |b| {
         b.iter(|| {
-            let analysis = LoopAnalysis::new(black_box(&ddg), black_box(&machine));
+            let ctx = CompileContext::new(black_box(&ddg), black_box(&machine));
             for mode in Mode::ALL {
                 let opts = CompileOptions { mode, max_ii: None };
-                black_box(compile_loop_with(&ddg, &machine, &opts, &analysis)).ok();
+                black_box(compile_loop_ctx(&ddg, &machine, &opts, &ctx)).ok();
             }
         });
     });

@@ -1,7 +1,8 @@
 //! Shared harness for the experiment regenerators in `benches/` — the
 //! workspace's §4 instrumentation, one `harness = false` bench target per
-//! figure and table of the paper (Figures 1 and 7–12, Table 1, the
-//! communication and register-sweep tables, plus ablations).
+//! figure and table of the paper that `docs/RESULTS.md` does not already
+//! print in full (Figures 1, 7, 8 and 10, Table 1, the communication and
+//! register-sweep tables, plus ablations).
 //!
 //! The compile-and-aggregate plumbing (compiling a whole benchmark program
 //! under a machine/mode pair, profile-weighted IPC, replication

@@ -9,17 +9,16 @@ use std::time::Instant;
 use cvliw_ddg::Ddg;
 use cvliw_machine::MachineConfig;
 use cvliw_partition::{
-    partition_loop_scratch, partition_loop_variant, refine_existing_cached,
-    refine_existing_scratch, score_partition_scratch, Partition, PartitionScore, RefineCache,
-    RefineScratch,
+    partition_loop_scratch, refine_existing, score_partition, Partition, PartitionScore,
+    RefineCache, RefineScratch,
 };
 use cvliw_sched::{
-    schedule_with_scratch, Assignment, IiCause, LoopAnalysis, OrderStrategy, SchedScratch,
-    Schedule, ScheduleError, ScheduleRequest,
+    schedule, Assignment, IiCause, LoopAnalysis, OrderStrategy, SchedScratch, Schedule,
+    ScheduleError, ScheduleRequest,
 };
 
 use crate::engine::{EngineScratch, ReplicationEngine, ReplicationOutcome, ReplicationStats};
-use crate::sched_len::extend_for_length_with;
+use crate::sched_len::extend_for_length;
 use crate::value_clone::uncloneable_coms;
 
 /// Which compilation pipeline to run.
@@ -615,7 +614,7 @@ impl CompileContext {
             }
             let started = Instant::now();
             let seed =
-                partition_loop_scratch(ddg, machine, mii, &self.analysis, &mut scratch.refine);
+                partition_loop_scratch(ddg, machine, mii, &self.analysis, &mut scratch.refine, 0);
             scratch.stage_nanos[Stage::Partition as usize] += elapsed_nanos(started);
             seed
         })
@@ -646,14 +645,14 @@ impl CompileContext {
         while chain.len() <= k {
             let prev = &chain[chain.len() - 1].partition;
             let started = Instant::now();
-            let refined = refine_existing_cached(
+            let refined = refine_existing(
                 ddg,
                 machine,
                 self.analysis.mii() + chain.len() as u32,
                 prev.clone(),
                 &self.analysis,
                 &mut scratch.refine,
-                &mut scratch.refine_cache,
+                Some(&mut scratch.refine_cache),
             );
             scratch.stage_nanos[Stage::Partition as usize] += elapsed_nanos(started);
             let changed = refined != *prev;
@@ -692,7 +691,7 @@ impl CompileContext {
         }
         let started = Instant::now();
         let mut engine = ReplicationEngine::new(ddg, machine, ii, base.to_assignment());
-        let step = match engine.run_scratch(&mut scratch.engine) {
+        let step = match engine.run(&mut scratch.engine) {
             ReplicationOutcome::Fits => {
                 let (assignment, stats) = engine.into_parts();
                 EngineStep::Fits(assignment, stats)
@@ -730,7 +729,7 @@ fn race_seed_partitions(
             scope.spawn(move || {
                 let started = Instant::now();
                 let mut scratch = RefineScratch::default();
-                let part = partition_loop_variant(
+                let part = partition_loop_scratch(
                     ddg,
                     machine,
                     mii,
@@ -738,8 +737,7 @@ fn race_seed_partitions(
                     &mut scratch,
                     variant as u32,
                 );
-                let score =
-                    score_partition_scratch(ddg, &part, machine, mii, analysis, &mut scratch);
+                let score = score_partition(ddg, &part, machine, mii, analysis, &mut scratch);
                 *lane = Some((score, part, elapsed_nanos(started)));
             });
         }
@@ -783,36 +781,14 @@ pub fn compile_loop(
     compile_loop_ctx(ddg, machine, opts, &CompileContext::new(ddg, machine))
 }
 
-/// [`compile_loop`] on a caller-provided [`LoopAnalysis`].
-///
-/// Every II-invariant artifact — latencies, SCCs, RecMII, the swing order —
-/// is read from the cache, so the II loop and the swing→topological retry
-/// never recompute them. Results are bit-identical to [`compile_loop`].
-/// (The suite goes one step further and shares a [`CompileContext`], which
-/// also memoizes the MII seed partition and the compile scratch across
-/// modes.)
+/// [`compile_loop`] on a shared [`CompileContext`]: the analysis, the
+/// refinement chain, the engine memo *and* the persistent compile scratch
+/// are reused across calls. Results are bit-identical to [`compile_loop`].
 ///
 /// # Errors
 ///
-/// Returns [`CompileError::IiLimitExceeded`] if no II up to the cap works.
-pub fn compile_loop_with(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    opts: &CompileOptions,
-    analysis: &LoopAnalysis,
-) -> Result<CompiledLoop, CompileError> {
-    let mut scratch = CompileScratch::default();
-    scratch.engine.prepare(ddg, analysis);
-    compile_loop_inner(ddg, machine, opts, analysis, None, &mut scratch)
-}
-
-/// [`compile_loop`] on a shared [`CompileContext`]: the analysis, the MII
-/// seed partition *and* the persistent compile scratch are reused across
-/// calls. Results are bit-identical to [`compile_loop`].
-///
-/// # Errors
-///
-/// Returns [`CompileError::IiLimitExceeded`] if no II up to the cap works.
+/// Returns [`CompileError::IiLimitExceeded`] if no II up to the cap works,
+/// or [`CompileError::Cancelled`] if the context's [`CancelToken`] fires.
 pub fn compile_loop_ctx(
     ddg: &Ddg,
     machine: &MachineConfig,
@@ -820,21 +796,11 @@ pub fn compile_loop_ctx(
     ctx: &CompileContext,
 ) -> Result<CompiledLoop, CompileError> {
     let scratch = &mut *ctx.scratch.borrow_mut();
-    compile_loop_inner(ddg, machine, opts, &ctx.analysis, Some(ctx), scratch)
-}
-
-fn compile_loop_inner(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    opts: &CompileOptions,
-    analysis: &LoopAnalysis,
-    ctx: Option<&CompileContext>,
-    scratch: &mut CompileScratch,
-) -> Result<CompiledLoop, CompileError> {
+    let analysis = &ctx.analysis;
     debug_assert_eq!(
         ddg.node_count(),
         analysis.node_lat().len(),
-        "the analysis must have been built for this loop"
+        "the context must have been built for this loop"
     );
     let mii = analysis.mii();
     let max_ii = opts
@@ -842,24 +808,11 @@ fn compile_loop_inner(
         .unwrap_or_else(|| mii.saturating_mul(4).saturating_add(256));
     let mut causes = CauseCounts::default();
 
-    // `known_coms` caches the current partition's communication count; it
-    // rides along with the chain memo (which counts once per step) and is
-    // dropped whenever the no-ctx path changes the partition.
-    let mut known_coms: Option<u32>;
-    let mut partition = match ctx {
-        Some(c) => {
-            let step = c.chain_step(ddg, machine, mii, scratch);
-            known_coms = Some(step.coms);
-            step.partition
-        }
-        None => {
-            let started = Instant::now();
-            let p = partition_loop_scratch(ddg, machine, mii, analysis, &mut scratch.refine);
-            scratch.stage_nanos[Stage::Partition as usize] += elapsed_nanos(started);
-            known_coms = None;
-            p
-        }
-    };
+    let ChainStep {
+        mut partition,
+        coms: mut partition_coms,
+        ..
+    } = ctx.chain_step(ddg, machine, mii, scratch);
     let mut ii = mii;
     // Failure-driven II skipping (non-replicating modes): after a bus
     // failure, the smallest II whose bandwidth could possibly fit the
@@ -880,33 +833,12 @@ fn compile_loop_inner(
             return Err(CompileError::Cancelled { ii_reached: ii });
         }
         if ii > mii {
-            match ctx {
-                Some(c) => {
-                    let step = c.chain_step(ddg, machine, ii, scratch);
-                    if step.changed {
-                        partition = step.partition;
-                        bus_bound = 0;
-                    }
-                    known_coms = Some(step.coms);
-                }
-                None => {
-                    let started = Instant::now();
-                    let refined = refine_existing_scratch(
-                        ddg,
-                        machine,
-                        ii,
-                        partition.clone(),
-                        analysis,
-                        &mut scratch.refine,
-                    );
-                    scratch.stage_nanos[Stage::Partition as usize] += elapsed_nanos(started);
-                    if refined != partition {
-                        partition = refined;
-                        bus_bound = 0;
-                        known_coms = None;
-                    }
-                }
+            let step = ctx.chain_step(ddg, machine, ii, scratch);
+            if step.changed {
+                partition = step.partition;
+                bus_bound = 0;
             }
+            partition_coms = step.coms;
         }
         if ii < bus_bound {
             debug_assert!(
@@ -917,33 +849,9 @@ fn compile_loop_inner(
             ii += 1;
             continue;
         }
-        let partition_coms = match known_coms {
-            Some(coms) => coms,
-            None => {
-                let coms = partition.comm_count(ddg);
-                known_coms = Some(coms);
-                coms
-            }
-        };
-
         let started = Instant::now();
         let (assignment, replication) = if opts.mode.replicates() {
-            let step = match ctx {
-                Some(c) => c.engine_step(ddg, machine, ii, &partition, scratch),
-                None => {
-                    let mut engine =
-                        ReplicationEngine::new(ddg, machine, ii, partition.to_assignment());
-                    let step = match engine.run_scratch(&mut scratch.engine) {
-                        ReplicationOutcome::Fits => {
-                            let (assignment, stats) = engine.into_parts();
-                            EngineStep::Fits(assignment, stats)
-                        }
-                        ReplicationOutcome::Stuck { .. } => EngineStep::Stuck,
-                    };
-                    scratch.stage_nanos[Stage::Replicate as usize] += elapsed_nanos(started);
-                    step
-                }
-            };
+            let step = ctx.engine_step(ddg, machine, ii, &partition, scratch);
             match step {
                 EngineStep::Fits(assignment, stats) => (assignment, stats),
                 EngineStep::Stuck => {
@@ -1000,7 +908,7 @@ fn compile_loop_inner(
 
         let assignment = if opts.mode == Mode::ReplicateSchedLen {
             let started = Instant::now();
-            let extended = extend_for_length_with(ddg, machine, ii, assignment, analysis);
+            let extended = extend_for_length(ddg, machine, ii, assignment, analysis);
             scratch.stage_nanos[Stage::Replicate as usize] += elapsed_nanos(started);
             extended
         } else {
@@ -1021,23 +929,22 @@ fn compile_loop_inner(
         // window-closure may be an ordering artifact, while topological
         // windows only close under genuine recurrence pressure.
         let started = Instant::now();
-        let attempt =
-            schedule_with_scratch(&request, OrderStrategy::Swing, analysis, &mut scratch.sched)
-                .or_else(|first| {
-                    if matches!(
-                        first,
-                        ScheduleError::Recurrence { .. } | ScheduleError::CopySlots { .. }
-                    ) {
-                        schedule_with_scratch(
-                            &request,
-                            OrderStrategy::Topological,
-                            analysis,
-                            &mut scratch.sched,
-                        )
-                    } else {
-                        Err(first)
-                    }
-                });
+        let attempt = schedule(&request, OrderStrategy::Swing, analysis, &mut scratch.sched)
+            .or_else(|first| {
+                if matches!(
+                    first,
+                    ScheduleError::Recurrence { .. } | ScheduleError::CopySlots { .. }
+                ) {
+                    schedule(
+                        &request,
+                        OrderStrategy::Topological,
+                        analysis,
+                        &mut scratch.sched,
+                    )
+                } else {
+                    Err(first)
+                }
+            });
         scratch.stage_nanos[Stage::Schedule as usize] += elapsed_nanos(started);
         match attempt {
             Ok(sched) => {
@@ -1113,20 +1020,6 @@ pub fn compile_stats(
     opts: &CompileOptions,
 ) -> Result<LoopStats, CompileError> {
     compile_loop(ddg, machine, opts).map(|out| out.stats)
-}
-
-/// [`compile_stats`] on a caller-provided [`LoopAnalysis`].
-///
-/// # Errors
-///
-/// Returns [`CompileError::IiLimitExceeded`] if no II up to the cap works.
-pub fn compile_stats_with(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    opts: &CompileOptions,
-    analysis: &LoopAnalysis,
-) -> Result<LoopStats, CompileError> {
-    compile_loop_with(ddg, machine, opts, analysis).map(|out| out.stats)
 }
 
 /// [`compile_stats`] on a shared [`CompileContext`] — the suite's per-cell

@@ -16,9 +16,8 @@ use crate::plan::{
 /// always-anchor slices the liveness queries run on, the dense
 /// [`PlanArena`], the usage/extra/freed censuses and the share table. One
 /// scratch serves every engine run of a compilation (every II of every
-/// replicating mode); [`ReplicationEngine::run_scratch`] resets what each
-/// run needs and produces bit-identical outcomes to
-/// [`ReplicationEngine::run`].
+/// replicating mode); [`ReplicationEngine::run`] resets what each run
+/// needs.
 #[derive(Clone, Debug, Default)]
 pub struct EngineScratch {
     on_cycle: Vec<bool>,
@@ -291,17 +290,14 @@ impl<'a> ReplicationEngine<'a> {
     /// commit the feasible plan with the lowest weight; stop when the bus
     /// fits or no plan fits the remaining resources (no over-replication,
     /// §3.3).
-    pub fn run(&mut self) -> ReplicationOutcome {
-        self.run_scratch(&mut EngineScratch::default())
-    }
-
-    /// [`ReplicationEngine::run`] on a persistent [`EngineScratch`]: the
-    /// plan arena, the liveness anchors and every census and worklist are
-    /// reused across engine runs. Bit-identical outcomes, assignments and
-    /// statistics — the arena builds plans in the same ascending-value
-    /// order the map oracle iterates, and every weight is the same
-    /// arithmetic in the same order.
-    pub fn run_scratch(&mut self, scratch: &mut EngineScratch) -> ReplicationOutcome {
+    ///
+    /// The plan arena, the liveness anchors and every census and worklist
+    /// live in `scratch` and are reused across engine runs; a warm scratch
+    /// yields the same outcomes, assignments and statistics as a fresh
+    /// one. The arena builds plans in the same ascending-value order the
+    /// map oracle iterates, and every weight is the same arithmetic in the
+    /// same order.
+    pub fn run(&mut self, scratch: &mut EngineScratch) -> ReplicationOutcome {
         scratch.ensure_on_cycle(self.ddg);
         while self.extra_coms() > 0 {
             let EngineScratch {
@@ -516,7 +512,10 @@ mod tests {
         // II = 2 → bus capacity 1 → extra = 1: exactly one replication.
         let mut engine = ReplicationEngine::new(&ddg, &m, 2, asg);
         assert_eq!(engine.extra_coms(), 1);
-        assert_eq!(engine.run(), ReplicationOutcome::Fits);
+        assert_eq!(
+            engine.run(&mut EngineScratch::default()),
+            ReplicationOutcome::Fits
+        );
         let (_, stats) = engine.into_parts();
         assert_eq!(stats.removed_coms(), 1, "no over-replication");
         assert_eq!(stats.final_coms, 1);
@@ -532,7 +531,10 @@ mod tests {
         // II = 1 → capacity 0 → both communications must go.
         let mut engine = ReplicationEngine::new(&ddg, &m, 1, asg);
         assert_eq!(engine.extra_coms(), 2);
-        assert_eq!(engine.run(), ReplicationOutcome::Fits);
+        assert_eq!(
+            engine.run(&mut EngineScratch::default()),
+            ReplicationOutcome::Fits
+        );
         assert!(engine.communicated().is_empty());
     }
 
@@ -543,7 +545,10 @@ mod tests {
         // II = 2, 2 buses → capacity 2 → nothing to do.
         let mut engine = ReplicationEngine::new(&ddg, &m, 2, asg);
         assert_eq!(engine.extra_coms(), 0);
-        assert_eq!(engine.run(), ReplicationOutcome::Fits);
+        assert_eq!(
+            engine.run(&mut EngineScratch::default()),
+            ReplicationOutcome::Fits
+        );
         let (asg2, stats) = engine.into_parts();
         assert_eq!(stats.added_instances(), 0);
         assert!(asg2.is_singleton());
@@ -566,7 +571,7 @@ mod tests {
         let mut engine = ReplicationEngine::new(&ddg, &m, 1, asg);
         assert_eq!(engine.extra_coms(), 1);
         assert_eq!(
-            engine.run(),
+            engine.run(&mut EngineScratch::default()),
             ReplicationOutcome::Stuck { remaining_extra: 1 }
         );
     }

@@ -17,7 +17,7 @@
 //!    disappears.
 //! 3. **Weigh** each subgraph by the resource pressure it adds, shared
 //!    replicas discounted, removable instructions credited
-//!    ([`plan_weight`], §3.3).
+//!    ([`ReplicationEngine::weights`], §3.3).
 //! 4. Greedily replicate the lightest subgraphs until the bus fits
 //!    ([`ReplicationEngine`], §3.3–3.4) — never more than `extra_coms`
 //!    of them.
@@ -76,9 +76,9 @@ mod value_clone;
 pub use acyclic::{replicate_for_acyclic_length, schedule_acyclic, AcyclicError, AcyclicSchedule};
 pub use cvliw_sched::LoopAnalysis;
 pub use driver::{
-    compile_loop, compile_loop_ctx, compile_loop_with, compile_stats, compile_stats_ctx,
-    compile_stats_with, CancelToken, CauseCounts, CompileContext, CompileError, CompileOptions,
-    CompileScratch, CompiledLoop, LoopStats, Mode, Stage,
+    compile_loop, compile_loop_ctx, compile_stats, compile_stats_ctx, CancelToken, CauseCounts,
+    CompileContext, CompileError, CompileOptions, CompileScratch, CompiledLoop, LoopStats, Mode,
+    Stage,
 };
 pub use engine::{EngineScratch, ReplicationEngine, ReplicationOutcome, ReplicationStats};
 pub use fingerprint::{fnv1a_64, loop_fingerprint};
@@ -88,5 +88,5 @@ pub use plan::{
     plan_weight, replication_plan, replication_plan_into, share_counts, PlanArena, PlanRef,
     ReplicationPlan,
 };
-pub use sched_len::{extend_for_length, extend_for_length_with};
+pub use sched_len::extend_for_length;
 pub use value_clone::{is_cloneable_value, uncloneable_coms, value_clone};

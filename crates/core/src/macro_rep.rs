@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use cvliw_ddg::{Ddg, NodeId, OpClass, OpKind};
 use cvliw_machine::MachineConfig;
 use cvliw_partition::{coarsen, Partition};
-use cvliw_sched::{Assignment, ClusterSet};
+use cvliw_sched::{Assignment, ClusterSet, LoopAnalysis};
 
 use crate::engine::ReplicationStats;
 use crate::liveness::{dead_instances, InstanceView};
@@ -37,7 +37,7 @@ pub fn macro_replicate(
         ..ReplicationStats::default()
     };
 
-    let hierarchy = coarsen(ddg, machine, ii);
+    let hierarchy = coarsen(ddg, machine, ii, &LoopAnalysis::new(ddg, machine));
     // Work at a mid level: coarse enough that macros bundle several
     // operations, fine enough that they are not whole clusters.
     let level = &hierarchy.levels[hierarchy.levels.len() / 2];
@@ -124,7 +124,7 @@ pub fn macro_replicate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ReplicationEngine;
+    use crate::engine::{EngineScratch, ReplicationEngine};
 
     /// A producer pair in one macro feeding two remote clusters.
     fn case() -> (Ddg, Partition) {
@@ -164,7 +164,7 @@ mod tests {
         let m = MachineConfig::from_spec("4c1b2l64r").unwrap();
         let (_, macro_stats) = macro_replicate(&ddg, &m, 2, &part);
         let mut engine = ReplicationEngine::new(&ddg, &m, 2, part.to_assignment());
-        engine.run();
+        engine.run(&mut EngineScratch::default());
         let (_, fine_stats) = engine.into_parts();
         if macro_stats.removed_coms() >= fine_stats.removed_coms() {
             assert!(

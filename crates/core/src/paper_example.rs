@@ -151,7 +151,7 @@ pub const FIG3_II: u32 = 2;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ReplicationEngine;
+    use crate::engine::{EngineScratch, ReplicationEngine};
     use cvliw_sched::ClusterSet;
     use std::collections::BTreeSet;
 
@@ -223,7 +223,7 @@ mod tests {
         let (ddg, asg, nd) = fig3_example();
         let machine = fig3_machine();
         let mut engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, asg);
-        let outcome = engine.run();
+        let outcome = engine.run(&mut EngineScratch::default());
         assert_eq!(outcome, crate::engine::ReplicationOutcome::Fits);
         let (asg, stats) = engine.into_parts();
         assert_eq!(
@@ -284,15 +284,20 @@ mod tests {
         let (ddg, asg, _) = fig3_example();
         let machine = fig3_machine();
         let mut engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, asg);
-        engine.run();
+        engine.run(&mut EngineScratch::default());
         let (asg, _) = engine.into_parts();
-        let sched = cvliw_sched::schedule(&cvliw_sched::ScheduleRequest {
-            ddg: &ddg,
-            machine: &machine,
-            assignment: &asg,
-            ii: FIG3_II,
-            zero_bus_dep_latency: false,
-        })
+        let sched = cvliw_sched::schedule(
+            &cvliw_sched::ScheduleRequest {
+                ddg: &ddg,
+                machine: &machine,
+                assignment: &asg,
+                ii: FIG3_II,
+                zero_bus_dep_latency: false,
+            },
+            cvliw_sched::OrderStrategy::Swing,
+            &cvliw_sched::LoopAnalysis::new(&ddg, &machine),
+            &mut cvliw_sched::SchedScratch::default(),
+        )
         .expect("the example schedules at II=2 after replication");
         sched.verify(&ddg, &machine).unwrap();
         assert_eq!(

@@ -19,7 +19,7 @@ use crate::liveness::{
 /// the liveness query all run on compact-id buffers the arena keeps warm
 /// across rounds, engine runs and (via `CompileScratch`) whole loops.
 ///
-/// [`PlanArena::build`] produces exactly the plans [`replication_plan`]
+/// `PlanArena::build` produces exactly the plans [`replication_plan`]
 /// would, in ascending communicated-value order — the map-based functions
 /// stay as the differential oracle.
 #[derive(Clone, Debug)]
@@ -627,7 +627,9 @@ pub fn replication_plan_into(
 
 /// How many plans would reuse each `(node, cluster)` replica: the sharing
 /// divisor of §3.3 ("if a node belongs to more than one subgraph, it can be
-/// replicated once and used more times").
+/// replicated once and used more times"). The map-based differential
+/// oracle of the engine's dense share table.
+#[doc(hidden)]
 #[must_use]
 pub fn share_counts(plans: &BTreeMap<NodeId, ReplicationPlan>) -> BTreeMap<(NodeId, u8), u32> {
     let mut counts: BTreeMap<(NodeId, u8), u32> = BTreeMap::new();
@@ -654,7 +656,10 @@ fn share_counts_one(plan: &ReplicationPlan, counts: &mut BTreeMap<(NodeId, u8), 
 /// This reproduces every worked number of the paper's Figures 3 and 6
 /// (`weight(S_D) = 49/16`, `weight(S_J) = 40/16`, and after replicating
 /// `S_E`: `44/8` and `42/8`); see `DESIGN.md` for the one constant the
-/// paper leaves ambiguous (the removal credit).
+/// paper leaves ambiguous (the removal credit). The map-based
+/// differential oracle of the engine's dense weights
+/// ([`ReplicationEngine::weights`](crate::ReplicationEngine::weights)).
+#[doc(hidden)]
 #[must_use]
 pub fn plan_weight(
     ddg: &Ddg,

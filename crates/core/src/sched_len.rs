@@ -19,16 +19,16 @@ const MAX_ROUNDS: usize = 8;
 /// The assignment-adjusted edge latency: the producer's base latency, plus
 /// the transfer cost when some consumer instance lives in a cluster
 /// without the producer (pair-dependent on point-to-point fabrics, the
-/// flat bus latency on shared buses). `base_lat` is either a machine
-/// lookup or the cached vector.
+/// flat bus latency on shared buses). `node_lat` is the cached per-node
+/// producer latency vector of the loop's [`LoopAnalysis`].
 fn comm_lat<'a>(
     machine: &'a MachineConfig,
     assignment: &'a Assignment,
-    base_lat: &'a impl Fn(NodeId) -> u32,
+    node_lat: &'a [u32],
 ) -> impl Fn(&cvliw_ddg::Edge) -> u32 + 'a {
     let uniform = machine.uniform_transfer_latency();
     move |e: &cvliw_ddg::Edge| {
-        let base = base_lat(e.src);
+        let base = node_lat[e.src.index()];
         if !e.is_data() {
             return base;
         }
@@ -45,7 +45,7 @@ fn comm_lat<'a>(
 
 /// Estimated critical-path length of one iteration (issue span) with bus
 /// latency charged on cross-cluster data edges; `None` below RecMII.
-/// `extend_core` inlines this (one `time_bounds` per round shares slacks
+/// `extend_for_length` inlines this (one `time_bounds` per round shares slacks
 /// with the zero-slack filter); the tests keep it as the oracle.
 #[cfg_attr(not(test), allow(dead_code))]
 fn estimated_length(
@@ -53,47 +53,25 @@ fn estimated_length(
     machine: &MachineConfig,
     ii: u32,
     assignment: &Assignment,
-    base_lat: &impl Fn(NodeId) -> u32,
+    node_lat: &[u32],
 ) -> Option<i64> {
-    let lat = comm_lat(machine, assignment, base_lat);
+    let lat = comm_lat(machine, assignment, node_lat);
     time_bounds(ddg, ii, lat).map(|tb| tb.length)
 }
 
 /// Applies the §5.1 extension: repeatedly pick a zero-slack cross-cluster
 /// data edge, replicate the producer into that one consumer cluster, and
-/// keep the change only if the estimated schedule length shrinks.
+/// keep the change only if the estimated schedule length shrinks. Producer
+/// latencies are read from the cached [`LoopAnalysis`].
 #[must_use]
 pub fn extend_for_length(
     ddg: &Ddg,
     machine: &MachineConfig,
     ii: u32,
-    assignment: Assignment,
-) -> Assignment {
-    let base = |n: NodeId| machine.latency(ddg.kind(n));
-    extend_core(ddg, machine, ii, assignment, &base)
-}
-
-/// [`extend_for_length`] on a cached [`LoopAnalysis`] (bit-identical; the
-/// producer latencies are read from the cached vector).
-#[must_use]
-pub fn extend_for_length_with(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    assignment: Assignment,
+    mut assignment: Assignment,
     analysis: &LoopAnalysis,
 ) -> Assignment {
-    let base = |n: NodeId| analysis.node_lat()[n.index()];
-    extend_core(ddg, machine, ii, assignment, &base)
-}
-
-fn extend_core(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    mut assignment: Assignment,
-    base_lat: &impl Fn(NodeId) -> u32,
-) -> Assignment {
+    let node_lat = analysis.node_lat();
     let n = ddg.node_count();
     // Buffers reused across rounds and candidates: the Figure-4 walk, the
     // Figure-5 liveness query, the censuses and the span estimate.
@@ -121,7 +99,7 @@ fn extend_core(
     for _ in 0..MAX_ROUNDS {
         // One full ASAP/ALAP pass per round gives both the current length
         // and the slacks (`estimated_length` is `time_bounds(..).length`).
-        let Some(tb) = time_bounds(ddg, ii, comm_lat(machine, &assignment, base_lat)) else {
+        let Some(tb) = time_bounds(ddg, ii, comm_lat(machine, &assignment, node_lat)) else {
             return assignment;
         };
         let current_len = tb.length;
@@ -134,7 +112,7 @@ fn extend_core(
         // Zero-slack cross edges: slacks are materialized up front so the
         // assignment can be mutated while iterating.
         let edge_lat: Vec<u32> = {
-            let lat = comm_lat(machine, &assignment, base_lat);
+            let lat = comm_lat(machine, &assignment, node_lat);
             ddg.edges().map(&lat).collect()
         };
 
@@ -271,7 +249,7 @@ fn extend_core(
                 // reduce the communication count, but be defensive); then
                 // the candidate length needs the ASAP sweep only.
                 let shorter = coms_buf.len() as u32 <= machine.coms_capacity_per_ii(ii) && {
-                    let lat = comm_lat(machine, &assignment, base_lat);
+                    let lat = comm_lat(machine, &assignment, node_lat);
                     cand_lat.clear();
                     cand_lat.extend(ddg.edges().map(&lat));
                     matches!(
@@ -343,10 +321,11 @@ mod tests {
         let (ddg, asg) = fig11();
         let m = machine();
         let ii = 3;
-        let base = |n: NodeId| m.latency(ddg.kind(n));
-        let before = estimated_length(&ddg, &m, ii, &asg, &base).unwrap();
-        let extended = extend_for_length(&ddg, &m, ii, asg);
-        let after = estimated_length(&ddg, &m, ii, &extended, &base).unwrap();
+        let analysis = LoopAnalysis::new(&ddg, &m);
+        let lat = analysis.node_lat();
+        let before = estimated_length(&ddg, &m, ii, &asg, lat).unwrap();
+        let extended = extend_for_length(&ddg, &m, ii, asg, &analysis);
+        let after = estimated_length(&ddg, &m, ii, &extended, lat).unwrap();
         assert!(after < before, "length must shrink: {after} vs {before}");
         // A was copied into cluster 0 (the critical consumer D's cluster)…
         let a = ddg.find_by_label("A").unwrap();
@@ -365,7 +344,7 @@ mod tests {
         let ddg = bld.build().unwrap();
         let asg = Assignment::from_partition(&[0, 0]);
         let m = machine();
-        let out = extend_for_length(&ddg, &m, 2, asg.clone());
+        let out = extend_for_length(&ddg, &m, 2, asg.clone(), &LoopAnalysis::new(&ddg, &m));
         assert_eq!(out, asg);
     }
 }

@@ -19,7 +19,7 @@ use std::time::Instant;
 use cvliw_replicate::Stage;
 
 use crate::grid::SuiteGrid;
-use crate::runner::{prepare, run_pool, Granularity, SuiteError};
+use crate::runner::{prepare, run_pool, SuiteError};
 
 /// Median wall clock of one (machine × program) work unit: all modes of
 /// the pair, every loop, one shared `LoopAnalysis` per loop.
@@ -116,7 +116,7 @@ pub fn bench_suite(
     let runs = runs.max(1);
 
     for _ in 0..warmup {
-        let _ = run_pool(&prep, jobs, Granularity::default());
+        let _ = run_pool(&prep, jobs);
     }
 
     let mut run_wall_ms = Vec::with_capacity(runs);
@@ -127,7 +127,7 @@ pub fn bench_suite(
         .collect();
     for _ in 0..runs {
         let started = Instant::now();
-        let (_, pair_nanos, pair_stages) = run_pool(&prep, jobs, Granularity::default());
+        let (_, pair_nanos, pair_stages) = run_pool(&prep, jobs);
         run_wall_ms.push(started.elapsed().as_secs_f64() * 1e3);
         for (samples, nanos) in pair_samples.iter_mut().zip(&pair_nanos) {
             samples.push(*nanos as f64 / 1e6);
@@ -251,8 +251,7 @@ pub fn emit_bench_json(report: &BenchReport) -> String {
     // Key naming is deliberate: no key (or key-bearing line) in this
     // section may contain the literal `"spec"` or `"wall_ms"` byte
     // sequences — the committed book's pair rows are recovered by exactly
-    // that line filter (see `runner::committed_pair_ms` and CI's awk
-    // extraction). `unit` carries "<spec> <program>" and `ms` the wall
+    // that line filter (see CI's awk extraction). `unit` carries "<spec> <program>" and `ms` the wall
     // clock, keeping both quoted sequences out.
     o.push_str("  },\n  \"pairs_top\": [\n");
     for (i, p) in report.pairs_top.iter().enumerate() {

@@ -137,76 +137,17 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Compiles every loop of `program` on `machine` under `mode` and folds
-/// the statistics into a [`CellResult`]. Loops that fail to compile are
-/// counted, never silently dropped.
-#[must_use]
-pub fn run_cell_on(
-    cell: &CellSpec,
-    program: &BenchmarkProgram,
-    machine: &MachineConfig,
-) -> CellResult {
-    run_pair_on(std::slice::from_ref(cell), program, machine)
-        .pop()
-        .expect("one cell in, one result out")
-}
-
-/// Compiles one (machine, program) pair under every mode of `cells` — the
-/// suite's unit of work. The grid is machine-major, so the five modes of a
-/// pair share the machine and every loop; one [`CompileContext`] per loop
-/// (the II-invariant `LoopAnalysis`, the memoized MII seed partition and
-/// the persistent compile scratch) is computed here and reused across all
-/// modes — a straight 5× reuse. Results align with `cells` and are
-/// bit-identical to running each cell in isolation.
-#[must_use]
-pub fn run_pair_on(
-    cells: &[CellSpec],
-    program: &BenchmarkProgram,
-    machine: &MachineConfig,
-) -> Vec<CellResult> {
-    run_pair_timed(cells, program, machine, 1).0
-}
-
-/// [`run_pair_on`] plus the pair's accumulated per-stage wall-clock
-/// nanoseconds (indexed by `cvliw_replicate::Stage as usize`), summed over
-/// every loop's [`CompileContext`]. The bench harness aggregates these
-/// into the `stage_ms` section of `BENCH_compile.json`; plain suite runs
-/// drop them — timing never reaches a report.
+/// The suite's atomic unit of work: one loop of one (machine, program)
+/// pair under every mode of `cells`, on one [`CompileContext`] built over
+/// a recycled [`CompileScratch`]. Returns the per-mode outcome (`None` =
+/// compile failure), the context's per-stage wall clock, and the scratch
+/// for the caller's next unit.
 ///
 /// `refine_seeds > 1` races that many perturbed refinements per loop for
 /// the MII seed partition (deterministic winner; see
 /// [`CompileContext::with_refine_seeds`]). Every raced seed's wall clock
 /// lands in the partition stage bucket, so the stage breakdown charges
 /// the losers' CPU too.
-#[must_use]
-pub fn run_pair_timed(
-    cells: &[CellSpec],
-    program: &BenchmarkProgram,
-    machine: &MachineConfig,
-    refine_seeds: u32,
-) -> (Vec<CellResult>, [u64; 4]) {
-    let mut outs: Vec<CellResult> = cells.iter().map(CellResult::empty).collect();
-    let mut stage_nanos = [0u64; 4];
-    let mut scratch = CompileScratch::default();
-    for l in &program.loops {
-        let (per_mode, stages, recycled) =
-            compile_loop_all_modes(l, machine, cells, refine_seeds, scratch);
-        scratch = recycled;
-        fold_loop(&mut outs, l, &per_mode);
-        for (total, stage) in stage_nanos.iter_mut().zip(stages) {
-            *total += stage;
-        }
-    }
-    (outs, stage_nanos)
-}
-
-/// The suite's atomic unit of work: one loop of one (machine, program)
-/// pair under every mode of `cells`, on one [`CompileContext`] built over
-/// a recycled [`CompileScratch`]. Returns the per-mode outcome (`None` =
-/// compile failure), the context's per-stage wall clock, and the scratch
-/// for the caller's next unit. Both the sequential pair walk above and the
-/// loop-granular worker pool funnel through this function, which is what
-/// makes their reports byte-identical by construction.
 pub(crate) fn compile_loop_all_modes(
     l: &WorkloadLoop,
     machine: &MachineConfig,
@@ -230,11 +171,14 @@ pub(crate) fn compile_loop_all_modes(
     (per_mode, stages, ctx.into_scratch())
 }
 
-/// Folds one loop's per-mode outcomes into the pair's cell accumulators —
-/// in mode order, exactly as the sequential walk does. Failures count,
-/// they never silently drop.
-pub(crate) fn fold_loop(outs: &mut [CellResult], l: &WorkloadLoop, per_mode: &[Option<LoopStats>]) {
-    for (out, stats) in outs.iter_mut().zip(per_mode) {
+/// Folds one loop's per-mode outcomes into the pair's cell accumulators,
+/// given in mode order. Failures count, they never silently drop.
+pub(crate) fn fold_loop<'a>(
+    outs: impl IntoIterator<Item = &'a mut CellResult>,
+    l: &WorkloadLoop,
+    per_mode: &[Option<LoopStats>],
+) {
+    for (out, stats) in outs.into_iter().zip(per_mode) {
         match stats {
             Some(stats) => out.add_loop(l, stats),
             None => {
@@ -337,23 +281,25 @@ pub fn run_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_suite, SuiteGrid};
     use cvliw_workloads::program_subset;
 
-    fn small_cell(mode: Mode) -> (CellSpec, BenchmarkProgram, MachineConfig) {
-        let cell = CellSpec {
-            program: "tomcatv".into(),
-            spec: "4c2b2l64r".into(),
-            mode,
-        };
-        let program = program_subset("tomcatv", 2).unwrap();
-        let machine = MachineConfig::from_spec("4c2b2l64r").unwrap();
-        (cell, program, machine)
+    /// One cell through the production pool: the first two tomcatv loops
+    /// on a 4-cluster machine under `mode`.
+    fn small_cell(mode: Mode) -> CellResult {
+        let grid = SuiteGrid::paper()
+            .with_programs(vec!["tomcatv".into()])
+            .with_specs(vec!["4c2b2l64r".into()])
+            .with_modes(vec![mode])
+            .with_max_loops(2);
+        let mut report = run_suite(&grid, 1).unwrap();
+        assert_eq!(report.cells.len(), 1);
+        report.cells.pop().unwrap()
     }
 
     #[test]
     fn run_cell_accumulates_all_loops() {
-        let (cell, program, machine) = small_cell(Mode::Replicate);
-        let r = run_cell_on(&cell, &program, &machine);
+        let r = small_cell(Mode::Replicate);
         assert_eq!(r.loops, 2);
         assert_eq!(r.failures, 0);
         assert!(r.ipc() > 0.0);
@@ -363,16 +309,16 @@ mod tests {
 
     #[test]
     fn baseline_cell_adds_no_instructions() {
-        let (cell, program, machine) = small_cell(Mode::Baseline);
-        let r = run_cell_on(&cell, &program, &machine);
+        let r = small_cell(Mode::Baseline);
         assert_eq!(r.added_ops, 0);
         assert_eq!(r.overhead(), 0.0);
     }
 
     #[test]
     fn run_program_matches_cell_ipc() {
-        let (cell, program, machine) = small_cell(Mode::Replicate);
-        let cell_r = run_cell_on(&cell, &program, &machine);
+        let cell_r = small_cell(Mode::Replicate);
+        let program = program_subset("tomcatv", 2).unwrap();
+        let machine = MachineConfig::from_spec("4c2b2l64r").unwrap();
         let prog_r = run_program(&program, &machine, &CompileOptions::replicate());
         assert!((cell_r.ipc() - prog_r.ipc).abs() < 1e-12);
         assert_eq!(prog_r.failures, 0);

@@ -7,9 +7,10 @@
 //!
 //! * [`SuiteGrid`] — enumerates the (workload × machine × policy) product
 //!   in a fixed, machine-major order;
-//! * [`run_suite`] — shards the cells across a scoped-thread worker pool
-//!   (`std::thread::scope`, no external dependencies) and runs each cell
-//!   through the `cvliw_replicate` driver via [`run_cell_on`];
+//! * [`run_suite`] — shards the grid's loops across a scoped-thread worker
+//!   pool (`std::thread::scope`, no external dependencies) and compiles
+//!   each loop under every mode through one shared
+//!   `cvliw_replicate::CompileContext`;
 //! * [`SuiteReport`] — the typed result: integer per-cell accumulators
 //!   ([`CellResult`]) plus config-level aggregates (profile-weighted IPC,
 //!   HMEAN, weighted II, replication overhead);
@@ -55,12 +56,10 @@ mod runner;
 mod serve_bench;
 
 pub use bench::{bench_suite, emit_bench_json, BenchReport, PairStageTiming, PairTiming};
-pub use cell::{
-    run_cell_on, run_loop, run_pair_on, run_pair_timed, run_program, CellResult, ProgramResult,
-};
+pub use cell::{run_loop, run_program, CellResult, ProgramResult};
 pub use emit::{emit, emit_csv, emit_json, emit_text, Format};
 pub use emit_md::emit_markdown;
 pub use grid::{CellSpec, SuiteGrid};
 pub use report::SuiteReport;
-pub use runner::{default_jobs, run_suite, run_suite_with, Granularity, SuiteError};
+pub use runner::{default_jobs, run_suite, SuiteError};
 pub use serve_bench::{serve_replay, serve_restart_replay, ServeReport, ServeRestartReport};

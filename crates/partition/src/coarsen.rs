@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 
 use cvliw_ddg::{Ddg, OpClass};
 use cvliw_machine::MachineConfig;
+use cvliw_sched::LoopAnalysis;
 
 use crate::matching::greedy_matching;
 use crate::partition::Partition;
@@ -81,21 +82,11 @@ fn macro_class_counts(ddg: &Ddg, macro_of: &[usize], n_macros: usize) -> Vec<[u3
 /// takes a greedy maximum-weight matching among pairs whose merged size
 /// still fits a cluster's `units·II` capacity, and merges. When matching
 /// stalls (disconnected or capacity-blocked graphs) the two smallest
-/// macro-nodes are force-merged so the process always terminates.
+/// macro-nodes are force-merged so the process always terminates. The
+/// weights read the RecMII and SCC decomposition from `analysis`.
 #[must_use]
-pub fn coarsen(ddg: &Ddg, machine: &MachineConfig, ii: u32) -> Hierarchy {
-    coarsen_from_weights(ddg, machine, ii, &edge_weights(ddg, machine, ii))
-}
-
-/// [`coarsen`] with precomputed edge weights (see
-/// [`crate::edge_weights_with`] for the cached-analysis path).
-#[must_use]
-pub fn coarsen_from_weights(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    weights: &[u64],
-) -> Hierarchy {
+pub fn coarsen(ddg: &Ddg, machine: &MachineConfig, ii: u32, analysis: &LoopAnalysis) -> Hierarchy {
+    let weights = edge_weights(ddg, machine, ii, analysis);
     let n = ddg.node_count();
     let clusters = machine.clusters() as usize;
 
@@ -187,6 +178,11 @@ mod tests {
         MachineConfig::from_spec(spec).unwrap()
     }
 
+    fn coarsen_on(ddg: &Ddg, spec: &str, ii: u32) -> Hierarchy {
+        let m = machine(spec);
+        coarsen(ddg, &m, ii, &LoopAnalysis::new(ddg, &m))
+    }
+
     fn chain(n: usize) -> Ddg {
         let mut b = Ddg::builder();
         let nodes: Vec<_> = (0..n).map(|_| b.add_node(OpKind::FpAdd)).collect();
@@ -199,7 +195,7 @@ mod tests {
     #[test]
     fn coarsens_to_cluster_count() {
         let ddg = chain(10);
-        let h = coarsen(&ddg, &machine("4c1b2l64r"), 4);
+        let h = coarsen_on(&ddg, "4c1b2l64r", 4);
         assert!(h.coarsest().n_macros <= 4);
         assert_eq!(h.levels[0].n_macros, 10);
         // levels strictly shrink
@@ -211,7 +207,7 @@ mod tests {
     #[test]
     fn initial_partition_covers_all_nodes() {
         let ddg = chain(9);
-        let h = coarsen(&ddg, &machine("2c1b2l64r"), 4);
+        let h = coarsen_on(&ddg, "2c1b2l64r", 4);
         let p = h.initial_partition();
         assert_eq!(p.node_count(), 9);
         assert!(p.as_slice().iter().all(|&c| c < 2));
@@ -220,7 +216,7 @@ mod tests {
     #[test]
     fn groups_partition_the_nodes() {
         let ddg = chain(7);
-        let h = coarsen(&ddg, &machine("2c1b2l64r"), 3);
+        let h = coarsen_on(&ddg, "2c1b2l64r", 3);
         for level in &h.levels {
             let groups = level.groups();
             let total: usize = groups.iter().map(Vec::len).sum();
@@ -236,14 +232,14 @@ mod tests {
             b.add_node(OpKind::Load);
         }
         let ddg = b.build().unwrap();
-        let h = coarsen(&ddg, &machine("2c1b2l64r"), 3);
+        let h = coarsen_on(&ddg, "2c1b2l64r", 3);
         assert!(h.coarsest().n_macros <= 2);
     }
 
     #[test]
     fn small_graphs_stay_as_is() {
         let ddg = chain(2);
-        let h = coarsen(&ddg, &machine("4c1b2l64r"), 1);
+        let h = coarsen_on(&ddg, "4c1b2l64r", 1);
         assert_eq!(h.levels.len(), 1);
         assert_eq!(h.coarsest().n_macros, 2);
         let p = h.initial_partition();
@@ -261,7 +257,7 @@ mod tests {
         let loose = b.add_node(OpKind::IntAdd);
         b.data(y, loose);
         let ddg = b.build().unwrap();
-        let h = coarsen(&ddg, &machine("2c1b2l64r"), 6);
+        let h = coarsen_on(&ddg, "2c1b2l64r", 6);
         // after the first merge round, x and y share a macro
         let level1 = &h.levels[1];
         assert_eq!(level1.macro_of[x.index()], level1.macro_of[y.index()]);

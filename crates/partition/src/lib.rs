@@ -4,21 +4,22 @@
 //!
 //! The pipeline follows the paper's description:
 //!
-//! 1. **Edge weighting** ([`edge_weights`]): every data dependence is
-//!    weighted by the execution-time impact of paying a bus latency on it —
-//!    low-slack edges and edges inside recurrences are expensive to cut.
+//! 1. **Edge weighting**: every data dependence is weighted by the
+//!    execution-time impact of paying a bus latency on it — low-slack
+//!    edges and edges inside recurrences are expensive to cut.
 //! 2. **Coarsening** ([`coarsen`]): repeated maximum-weight matchings group
 //!    nodes into macro-nodes until as many macro-nodes remain as the
 //!    machine has clusters, recording every intermediate level.
 //! 3. **Initial partition** ([`Hierarchy::initial_partition`]): the
 //!    coarsest macro-nodes map one-to-one onto clusters.
-//! 4. **Refinement** ([`refine`]): walking the hierarchy back from coarse
-//!    to fine, macro-nodes are greedily moved between clusters whenever a
-//!    pseudo-schedule-based score ([`PartitionScore`]) improves.
+//! 4. **Refinement**: walking the hierarchy back from coarse to fine,
+//!    macro-nodes are greedily moved between clusters whenever a
+//!    pseudo-schedule-based score ([`score_partition`]) improves.
 //!
-//! [`partition_loop`] bundles the whole pipeline; [`refine_existing`] is
-//! the "Refine Partition" box of the paper's Figure 2, used by the driver
-//! each time the II is bumped.
+//! [`partition_loop_scratch`] bundles the whole pipeline (with
+//! [`partition_loop`] as its one-shot form); [`refine_existing`] is the
+//! "Refine Partition" box of the paper's Figure 2, used by the driver each
+//! time the II is bumped.
 //!
 //! # Example
 //!
@@ -50,79 +51,49 @@ mod partition;
 mod refine;
 mod weights;
 
-pub use coarsen::{coarsen, coarsen_from_weights, CoarseLevel, Hierarchy};
+pub use coarsen::{coarsen, CoarseLevel, Hierarchy};
 pub use matching::greedy_matching;
 pub use partition::Partition;
 pub use refine::{
-    refine, refine_existing, refine_existing_cached, refine_existing_oracle,
-    refine_existing_scratch, refine_existing_trace, refine_existing_with, score_partition,
-    score_partition_scratch, PartitionScore, RefineCache, RefineMove, RefineScratch,
+    refine_existing, refine_existing_oracle, score_partition, PartitionScore, RefineCache,
+    RefineMove, RefineScratch,
 };
-pub use weights::{edge_weights, edge_weights_with};
 
 use cvliw_ddg::Ddg;
 use cvliw_machine::MachineConfig;
 use cvliw_sched::LoopAnalysis;
 
+/// One-shot [`partition_loop_scratch`]: computes the [`LoopAnalysis`] and a
+/// fresh scratch internally, canonical seed.
+#[must_use]
+pub fn partition_loop(ddg: &Ddg, machine: &MachineConfig, ii: u32) -> Partition {
+    partition_loop_scratch(
+        ddg,
+        machine,
+        ii,
+        &LoopAnalysis::new(ddg, machine),
+        &mut RefineScratch::default(),
+        0,
+    )
+}
+
 /// Runs the full multilevel pipeline: weight, coarsen, seed, refine.
 ///
 /// `ii` is the initiation interval the partition is being built for
 /// (normally the loop's MII); capacities and pseudo-schedules are evaluated
-/// at this II.
-#[must_use]
-pub fn partition_loop(ddg: &Ddg, machine: &MachineConfig, ii: u32) -> Partition {
-    if machine.clusters() == 1 {
-        return Partition::single_cluster(ddg.node_count());
-    }
-    let hierarchy = coarsen(ddg, machine, ii);
-    let initial = hierarchy.initial_partition();
-    refine(ddg, machine, ii, &hierarchy, initial)
-}
-
-/// [`partition_loop`] on a cached [`LoopAnalysis`]: the edge weights reuse
-/// the cache's RecMII and SCC decomposition, and every pseudo-schedule
-/// evaluated during refinement reads the cached latency vector. The result
-/// is bit-identical to [`partition_loop`].
-#[must_use]
-pub fn partition_loop_with(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    analysis: &LoopAnalysis,
-) -> Partition {
-    partition_loop_scratch(ddg, machine, ii, analysis, &mut RefineScratch::default())
-}
-
-/// [`partition_loop_with`] on a persistent [`RefineScratch`], so the
-/// multilevel refinement walk is allocation-free too. Bit-identical to
-/// [`partition_loop`].
+/// at this II. The edge weights reuse the analysis's RecMII and SCC
+/// decomposition, every pseudo-schedule reads its latency vector, and the
+/// refinement walk runs allocation-free on `scratch`.
+///
+/// `variant` is the refinement perturbation index of best-of-N seed
+/// racing: it rotates the target-cluster scan order inside every
+/// refinement level, so ties in the greedy move selection break toward
+/// different clusters and the walk explores a different trajectory
+/// through the same score landscape. `variant == 0` is the canonical
+/// order; any other variant still only ever accepts strictly
+/// score-improving moves.
 #[must_use]
 pub fn partition_loop_scratch(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    analysis: &LoopAnalysis,
-    scratch: &mut RefineScratch,
-) -> Partition {
-    if machine.clusters() == 1 {
-        return Partition::single_cluster(ddg.node_count());
-    }
-    let weights = edge_weights_with(ddg, machine, ii, analysis);
-    let hierarchy = coarsen_from_weights(ddg, machine, ii, &weights);
-    let initial = hierarchy.initial_partition();
-    refine::refine_inner(ddg, machine, ii, &hierarchy, initial, analysis, scratch)
-}
-
-/// [`partition_loop_scratch`] with a refinement perturbation index, the
-/// worker body of best-of-N seed racing: `variant` rotates the
-/// target-cluster scan order inside every refinement level, so ties in the
-/// greedy move selection break toward different clusters and the walk
-/// explores a different trajectory through the same score landscape.
-/// `variant == 0` is the canonical order — bit-identical to
-/// [`partition_loop_scratch`]; any other variant still only ever accepts
-/// strictly score-improving moves.
-#[must_use]
-pub fn partition_loop_variant(
     ddg: &Ddg,
     machine: &MachineConfig,
     ii: u32,
@@ -133,10 +104,6 @@ pub fn partition_loop_variant(
     if machine.clusters() == 1 {
         return Partition::single_cluster(ddg.node_count());
     }
-    let weights = edge_weights_with(ddg, machine, ii, analysis);
-    let hierarchy = coarsen_from_weights(ddg, machine, ii, &weights);
-    let initial = hierarchy.initial_partition();
-    refine::refine_inner_variant(
-        ddg, machine, ii, &hierarchy, initial, analysis, scratch, variant,
-    )
+    let hierarchy = coarsen(ddg, machine, ii, analysis);
+    refine::refine_hierarchy(ddg, machine, ii, &hierarchy, analysis, scratch, variant)
 }

@@ -25,13 +25,13 @@
 //!   hence II-independent: entries filled at one II keep hitting across
 //!   the whole II climb.
 //!
-//! All three layers are observationally pure: `refine_existing_cached`
-//! is bit-identical to `refine_existing`, pinned by debug assertions and
+//! All three layers are observationally pure: [`refine_existing`] accepts
+//! the same moves with or without a cache, pinned by debug assertions and
 //! the differential oracle in `tests/refine_incremental_props.rs`.
 
 use cvliw_ddg::{Ddg, IncrementalAsap, NodeId, OpClass};
 use cvliw_machine::MachineConfig;
-use cvliw_sched::{pseudo_schedule_scratch, Assignment, LoopAnalysis, PseudoScratch};
+use cvliw_sched::{pseudo_schedule, Assignment, LoopAnalysis, PseudoScratch};
 
 use crate::coarsen::{CoarseLevel, Hierarchy};
 use crate::partition::Partition;
@@ -111,6 +111,8 @@ pub struct RefineScratch {
     /// follow-up `refine_level` on the *same* (graph, II, partition) state
     /// can skip the entry recount (see [`LevelOpts::reuse_base`]).
     base_ncoms: u32,
+    /// Moves accepted by the most recent refinement call.
+    moves: Vec<RefineMove>,
 }
 
 impl Default for RefineScratch {
@@ -132,11 +134,21 @@ impl Default for RefineScratch {
             est_base: Vec::new(),
             est_tmp: Vec::new(),
             base_ncoms: 0,
+            moves: Vec::new(),
         }
     }
 }
 
 impl RefineScratch {
+    /// The moves accepted by the most recent [`refine_existing`] (or
+    /// multilevel) call, in acceptance order — the production side of the
+    /// move-sequence differential against [`refine_existing_oracle`].
+    #[doc(hidden)]
+    #[must_use]
+    pub fn moves(&self) -> &[RefineMove] {
+        &self.moves
+    }
+
     /// Rebuilds the incremental move-speculation base state — the current
     /// partition's comm-adjusted latencies, ASAP fixpoint and per-producer
     /// register costs. Called at `refine_level` entry and after every
@@ -200,32 +212,11 @@ fn node_reg_cost(ddg: &Ddg, ii: u32, analysis: &LoopAnalysis, asap: &[i64], n: N
     span.div_ceil(u64::from(ii))
 }
 
-/// Scores a partition with a pseudo-schedule (see [`PartitionScore`]).
-///
-/// One-shot convenience: computes a [`LoopAnalysis`] internally. Hot paths
-/// use [`score_partition_scratch`].
+/// Scores a partition with a pseudo-schedule (see [`PartitionScore`]) on a
+/// cached [`LoopAnalysis`] and a reusable [`RefineScratch`] — allocation-free
+/// once the scratch is warm.
 #[must_use]
 pub fn score_partition(
-    ddg: &Ddg,
-    part: &Partition,
-    machine: &MachineConfig,
-    ii: u32,
-) -> PartitionScore {
-    let analysis = LoopAnalysis::new(ddg, machine);
-    score_partition_scratch(
-        ddg,
-        part,
-        machine,
-        ii,
-        &analysis,
-        &mut RefineScratch::default(),
-    )
-}
-
-/// [`score_partition`] on a cached [`LoopAnalysis`] and a reusable
-/// [`RefineScratch`] — allocation-free and bit-identical.
-#[must_use]
-pub fn score_partition_scratch(
     ddg: &Ddg,
     part: &Partition,
     machine: &MachineConfig,
@@ -234,7 +225,7 @@ pub fn score_partition_scratch(
     scratch: &mut RefineScratch,
 ) -> PartitionScore {
     scratch.assignment.set_from_partition(part.as_slice());
-    let ps = pseudo_schedule_scratch(
+    let ps = pseudo_schedule(
         ddg,
         &scratch.assignment,
         machine,
@@ -321,7 +312,7 @@ impl RefineCache {
     /// safe to hand to a *different* `(graph, machine)` pair. Callers that
     /// recycle a cache-bearing scratch across loops must call this at the
     /// hand-over — two graphs can share a node count, and then nothing in
-    /// [`RefineCache::prepare`] would notice the swap.
+    /// `RefineCache::prepare` would notice the swap.
     pub fn invalidate(&mut self) {
         self.primed = false;
     }
@@ -410,56 +401,24 @@ impl RefineCache {
 }
 
 /// Refines a partition by walking the hierarchy from coarse to fine,
-/// greedily moving macro-nodes between clusters while the score improves.
-#[must_use]
-pub fn refine(
+/// greedily moving macro-nodes between clusters while the score improves —
+/// the refinement half of [`crate::partition_loop_scratch`].
+///
+/// `variant` is the best-of-N seed-racing perturbation: it rotates the
+/// target-cluster scan order inside every level, so score *ties* between
+/// destination clusters break differently and the greedy walk explores a
+/// different trajectory. `variant == 0` is the canonical order.
+pub(crate) fn refine_hierarchy(
     ddg: &Ddg,
     machine: &MachineConfig,
     ii: u32,
     hierarchy: &Hierarchy,
-    initial: Partition,
-) -> Partition {
-    let analysis = LoopAnalysis::new(ddg, machine);
-    refine_inner(
-        ddg,
-        machine,
-        ii,
-        hierarchy,
-        initial,
-        &analysis,
-        &mut RefineScratch::default(),
-    )
-}
-
-pub(crate) fn refine_inner(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    hierarchy: &Hierarchy,
-    initial: Partition,
-    analysis: &LoopAnalysis,
-    scratch: &mut RefineScratch,
-) -> Partition {
-    refine_inner_variant(ddg, machine, ii, hierarchy, initial, analysis, scratch, 0)
-}
-
-/// [`refine_inner`] with a perturbation index for best-of-N seed racing:
-/// `variant` rotates the target-cluster scan order inside every level, so
-/// score *ties* between destination clusters break differently and the
-/// greedy walk explores a different trajectory. `variant == 0` is the
-/// canonical order — bit-identical to [`refine_inner`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn refine_inner_variant(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    hierarchy: &Hierarchy,
-    initial: Partition,
     analysis: &LoopAnalysis,
     scratch: &mut RefineScratch,
     variant: u32,
 ) -> Partition {
-    let mut part = initial;
+    scratch.moves.clear();
+    let mut part = hierarchy.initial_partition();
     // Skip the coarsest level: each of its macros is an entire cluster.
     // Consecutive levels see the same (graph, II, partition) state, so the
     // first level's exit move base is every later level's entry base.
@@ -468,7 +427,6 @@ pub(crate) fn refine_inner_variant(
         let mut opts = LevelOpts {
             variant,
             cache: None,
-            trace: None,
             reuse_base,
         };
         part = refine_level(ddg, machine, ii, level, part, analysis, scratch, &mut opts);
@@ -479,78 +437,14 @@ pub(crate) fn refine_inner_variant(
 
 /// The "Refine Partition" box of the paper's Figure 2: refinement at node
 /// granularity only, used by the driver whenever it increases the II.
+///
+/// `cache` is the optional move-delta [`RefineCache`]: the driver passes
+/// one per compilation context, which must only ever see this one
+/// `(graph, machine)` pair; `None` scores every candidate from scratch.
+/// Either way the accepted moves are identical, and they are left in the
+/// scratch for [`RefineScratch::moves`].
 #[must_use]
-pub fn refine_existing(ddg: &Ddg, machine: &MachineConfig, ii: u32, part: Partition) -> Partition {
-    if machine.clusters() == 1 {
-        return part;
-    }
-    let analysis = LoopAnalysis::new(ddg, machine);
-    refine_existing_scratch(
-        ddg,
-        machine,
-        ii,
-        part,
-        &analysis,
-        &mut RefineScratch::default(),
-    )
-}
-
-/// [`refine_existing`] on a cached [`LoopAnalysis`] (bit-identical results;
-/// the II-invariant latency vector is read from the cache).
-#[must_use]
-pub fn refine_existing_with(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    part: Partition,
-    analysis: &LoopAnalysis,
-) -> Partition {
-    refine_existing_scratch(
-        ddg,
-        machine,
-        ii,
-        part,
-        analysis,
-        &mut RefineScratch::default(),
-    )
-}
-
-/// [`refine_existing_with`] on a persistent [`RefineScratch`] — bit-identical
-/// to [`refine_existing`].
-#[must_use]
-pub fn refine_existing_scratch(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    part: Partition,
-    analysis: &LoopAnalysis,
-    scratch: &mut RefineScratch,
-) -> Partition {
-    refine_existing_driver(ddg, machine, ii, part, analysis, scratch, None, None)
-}
-
-/// [`refine_existing_scratch`] with a persistent [`RefineCache`] — the
-/// driver's per-II entry point. The cache must only ever see this one
-/// `(graph, machine)` pair. Bit-identical to [`refine_existing`].
-#[must_use]
-pub fn refine_existing_cached(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    part: Partition,
-    analysis: &LoopAnalysis,
-    scratch: &mut RefineScratch,
-    cache: &mut RefineCache,
-) -> Partition {
-    refine_existing_driver(ddg, machine, ii, part, analysis, scratch, Some(cache), None)
-}
-
-/// [`refine_existing_cached`] recording every accepted move — the
-/// production side of the differential oracle tests.
-#[doc(hidden)]
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn refine_existing_trace(
+pub fn refine_existing(
     ddg: &Ddg,
     machine: &MachineConfig,
     ii: u32,
@@ -558,31 +452,8 @@ pub fn refine_existing_trace(
     analysis: &LoopAnalysis,
     scratch: &mut RefineScratch,
     cache: Option<&mut RefineCache>,
-    trace: &mut Vec<RefineMove>,
 ) -> Partition {
-    refine_existing_driver(
-        ddg,
-        machine,
-        ii,
-        part,
-        analysis,
-        scratch,
-        cache,
-        Some(trace),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn refine_existing_driver(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    part: Partition,
-    analysis: &LoopAnalysis,
-    scratch: &mut RefineScratch,
-    cache: Option<&mut RefineCache>,
-    trace: Option<&mut Vec<RefineMove>>,
-) -> Partition {
+    scratch.moves.clear();
     if machine.clusters() == 1 {
         return part;
     }
@@ -596,7 +467,6 @@ fn refine_existing_driver(
     let mut opts = LevelOpts {
         variant: 0,
         cache,
-        trace,
         reuse_base: false,
     };
     if let Some(cache) = opts.cache.as_deref_mut() {
@@ -607,7 +477,7 @@ fn refine_existing_driver(
     )
 }
 
-/// A from-scratch reference implementation of [`refine_existing_scratch`]:
+/// A from-scratch reference implementation of [`refine_existing`]:
 /// the same greedy walk, but every candidate is scored with a full
 /// pseudo-schedule — no lazy rejection, no incremental ASAP, no cache.
 /// Returns the refined partition and the accepted-move sequence; the
@@ -626,7 +496,7 @@ pub fn refine_existing_oracle(
         return (part, moves);
     }
     let mut scratch = RefineScratch::default();
-    let mut best = score_partition_scratch(ddg, &part, machine, ii, analysis, &mut scratch);
+    let mut best = score_partition(ddg, &part, machine, ii, analysis, &mut scratch);
     for _ in 0..MAX_PASSES {
         let mut improved = false;
         let consider_all = !best.feasible();
@@ -647,8 +517,7 @@ pub fn refine_existing_oracle(
                     continue;
                 }
                 part.set_cluster(n, target);
-                let score =
-                    score_partition_scratch(ddg, &part, machine, ii, analysis, &mut scratch);
+                let score = score_partition(ddg, &part, machine, ii, analysis, &mut scratch);
                 part.set_cluster(n, current);
                 let thresh = best_move.as_ref().map_or(&best, |(_, s)| s);
                 if score < *thresh {
@@ -702,12 +571,11 @@ fn cluster_overflow(machine: &MachineConfig, ii: u32, cluster: u8, usage: &[u32;
         .sum()
 }
 
-/// Per-call refinement options: the tie-break perturbation, the optional
-/// move-delta cache (singleton groups only) and the optional move trace.
+/// Per-call refinement options: the tie-break perturbation and the optional
+/// move-delta cache (singleton groups only).
 struct LevelOpts<'a> {
     variant: u32,
     cache: Option<&'a mut RefineCache>,
-    trace: Option<&'a mut Vec<RefineMove>>,
     /// The scratch already holds the move base (census, comm count, ASAP
     /// fixpoint, register estimates) of exactly this (graph, II, partition)
     /// — true between consecutive levels of the multilevel walk, where the
@@ -758,7 +626,7 @@ fn refine_level(
     );
     debug_assert_eq!(
         best_score,
-        score_partition_scratch(ddg, &part, machine, ii, analysis, scratch),
+        score_partition(ddg, &part, machine, ii, analysis, scratch),
         "base-state entry score diverged from the full pseudo-schedule"
     );
 
@@ -962,7 +830,7 @@ fn refine_level(
                     for &i in group {
                         part.set_cluster(NodeId::new(i as u32), target);
                     }
-                    let full = score_partition_scratch(ddg, &part, machine, ii, analysis, scratch);
+                    let full = score_partition(ddg, &part, machine, ii, analysis, scratch);
                     for &i in group {
                         part.set_cluster(NodeId::new(i as u32), current);
                     }
@@ -1002,9 +870,7 @@ fn refine_level(
                 if let Some(cache) = opts.cache.as_deref_mut() {
                     cache.observe(part.as_slice());
                 }
-                if let Some(trace) = opts.trace.as_deref_mut() {
-                    trace.push((group[0] as u32, current, target));
-                }
+                scratch.moves.push((group[0] as u32, current, target));
             }
         }
         if !improved {
@@ -1046,7 +912,7 @@ fn debug_check_rejection(
         for &i in group {
             part.set_cluster(NodeId::new(i as u32), target);
         }
-        let full = score_partition_scratch(ddg, part, machine, ii, analysis, scratch);
+        let full = score_partition(ddg, part, machine, ii, analysis, scratch);
         for &i in group {
             part.set_cluster(NodeId::new(i as u32), current);
         }
@@ -1332,7 +1198,6 @@ fn reg_overflow_of(est: &[u64], machine: &MachineConfig) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coarsen::coarsen;
     use cvliw_ddg::OpKind;
 
     fn machine(spec: &str) -> MachineConfig {
@@ -1351,16 +1216,34 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn score(ddg: &Ddg, part: &Partition, m: &MachineConfig, ii: u32) -> PartitionScore {
+        let analysis = LoopAnalysis::new(ddg, m);
+        score_partition(ddg, part, m, ii, &analysis, &mut RefineScratch::default())
+    }
+
+    fn refine_fresh(ddg: &Ddg, m: &MachineConfig, ii: u32, part: Partition) -> Partition {
+        let analysis = LoopAnalysis::new(ddg, m);
+        refine_existing(
+            ddg,
+            m,
+            ii,
+            part,
+            &analysis,
+            &mut RefineScratch::default(),
+            None,
+        )
+    }
+
     #[test]
     fn refinement_never_worsens_the_score() {
         let ddg = two_chains();
         let m = machine("2c1b2l64r");
-        let h = coarsen(&ddg, &m, 2);
-        let initial = h.initial_partition();
-        let initial_score = score_partition(&ddg, &initial, &m, 2);
-        let refined = refine(&ddg, &m, 2, &h, initial);
-        let refined_score = score_partition(&ddg, &refined, &m, 2);
-        assert!(refined_score <= initial_score);
+        let analysis = LoopAnalysis::new(&ddg, &m);
+        let h = crate::coarsen(&ddg, &m, 2, &analysis);
+        let initial_score = score(&ddg, &h.initial_partition(), &m, 2);
+        let refined =
+            refine_hierarchy(&ddg, &m, 2, &h, &analysis, &mut RefineScratch::default(), 0);
+        assert!(score(&ddg, &refined, &m, 2) <= initial_score);
     }
 
     #[test]
@@ -1371,7 +1254,7 @@ mod tests {
         let m = machine("2c1b2l64r");
         let bad = Partition::from_vec(vec![0, 1, 0, 1, 0, 1]);
         assert!(bad.comm_count(&ddg) > 0);
-        let fixed = refine_existing(&ddg, &m, 2, bad);
+        let fixed = refine_fresh(&ddg, &m, 2, bad);
         assert_eq!(
             fixed.comm_count(&ddg),
             0,
@@ -1390,8 +1273,8 @@ mod tests {
         let m = machine("4c1b2l64r"); // 1 mem port per cluster
         let packed = Partition::from_vec(vec![0, 0, 0, 0]);
         let spread = Partition::from_vec(vec![0, 1, 2, 3]);
-        let s_packed = score_partition(&ddg, &packed, &m, 1);
-        let s_spread = score_partition(&ddg, &spread, &m, 1);
+        let s_packed = score(&ddg, &packed, &m, 1);
+        let s_spread = score(&ddg, &spread, &m, 1);
         assert!(s_spread < s_packed);
         assert!(s_spread.feasible());
         assert!(!s_packed.feasible());
@@ -1403,7 +1286,7 @@ mod tests {
         let m = machine("2c1b2l64r");
         let clean = Partition::from_vec(vec![0, 0, 0, 1, 1, 1]);
         let split = Partition::from_vec(vec![0, 0, 1, 1, 1, 1]);
-        assert!(score_partition(&ddg, &clean, &m, 4) < score_partition(&ddg, &split, &m, 4));
+        assert!(score(&ddg, &clean, &m, 4) < score(&ddg, &split, &m, 4));
     }
 
     #[test]
@@ -1411,7 +1294,7 @@ mod tests {
         let ddg = two_chains();
         let m = MachineConfig::unified(64);
         let p = Partition::single_cluster(ddg.node_count());
-        assert_eq!(refine_existing(&ddg, &m, 2, p.clone()), p);
+        assert_eq!(refine_fresh(&ddg, &m, 2, p.clone()), p);
     }
 
     /// The lazy delta-scoring path must agree with a from-scratch score for
@@ -1425,8 +1308,8 @@ mod tests {
         let mut scratch = RefineScratch::default();
         for ii in 1..6 {
             let bad = Partition::from_vec(vec![0, 1, 0, 1, 0, 1]);
-            let fresh = refine_existing(&ddg, &m, ii, bad.clone());
-            let reused = refine_existing_scratch(&ddg, &m, ii, bad, &analysis, &mut scratch);
+            let fresh = refine_fresh(&ddg, &m, ii, bad.clone());
+            let reused = refine_existing(&ddg, &m, ii, bad, &analysis, &mut scratch, None);
             assert_eq!(fresh, reused, "ii={ii}");
         }
     }
@@ -1442,8 +1325,16 @@ mod tests {
         let mut cache = RefineCache::default();
         let mut part = Partition::from_vec(vec![0, 1, 0, 1, 0, 1]);
         for ii in 1..8 {
-            let plain = refine_existing(&ddg, &m, ii, part.clone());
-            part = refine_existing_cached(&ddg, &m, ii, part, &analysis, &mut scratch, &mut cache);
+            let plain = refine_fresh(&ddg, &m, ii, part.clone());
+            part = refine_existing(
+                &ddg,
+                &m,
+                ii,
+                part,
+                &analysis,
+                &mut scratch,
+                Some(&mut cache),
+            );
             assert_eq!(plain, part, "ii={ii}");
         }
     }
@@ -1458,8 +1349,7 @@ mod tests {
         let mut cache = RefineCache::default();
         for ii in 1..6 {
             let bad = Partition::from_vec(vec![0, 1, 0, 1, 0, 1]);
-            let mut trace = Vec::new();
-            let got = refine_existing_trace(
+            let got = refine_existing(
                 &ddg,
                 &m,
                 ii,
@@ -1467,11 +1357,10 @@ mod tests {
                 &analysis,
                 &mut scratch,
                 Some(&mut cache),
-                &mut trace,
             );
             let (want, want_moves) = refine_existing_oracle(&ddg, &m, ii, bad, &analysis);
             assert_eq!(got, want, "ii={ii}");
-            assert_eq!(trace, want_moves, "ii={ii}");
+            assert_eq!(scratch.moves(), want_moves, "ii={ii}");
         }
     }
 }

@@ -5,7 +5,9 @@ use cvliw_ddg::{Ddg, DepKind, OpKind};
 use cvliw_machine::MachineConfig;
 use cvliw_partition::{
     coarsen, greedy_matching, partition_loop, refine_existing, score_partition, Partition,
+    RefineScratch,
 };
+use cvliw_sched::LoopAnalysis;
 use proptest::prelude::*;
 
 fn arb_kind() -> impl Strategy<Value = OpKind> {
@@ -64,7 +66,7 @@ proptest! {
         machine in arb_machine(),
         ii in 1u32..8,
     ) {
-        let h = coarsen(&ddg, &machine, ii);
+        let h = coarsen(&ddg, &machine, ii, &LoopAnalysis::new(&ddg, &machine));
         prop_assert!(!h.levels.is_empty());
         // Level 0 is the identity; macro counts never grow level to level.
         prop_assert_eq!(h.levels[0].n_macros, ddg.node_count());
@@ -124,9 +126,12 @@ proptest! {
             })
             .collect();
         let initial = Partition::from_vec(initial);
-        let before = score_partition(&ddg, &initial, &machine, ii);
-        let refined = refine_existing(&ddg, &machine, ii, initial);
-        let after = score_partition(&ddg, &refined, &machine, ii);
+        let analysis = LoopAnalysis::new(&ddg, &machine);
+        let mut scratch = RefineScratch::default();
+        let before = score_partition(&ddg, &initial, &machine, ii, &analysis, &mut scratch);
+        let refined =
+            refine_existing(&ddg, &machine, ii, initial, &analysis, &mut scratch, None);
+        let after = score_partition(&ddg, &refined, &machine, ii, &analysis, &mut scratch);
         prop_assert!(after <= before, "refinement worsened the partition");
     }
 

@@ -31,10 +31,10 @@ use crate::order::{comp_rec_miis, is_recurrent_comp, sms_order_parts};
 
 /// Every II-invariant artifact of one `(loop, machine)` pair.
 ///
-/// Build it once per loop × machine and pass it by reference to the `_with`
-/// variants of the pipeline entry points (`compile_loop_with`,
-/// `schedule_with_analysis`, `partition_loop_with`, …). All accessors are
-/// cheap slice reads.
+/// Build it once per loop × machine and pass it by reference to every
+/// pipeline stage ([`crate::schedule`], [`crate::pseudo_schedule`],
+/// `partition_loop_scratch`, …); `cvliw_replicate::CompileContext` owns one
+/// per compilation. All accessors are cheap slice reads.
 #[derive(Clone, Debug)]
 pub struct LoopAnalysis {
     node_lat: Vec<u32>,

@@ -97,7 +97,9 @@ impl Expansion {
 /// ```
 /// use cvliw_ddg::{Ddg, OpKind};
 /// use cvliw_machine::MachineConfig;
-/// use cvliw_sched::{expand, schedule, Assignment, ScheduleRequest};
+/// use cvliw_sched::{
+///     expand, schedule, Assignment, LoopAnalysis, OrderStrategy, SchedScratch, ScheduleRequest,
+/// };
 ///
 /// let mut b = Ddg::builder();
 /// let ld = b.add_node(OpKind::Load);
@@ -106,13 +108,18 @@ impl Expansion {
 /// b.data(ld, m).data(m, st);
 /// let ddg = b.build()?;
 /// let machine = MachineConfig::from_spec("2c1b2l64r")?;
-/// let sched = schedule(&ScheduleRequest {
-///     ddg: &ddg,
-///     machine: &machine,
-///     assignment: &Assignment::from_partition(&[0, 0, 0]),
-///     ii: 2,
-///     zero_bus_dep_latency: false,
-/// })?;
+/// let sched = schedule(
+///     &ScheduleRequest {
+///         ddg: &ddg,
+///         machine: &machine,
+///         assignment: &Assignment::from_partition(&[0, 0, 0]),
+///         ii: 2,
+///         zero_bus_dep_latency: false,
+///     },
+///     OrderStrategy::Swing,
+///     &LoopAnalysis::new(&ddg, &machine),
+///     &mut SchedScratch::default(),
+/// )?;
 ///
 /// let trace = expand(&sched, 10);
 /// assert_eq!(trace.cycles(), sched.texec(10)); // (N-1+SC)·II
@@ -274,7 +281,7 @@ pub fn render_expansion(trace: &Expansion, ddg: &Ddg) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{schedule, ScheduleRequest};
+    use crate::schedule::{tests::schedule_fresh, ScheduleRequest};
     use crate::Assignment;
     use cvliw_ddg::OpKind;
     use cvliw_machine::MachineConfig;
@@ -289,7 +296,7 @@ mod tests {
         b.data(ld, m0).data(m0, m1).data(m1, st);
         let ddg = b.build().unwrap();
         let machine = MachineConfig::from_spec("2c1b2l64r").unwrap();
-        let sched = schedule(&ScheduleRequest {
+        let sched = schedule_fresh(&ScheduleRequest {
             ddg: &ddg,
             machine: &machine,
             assignment: &Assignment::from_partition(&[0, 0, 0, 0]),

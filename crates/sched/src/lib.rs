@@ -25,7 +25,9 @@
 //! ```
 //! use cvliw_ddg::{Ddg, OpKind};
 //! use cvliw_machine::MachineConfig;
-//! use cvliw_sched::{schedule, Assignment, ScheduleRequest};
+//! use cvliw_sched::{
+//!     schedule, Assignment, LoopAnalysis, OrderStrategy, SchedScratch, ScheduleRequest,
+//! };
 //!
 //! let mut b = Ddg::builder();
 //! let ld = b.add_node(OpKind::Load);
@@ -35,13 +37,18 @@
 //!
 //! let machine = MachineConfig::from_spec("2c1b2l64r")?;
 //! let assignment = Assignment::from_partition(&[0, 1]);
-//! let sched = schedule(&ScheduleRequest {
-//!     ddg: &ddg,
-//!     machine: &machine,
-//!     assignment: &assignment,
-//!     ii: 2,
-//!     zero_bus_dep_latency: false,
-//! })?;
+//! let sched = schedule(
+//!     &ScheduleRequest {
+//!         ddg: &ddg,
+//!         machine: &machine,
+//!         assignment: &assignment,
+//!         ii: 2,
+//!         zero_bus_dep_latency: false,
+//!     },
+//!     OrderStrategy::Swing,
+//!     &LoopAnalysis::new(&ddg, &machine),
+//!     &mut SchedScratch::default(),
+//! )?;
 //! assert_eq!(sched.copy_count(), 1); // the load's value is communicated
 //! sched.verify(&ddg, &machine)?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -69,10 +76,7 @@ pub use expand::{code_shape, expand, render_expansion, CodeShape, ExpandedOp, Ex
 pub use mii::{ii_part, mii, res_mii_assigned, res_mii_unclustered};
 pub use mrt::Mrt;
 pub use order::{neighbor_adjacency_ratio, sms_order};
-pub use pseudo::{
-    comm_penalty, pseudo_schedule, pseudo_schedule_scratch, pseudo_schedule_with, PseudoSchedule,
-    PseudoScratch,
-};
+pub use pseudo::{comm_penalty, pseudo_schedule, PseudoSchedule, PseudoScratch};
 pub use regalloc::{
     allocate_registers, ClusterAllocation, OutOfRegisters, RegAssignment, RegisterAllocation,
 };
@@ -80,6 +84,5 @@ pub use regs::{
     lifetime_of, live_ranges, max_live, max_live_scratch, peak_pressure, Range, RegScratch,
 };
 pub use schedule::{
-    schedule, schedule_with, schedule_with_analysis, schedule_with_scratch, CopyPlacement,
-    OrderStrategy, SchedOp, SchedScratch, Schedule, ScheduleRequest,
+    schedule, CopyPlacement, OrderStrategy, SchedOp, SchedScratch, Schedule, ScheduleRequest,
 };

@@ -7,7 +7,7 @@
 //! is added to cross-cluster dependences, roughly how long would one
 //! iteration be, and how hard would it press on the register files.
 
-use cvliw_ddg::{asap_times_into, time_bounds, Ddg, OpClass};
+use cvliw_ddg::{asap_times_into, Ddg, OpClass};
 use cvliw_machine::MachineConfig;
 
 use crate::assign::{Assignment, ClusterSet};
@@ -39,7 +39,7 @@ pub fn comm_penalty(
     }
 }
 
-/// Reusable buffers for [`pseudo_schedule_scratch`]: the per-edge
+/// Reusable buffers for [`pseudo_schedule`]: the per-edge
 /// communication-adjusted latency vector, the ASAP issue times, the
 /// per-cluster class usage and the per-cluster register estimate.
 ///
@@ -86,43 +86,14 @@ impl PseudoSchedule {
     }
 }
 
-/// Builds the pseudo-schedule estimate of an assignment.
+/// Builds the pseudo-schedule estimate of an assignment into caller-owned
+/// scratch buffers — the allocation-free scoring path of partition
+/// refinement. Producer latencies come from the cached [`LoopAnalysis`];
+/// the ASAP fixpoint uses the same relaxation order and pass bound as
+/// [`cvliw_ddg::time_bounds`], and the ALAP sweep — whose output no score
+/// reads — is skipped.
 #[must_use]
 pub fn pseudo_schedule(
-    ddg: &Ddg,
-    assignment: &Assignment,
-    machine: &MachineConfig,
-    ii: u32,
-) -> PseudoSchedule {
-    pseudo_schedule_core(ddg, assignment, machine, ii, |n| {
-        machine.latency(ddg.kind(n))
-    })
-}
-
-/// [`pseudo_schedule`] on a cached [`LoopAnalysis`]: producer latencies are
-/// read from the cache's dense vector instead of being looked up per edge.
-/// Bit-identical to the uncached variant.
-#[must_use]
-pub fn pseudo_schedule_with(
-    ddg: &Ddg,
-    assignment: &Assignment,
-    machine: &MachineConfig,
-    ii: u32,
-    analysis: &LoopAnalysis,
-) -> PseudoSchedule {
-    pseudo_schedule_core(ddg, assignment, machine, ii, |n| {
-        analysis.node_lat()[n.index()]
-    })
-}
-
-/// [`pseudo_schedule_with`] into caller-owned scratch buffers — the
-/// allocation-free scoring path of partition refinement. Bit-identical
-/// results: the comm-adjusted latencies, the ASAP fixpoint (same relaxation
-/// order and pass bound as [`time_bounds`]) and the register estimate are
-/// the same computations, just written into reused storage, and the ALAP
-/// sweep — whose output no score reads — is skipped.
-#[must_use]
-pub fn pseudo_schedule_scratch(
     ddg: &Ddg,
     assignment: &Assignment,
     machine: &MachineConfig,
@@ -211,92 +182,6 @@ pub fn pseudo_schedule_scratch(
     }
 }
 
-fn pseudo_schedule_core(
-    ddg: &Ddg,
-    assignment: &Assignment,
-    machine: &MachineConfig,
-    ii: u32,
-    base_lat: impl Fn(cvliw_ddg::NodeId) -> u32,
-) -> PseudoSchedule {
-    let ncoms = assignment.comm_count(ddg);
-    let bus_ok = ncoms <= machine.coms_capacity_per_ii(ii);
-
-    // Capacity: every (cluster, class) must fit its instances in units·II.
-    let usage = assignment.class_usage(ddg, machine.clusters());
-    let mut cap_overflow = 0u32;
-    for (c, per_cluster) in usage.iter().enumerate() {
-        for class in OpClass::ALL {
-            let cap = u32::from(machine.fu_count_in(c as u8, class)) * ii;
-            cap_overflow += per_cluster[class.index()].saturating_sub(cap);
-        }
-    }
-
-    // Critical path with communication latencies: a data edge whose
-    // consumer lives in a cluster without the producer pays the transfer.
-    let uniform = machine.uniform_transfer_latency();
-    let lat = |e: &cvliw_ddg::Edge| {
-        let base = base_lat(e.src);
-        if !e.is_data() {
-            return base;
-        }
-        let missing = assignment
-            .instances(e.dst)
-            .difference(assignment.instances(e.src));
-        if missing.is_empty() {
-            base
-        } else {
-            base + comm_penalty(machine, assignment, e.src, missing, uniform)
-        }
-    };
-    let (recurrences_ok, est_length, asap) = match time_bounds(ddg, ii, lat) {
-        Some(tb) => (true, tb.length, Some(tb.asap)),
-        None => (false, i64::MAX, None),
-    };
-
-    // Register estimate: each value's lifetime spans from its definition to
-    // its furthest consumer (plus iteration distance); overlapped copies
-    // cost ceil(lifetime / II) registers in each cluster holding it.
-    let reg_overflow = match &asap {
-        None => 0,
-        Some(asap) => {
-            let mut est = vec![0u64; machine.clusters() as usize];
-            for n in ddg.node_ids() {
-                if !ddg.kind(n).produces_value() {
-                    continue;
-                }
-                let def = asap[n.index()];
-                let mut last = def + i64::from(base_lat(n));
-                for e in ddg.out_edges(n) {
-                    if e.is_data() {
-                        last =
-                            last.max(asap[e.dst.index()] + i64::from(ii) * i64::from(e.distance));
-                    }
-                }
-                let span = u64::try_from((last - def).max(1)).expect("non-negative");
-                let regs = span.div_ceil(u64::from(ii));
-                for c in assignment.instances(n).iter() {
-                    est[c as usize] += regs;
-                }
-            }
-            est.iter()
-                .map(|&e| {
-                    u32::try_from(e.saturating_sub(u64::from(machine.regs_per_cluster())))
-                        .unwrap_or(u32::MAX)
-                })
-                .sum()
-        }
-    };
-
-    PseudoSchedule {
-        ncoms,
-        bus_ok,
-        cap_overflow,
-        recurrences_ok,
-        est_length,
-        reg_overflow,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,6 +189,11 @@ mod tests {
 
     fn machine(spec: &str) -> MachineConfig {
         MachineConfig::from_spec(spec).unwrap()
+    }
+
+    fn pseudo(ddg: &Ddg, asg: &Assignment, m: &MachineConfig, ii: u32) -> PseudoSchedule {
+        let analysis = LoopAnalysis::new(ddg, m);
+        pseudo_schedule(ddg, asg, m, ii, &analysis, &mut PseudoScratch::default())
     }
 
     fn two_chain() -> Ddg {
@@ -320,7 +210,7 @@ mod tests {
         let ddg = two_chain();
         let m = machine("4c1b2l64r");
         let asg = Assignment::from_partition(&[0, 0, 0]);
-        let ps = pseudo_schedule(&ddg, &asg, &m, 2);
+        let ps = pseudo(&ddg, &asg, &m, 2);
         assert_eq!(ps.ncoms, 0);
         assert!(ps.bus_ok && ps.recurrences_ok);
         assert_eq!(ps.est_length, 8); // 2 + 6
@@ -332,7 +222,7 @@ mod tests {
         let ddg = two_chain();
         let m = machine("4c1b2l64r");
         let split = Assignment::from_partition(&[0, 1, 1]);
-        let ps = pseudo_schedule(&ddg, &split, &m, 2);
+        let ps = pseudo(&ddg, &split, &m, 2);
         assert_eq!(ps.ncoms, 1);
         assert_eq!(ps.est_length, 10); // +2 bus on the load edge
     }
@@ -346,7 +236,7 @@ mod tests {
         let ddg = b.build().unwrap();
         let m = machine("4c1b2l64r"); // 1 mem port per cluster
         let asg = Assignment::from_partition(&[0, 0, 0, 0, 0]);
-        let ps = pseudo_schedule(&ddg, &asg, &m, 2);
+        let ps = pseudo(&ddg, &asg, &m, 2);
         assert_eq!(ps.cap_overflow, 3); // 5 loads − 2 slots
         assert!(!ps.feasible());
     }
@@ -362,10 +252,10 @@ mod tests {
         let ddg = b.build().unwrap();
         let m = machine("4c1b2l64r");
         let asg = Assignment::from_partition(&[0, 0, 1, 1]);
-        let ps = pseudo_schedule(&ddg, &asg, &m, 2);
+        let ps = pseudo(&ddg, &asg, &m, 2);
         assert_eq!(ps.ncoms, 2);
         assert!(!ps.bus_ok);
-        let ps4 = pseudo_schedule(&ddg, &asg, &m, 4);
+        let ps4 = pseudo(&ddg, &asg, &m, 4);
         assert!(ps4.bus_ok);
     }
 
@@ -380,10 +270,10 @@ mod tests {
         let ddg = b.build().unwrap();
         let m = machine("4c1b2l64r");
         let local = Assignment::from_partition(&[0, 0]);
-        assert!(pseudo_schedule(&ddg, &local, &m, 6).recurrences_ok);
+        assert!(pseudo(&ddg, &local, &m, 6).recurrences_ok);
         let split = Assignment::from_partition(&[0, 1]);
-        assert!(!pseudo_schedule(&ddg, &split, &m, 6).recurrences_ok);
-        assert!(pseudo_schedule(&ddg, &split, &m, 10).recurrences_ok);
+        assert!(!pseudo(&ddg, &split, &m, 6).recurrences_ok);
+        assert!(pseudo(&ddg, &split, &m, 10).recurrences_ok);
     }
 
     #[test]
@@ -391,12 +281,12 @@ mod tests {
         let ddg = two_chain();
         let m = machine("4c1b2l64r");
         let mut asg = Assignment::from_partition(&[0, 0, 1]);
-        let before = pseudo_schedule(&ddg, &asg, &m, 4);
+        let before = pseudo(&ddg, &asg, &m, 4);
         assert_eq!(before.ncoms, 1);
         // replicate the producer chain into cluster 1
         asg.add_instance(cvliw_ddg::NodeId::new(0), 1);
         asg.add_instance(cvliw_ddg::NodeId::new(1), 1);
-        let after = pseudo_schedule(&ddg, &asg, &m, 4);
+        let after = pseudo(&ddg, &asg, &m, 4);
         assert_eq!(after.ncoms, 0);
         assert!(after.est_length < before.est_length);
     }

@@ -117,7 +117,10 @@ impl std::error::Error for OutOfRegisters {}
 /// ```
 /// use cvliw_ddg::{Ddg, OpKind};
 /// use cvliw_machine::MachineConfig;
-/// use cvliw_sched::{allocate_registers, schedule, Assignment, ScheduleRequest};
+/// use cvliw_sched::{
+///     allocate_registers, schedule, Assignment, LoopAnalysis, OrderStrategy, SchedScratch,
+///     ScheduleRequest,
+/// };
 ///
 /// let mut b = Ddg::builder();
 /// let ld = b.add_node(OpKind::Load);
@@ -126,13 +129,18 @@ impl std::error::Error for OutOfRegisters {}
 /// b.data(ld, m).data(m, st);
 /// let ddg = b.build()?;
 /// let machine = MachineConfig::from_spec("2c1b2l64r")?;
-/// let sched = schedule(&ScheduleRequest {
-///     ddg: &ddg,
-///     machine: &machine,
-///     assignment: &Assignment::from_partition(&[0, 0, 0]),
-///     ii: 1,
-///     zero_bus_dep_latency: false,
-/// })?;
+/// let sched = schedule(
+///     &ScheduleRequest {
+///         ddg: &ddg,
+///         machine: &machine,
+///         assignment: &Assignment::from_partition(&[0, 0, 0]),
+///         ii: 1,
+///         zero_bus_dep_latency: false,
+///     },
+///     OrderStrategy::Swing,
+///     &LoopAnalysis::new(&ddg, &machine),
+///     &mut SchedScratch::default(),
+/// )?;
 ///
 /// let alloc = allocate_registers(&sched, &ddg, &machine)?;
 /// // MaxLive for this chain at II=1 is 8; first-fit matches it here.
@@ -269,7 +277,7 @@ mod tests {
     use super::*;
     use crate::assign::Assignment;
     use crate::regs::max_live;
-    use crate::schedule::{schedule, ScheduleRequest};
+    use crate::schedule::{tests::schedule_fresh, ScheduleRequest};
     use cvliw_ddg::OpKind;
 
     fn machine(spec: &str) -> MachineConfig {
@@ -277,7 +285,7 @@ mod tests {
     }
 
     fn sched(ddg: &Ddg, m: &MachineConfig, part: &[u8], ii: u32) -> Schedule {
-        schedule(&ScheduleRequest {
+        schedule_fresh(&ScheduleRequest {
             ddg,
             machine: m,
             assignment: &Assignment::from_partition(part),

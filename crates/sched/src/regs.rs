@@ -229,7 +229,7 @@ pub fn lifetime_of(
 mod tests {
     use super::*;
     use crate::assign::Assignment;
-    use crate::schedule::{schedule, ScheduleRequest};
+    use crate::schedule::{tests::schedule_fresh, ScheduleRequest};
     use cvliw_ddg::OpKind;
 
     fn machine(spec: &str) -> MachineConfig {
@@ -238,7 +238,7 @@ mod tests {
 
     fn sched(ddg: &Ddg, m: &MachineConfig, part: &[u8], ii: u32) -> Schedule {
         let asg = Assignment::from_partition(part);
-        schedule(&ScheduleRequest {
+        schedule_fresh(&ScheduleRequest {
             ddg,
             machine: m,
             assignment: &asg,

@@ -10,7 +10,6 @@ use crate::assign::{Assignment, ClusterSet};
 use crate::cache::LoopAnalysis;
 use crate::error::{ScheduleError, VerifyError};
 use crate::mrt::Mrt;
-use crate::order::sms_order;
 use crate::regs::{max_live, max_live_scratch, RegScratch};
 
 /// One schedulable operation: an instance of a DDG node in a concrete
@@ -400,7 +399,7 @@ impl Schedule {
 /// Which node ordering drives the backtracking-free placer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OrderStrategy {
-    /// Swing modulo scheduling ([`sms_order`]): best schedule quality, but
+    /// Swing modulo scheduling ([`crate::sms_order`]): best schedule quality, but
     /// its alternating sweeps can sandwich a join node between already
     /// placed neighbours whose distance-0 window never opens, failing at
     /// every II.
@@ -593,64 +592,20 @@ fn build_arena(req: &ScheduleRequest<'_>, node_order: &[NodeId], scratch: &mut S
 
 /// Modulo-schedules one loop at a fixed initiation interval.
 ///
-/// Follows the paper's base scheduler (§2.3.2): operations are ordered with
-/// the swing heuristic, then each is placed as close as possible to its
-/// already-scheduled neighbours without backtracking. Copies occupy buses;
-/// instances occupy functional units.
+/// Follows the paper's base scheduler (§2.3.2): operations are visited in
+/// the `strategy` order read from the cached [`LoopAnalysis`] (swing by
+/// default, see [`OrderStrategy`]), and each is placed as close as possible
+/// to its already-scheduled neighbours without backtracking. Copies occupy
+/// buses; instances occupy functional units. Every attempt-local buffer —
+/// the arena, reservation table, placement arrays and MaxLive buffers — is
+/// drawn from `scratch`, which is fully reset first, so a scratch reused
+/// across attempts yields the same schedules as a fresh one.
 ///
 /// # Errors
 ///
 /// Returns a [`ScheduleError`] describing why this II is insufficient; the
 /// driver is expected to increase the II and retry (Figure 2 of the paper).
-pub fn schedule(req: &ScheduleRequest<'_>) -> Result<Schedule, ScheduleError> {
-    schedule_with(req, OrderStrategy::Swing)
-}
-
-/// [`schedule`] with an explicit ordering strategy (see [`OrderStrategy`]).
-///
-/// One-shot convenience: recomputes the node order from scratch. The
-/// driver's II loop passes a cached order through
-/// [`schedule_with_analysis`] instead.
-///
-/// # Errors
-///
-/// As for [`schedule`].
-pub fn schedule_with(
-    req: &ScheduleRequest<'_>,
-    strategy: OrderStrategy,
-) -> Result<Schedule, ScheduleError> {
-    let node_order = match strategy {
-        OrderStrategy::Swing => sms_order(req.ddg, req.machine),
-        OrderStrategy::Topological => cvliw_ddg::topo_order(req.ddg),
-    };
-    schedule_ordered(req, &node_order)
-}
-
-/// [`schedule_with`] on a cached [`LoopAnalysis`]: the node order (and
-/// everything it derives from — latencies, SCCs, depth/height) is read from
-/// the cache instead of being recomputed per attempt. Produces bit-identical
-/// schedules to the uncached entry points.
-///
-/// # Errors
-///
-/// As for [`schedule`].
-pub fn schedule_with_analysis(
-    req: &ScheduleRequest<'_>,
-    strategy: OrderStrategy,
-    analysis: &LoopAnalysis,
-) -> Result<Schedule, ScheduleError> {
-    schedule_with_scratch(req, strategy, analysis, &mut SchedScratch::default())
-}
-
-/// [`schedule_with_analysis`] on a persistent [`SchedScratch`]: the arena,
-/// reservation table, placement arrays and MaxLive buffers are reused from
-/// the previous attempt instead of being reallocated. Bit-identical
-/// schedules — the scratch is fully reset before use.
-///
-/// # Errors
-///
-/// As for [`schedule`].
-pub fn schedule_with_scratch(
+pub fn schedule(
     req: &ScheduleRequest<'_>,
     strategy: OrderStrategy,
     analysis: &LoopAnalysis,
@@ -660,25 +615,6 @@ pub fn schedule_with_scratch(
         OrderStrategy::Swing => analysis.sms_order(),
         OrderStrategy::Topological => analysis.topo_order(),
     };
-    schedule_ordered_scratch(req, node_order, scratch)
-}
-
-/// The placement core: modulo-schedules the assignment with operations
-/// visited in `node_order`.
-fn schedule_ordered(
-    req: &ScheduleRequest<'_>,
-    node_order: &[NodeId],
-) -> Result<Schedule, ScheduleError> {
-    schedule_ordered_scratch(req, node_order, &mut SchedScratch::default())
-}
-
-/// [`schedule_ordered`] with every attempt-local buffer drawn from
-/// `scratch`.
-fn schedule_ordered_scratch(
-    req: &ScheduleRequest<'_>,
-    node_order: &[NodeId],
-    scratch: &mut SchedScratch,
-) -> Result<Schedule, ScheduleError> {
     let machine = req.machine;
     let ii = req.ii;
     assert!(ii > 0, "initiation interval must be positive");
@@ -885,7 +821,7 @@ fn window_closed(op: SchedOp, bound_by_copy: bool) -> ScheduleError {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cvliw_ddg::OpKind;
 
@@ -901,6 +837,17 @@ mod tests {
         let st = b.add_node(OpKind::Store);
         b.data(ld, m).data(m, st);
         (b.build().unwrap(), Assignment::from_partition(&[0, 0, 0]))
+    }
+
+    /// One swing-ordered attempt on a fresh analysis and scratch.
+    pub(crate) fn schedule_fresh(req: &ScheduleRequest<'_>) -> Result<Schedule, ScheduleError> {
+        let analysis = LoopAnalysis::new(req.ddg, req.machine);
+        schedule(
+            req,
+            OrderStrategy::Swing,
+            &analysis,
+            &mut SchedScratch::default(),
+        )
     }
 
     fn request<'a>(
@@ -924,10 +871,10 @@ mod tests {
         let (ddg, asg) = chain_single_cluster();
         let m = machine("4c1b2l64r");
         assert!(matches!(
-            schedule(&request(&ddg, &m, &asg, 1)),
+            schedule_fresh(&request(&ddg, &m, &asg, 1)),
             Err(ScheduleError::FuSlots { .. })
         ));
-        let s = schedule(&request(&ddg, &m, &asg, 2)).unwrap();
+        let s = schedule_fresh(&request(&ddg, &m, &asg, 2)).unwrap();
         assert_eq!(s.ii(), 2);
         // load at 0 (slot 0), fmul at 2, store earliest at 8 but slot 0 is
         // taken by the load → cycle 9; length 10.
@@ -942,7 +889,7 @@ mod tests {
     fn texec_formula() {
         let (ddg, asg) = chain_single_cluster();
         let m = machine("4c1b2l64r");
-        let s = schedule(&request(&ddg, &m, &asg, 2)).unwrap();
+        let s = schedule_fresh(&request(&ddg, &m, &asg, 2)).unwrap();
         let sc = u64::from(s.stage_count());
         assert_eq!(s.texec(100), (100 - 1 + sc) * 2);
         assert_eq!(s.texec(0), 0);
@@ -958,7 +905,7 @@ mod tests {
         let ddg = b.build().unwrap();
         let asg = Assignment::from_partition(&[0, 1]);
         let m = machine("4c1b2l64r");
-        let s = schedule(&request(&ddg, &m, &asg, 2)).unwrap();
+        let s = schedule_fresh(&request(&ddg, &m, &asg, 2)).unwrap();
         assert_eq!(s.copy_count(), 1);
         let copy = s.copy_of(NodeId::new(0)).unwrap();
         assert_eq!(copy.source, 0);
@@ -982,7 +929,7 @@ mod tests {
         let ddg = b.build().unwrap();
         let asg = Assignment::from_partition(&[0, 0, 1, 1]);
         let m = machine("4c1b2l64r");
-        let err = schedule(&request(&ddg, &m, &asg, 2)).unwrap_err();
+        let err = schedule_fresh(&request(&ddg, &m, &asg, 2)).unwrap_err();
         assert_eq!(
             err,
             ScheduleError::Bus {
@@ -992,7 +939,7 @@ mod tests {
         );
         assert_eq!(err.cause(), crate::error::IiCause::Bus);
         // II=4 fits both.
-        let s = schedule(&request(&ddg, &m, &asg, 4)).unwrap();
+        let s = schedule_fresh(&request(&ddg, &m, &asg, 4)).unwrap();
         assert_eq!(s.copy_count(), 2);
         s.verify(&ddg, &m).unwrap();
     }
@@ -1007,9 +954,9 @@ mod tests {
         let ddg = b.build().unwrap();
         let asg = Assignment::from_partition(&[0, 0, 0]);
         let m = machine("4c1b2l64r");
-        let err = schedule(&request(&ddg, &m, &asg, 2)).unwrap_err();
+        let err = schedule_fresh(&request(&ddg, &m, &asg, 2)).unwrap_err();
         assert!(matches!(err, ScheduleError::FuSlots { .. }));
-        assert!(schedule(&request(&ddg, &m, &asg, 3)).is_ok());
+        assert!(schedule_fresh(&request(&ddg, &m, &asg, 3)).is_ok());
     }
 
     #[test]
@@ -1023,9 +970,9 @@ mod tests {
         let ddg = b.build().unwrap();
         let asg = Assignment::from_partition(&[0, 0, 0]);
         let m = machine("4c1b2l64r");
-        let err = schedule(&request(&ddg, &m, &asg, 8)).unwrap_err();
+        let err = schedule_fresh(&request(&ddg, &m, &asg, 8)).unwrap_err();
         assert_eq!(err.cause(), crate::error::IiCause::Recurrence);
-        let s = schedule(&request(&ddg, &m, &asg, 9)).unwrap();
+        let s = schedule_fresh(&request(&ddg, &m, &asg, 9)).unwrap();
         s.verify(&ddg, &m).unwrap();
     }
 
@@ -1040,7 +987,7 @@ mod tests {
         let mut asg = Assignment::from_partition(&[0, 0, 1]);
         asg.add_instance(NodeId::new(0), 1);
         let m = machine("4c1b2l64r");
-        let s = schedule(&request(&ddg, &m, &asg, 1)).unwrap();
+        let s = schedule_fresh(&request(&ddg, &m, &asg, 1)).unwrap();
         assert_eq!(s.copy_count(), 0, "replication removed the communication");
         assert_eq!(s.instance_clusters(NodeId::new(0)).len(), 2);
         s.verify(&ddg, &m).unwrap();
@@ -1055,10 +1002,10 @@ mod tests {
         let ddg = b.build().unwrap();
         let asg = Assignment::from_partition(&[0, 1]);
         let m = machine("4c1b2l64r");
-        let normal = schedule(&request(&ddg, &m, &asg, 2)).unwrap();
+        let normal = schedule_fresh(&request(&ddg, &m, &asg, 2)).unwrap();
         let mut req = request(&ddg, &m, &asg, 2);
         req.zero_bus_dep_latency = true;
-        let relaxed = schedule(&req).unwrap();
+        let relaxed = schedule_fresh(&req).unwrap();
         assert!(relaxed.is_zero_bus_relaxed());
         assert!(relaxed.length() <= normal.length());
         assert_eq!(relaxed.copy_count(), 1, "bandwidth still consumed");
@@ -1069,7 +1016,7 @@ mod tests {
     fn verify_catches_tampered_latency() {
         let (ddg, asg) = chain_single_cluster();
         let m = machine("4c1b2l64r");
-        let s = schedule(&request(&ddg, &m, &asg, 2)).unwrap();
+        let s = schedule_fresh(&request(&ddg, &m, &asg, 2)).unwrap();
         let mut bad = s.clone();
         // Move the store to cycle 0: violates the fmul → store latency.
         bad.instances.insert((NodeId::new(2), 0), 0);
@@ -1088,7 +1035,7 @@ mod tests {
         let ddg = b.build().unwrap();
         let asg = Assignment::from_partition(&[0, 1]);
         let m = machine("4c1b2l64r");
-        let s = schedule(&request(&ddg, &m, &asg, 2)).unwrap();
+        let s = schedule_fresh(&request(&ddg, &m, &asg, 2)).unwrap();
         let mut bad = s.clone();
         bad.copies.clear();
         assert!(matches!(
@@ -1126,7 +1073,7 @@ mod tests {
 
         fn first_feasible(ddg: &Ddg, m: &MachineConfig, asg: &Assignment) -> Schedule {
             for ii in 1..=64 {
-                if let Ok(s) = schedule(&ScheduleRequest {
+                if let Ok(s) = schedule_fresh(&ScheduleRequest {
                     ddg,
                     machine: m,
                     assignment: asg,
@@ -1202,7 +1149,7 @@ mod tests {
     fn render_contains_kernel_shape() {
         let (ddg, asg) = chain_single_cluster();
         let m = machine("4c1b2l64r");
-        let s = schedule(&request(&ddg, &m, &asg, 2)).unwrap();
+        let s = schedule_fresh(&request(&ddg, &m, &asg, 2)).unwrap();
         let text = s.render(&ddg);
         assert!(text.contains("II=2"));
         assert!(text.contains("load"));

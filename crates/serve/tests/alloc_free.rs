@@ -9,6 +9,12 @@
 //! looked up by reference, cached payloads come back as `Arc` refcount
 //! bumps, and with no miss in the batch the worker fan-out (and its
 //! `thread::scope`) is skipped entirely.
+//!
+//! The counter sees every thread of the process, so this binary holds a
+//! single `#[test]` that runs the scenarios one after another. With
+//! several tests, a sibling's cold pass — or the test harness itself,
+//! reporting a finished test and spawning the thread of the next one —
+//! would run beside a warm window and leak its allocations into it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,6 +49,12 @@ const OTHER_LOOP: &str =
     "loop other {\n  i: iadd i@1\n  a: load i\n  b: fadd a, b@1\n  s: store b\n}";
 
 #[test]
+fn warm_batches_allocate_nothing() {
+    warm_batch_allocates_nothing();
+    warm_batch_with_deadline_and_inflight_bound_still_allocates_nothing();
+    warm_batch_with_persistence_enabled_still_allocates_nothing();
+}
+
 fn warm_batch_allocates_nothing() {
     let mut server = Server::new(ServerConfig {
         jobs: 2,
@@ -92,7 +104,6 @@ fn warm_batch_allocates_nothing() {
 /// still takes the pure hit path — no token is armed (hits never reach a
 /// worker), the shed gate is untouched (hits never acquire), and the
 /// allocation count stays exactly zero.
-#[test]
 fn warm_batch_with_deadline_and_inflight_bound_still_allocates_nothing() {
     let mut server = Server::new(ServerConfig {
         jobs: 2,
@@ -135,7 +146,6 @@ fn warm_batch_with_deadline_and_inflight_bound_still_allocates_nothing() {
 /// *insert* (a miss), so a warm batch against a persistence-backed cache
 /// is still exactly zero allocations — no frame encoding, no persister
 /// lock traffic, no `PathBuf` churn.
-#[test]
 fn warm_batch_with_persistence_enabled_still_allocates_nothing() {
     use cvliw_serve::{PersistConfig, SharedState};
 

@@ -235,10 +235,22 @@ pub fn simulate(
 mod tests {
     use super::*;
     use cvliw_ddg::OpKind;
-    use cvliw_sched::{schedule as build_schedule, Assignment, ScheduleRequest};
+    use cvliw_sched::{
+        schedule, Assignment, LoopAnalysis, OrderStrategy, SchedScratch, ScheduleRequest,
+    };
 
     fn machine(spec: &str) -> MachineConfig {
         MachineConfig::from_spec(spec).unwrap()
+    }
+
+    fn build_schedule(req: &ScheduleRequest<'_>) -> Result<Schedule, cvliw_sched::ScheduleError> {
+        let analysis = LoopAnalysis::new(req.ddg, req.machine);
+        schedule(
+            req,
+            OrderStrategy::Swing,
+            &analysis,
+            &mut SchedScratch::default(),
+        )
     }
 
     fn compile(ddg: &Ddg, m: &MachineConfig, part: &[u8], ii: u32) -> Schedule {

@@ -16,7 +16,9 @@
 //! ```
 //! use cvliw_ddg::{Ddg, OpKind};
 //! use cvliw_machine::MachineConfig;
-//! use cvliw_sched::{schedule, Assignment, ScheduleRequest};
+//! use cvliw_sched::{
+//!     schedule, Assignment, LoopAnalysis, OrderStrategy, SchedScratch, ScheduleRequest,
+//! };
 //! use cvliw_sim::simulate;
 //!
 //! let mut b = Ddg::builder();
@@ -26,10 +28,15 @@
 //! let ddg = b.build()?;
 //! let machine = MachineConfig::from_spec("2c1b2l64r")?;
 //! let assignment = Assignment::from_partition(&[0, 1]);
-//! let sched = schedule(&ScheduleRequest {
-//!     ddg: &ddg, machine: &machine, assignment: &assignment,
-//!     ii: 2, zero_bus_dep_latency: false,
-//! })?;
+//! let sched = schedule(
+//!     &ScheduleRequest {
+//!         ddg: &ddg, machine: &machine, assignment: &assignment,
+//!         ii: 2, zero_bus_dep_latency: false,
+//!     },
+//!     OrderStrategy::Swing,
+//!     &LoopAnalysis::new(&ddg, &machine),
+//!     &mut SchedScratch::default(),
+//! )?;
 //!
 //! let report = simulate(&ddg, &machine, &sched, 16)?;
 //! assert_eq!(report.copies_executed, 16);

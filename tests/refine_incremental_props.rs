@@ -20,7 +20,7 @@
 
 use cvliw::machine::MachineConfig;
 use cvliw::partition::{
-    partition_loop_with, refine_existing_oracle, refine_existing_trace, RefineCache, RefineMove,
+    partition_loop_scratch, refine_existing, refine_existing_oracle, RefineCache, RefineMove,
     RefineScratch,
 };
 use cvliw::sched::LoopAnalysis;
@@ -80,17 +80,15 @@ proptest! {
             let machine = MachineConfig::from_spec(spec).expect("preset parses");
             let analysis = LoopAnalysis::new(&ddg, &machine);
             let mii = analysis.mii();
-            let mut part = partition_loop_with(&ddg, &machine, mii, &analysis);
-
             // One scratch and one cache across the whole climb, like the
             // driver's per-(loop, machine) compile scratch.
             let mut scratch = RefineScratch::default();
             let mut cache = RefineCache::default();
+            let mut part = partition_loop_scratch(&ddg, &machine, mii, &analysis, &mut scratch, 0);
             for ii in mii..mii + II_STEPS {
                 let (oracle_part, oracle_moves) =
                     refine_existing_oracle(&ddg, &machine, ii, part.clone(), &analysis);
-                let mut trace: Vec<RefineMove> = Vec::new();
-                let refined = refine_existing_trace(
+                let refined = refine_existing(
                     &ddg,
                     &machine,
                     ii,
@@ -98,10 +96,9 @@ proptest! {
                     &analysis,
                     &mut scratch,
                     Some(&mut cache),
-                    &mut trace,
                 );
                 prop_assert_eq!(
-                    &trace, &oracle_moves,
+                    scratch.moves(), &oracle_moves[..],
                     "{} at ii {}: accepted-move sequences diverged", spec, ii
                 );
                 prop_assert_eq!(
@@ -127,15 +124,13 @@ proptest! {
             let machine = MachineConfig::from_spec(spec).expect("preset parses");
             let analysis = LoopAnalysis::new(&ddg, &machine);
             let mii = analysis.mii();
-            let seed_part = partition_loop_with(&ddg, &machine, mii, &analysis);
-
             let mut scratch = RefineScratch::default();
+            let seed_part = partition_loop_scratch(&ddg, &machine, mii, &analysis, &mut scratch, 0);
             let mut cache = RefineCache::default();
             let mut cached_part = seed_part.clone();
             let mut uncached_part = seed_part;
             for ii in mii..mii + II_STEPS {
-                let mut cached_trace: Vec<RefineMove> = Vec::new();
-                cached_part = refine_existing_trace(
+                cached_part = refine_existing(
                     &ddg,
                     &machine,
                     ii,
@@ -143,10 +138,9 @@ proptest! {
                     &analysis,
                     &mut scratch,
                     Some(&mut cache),
-                    &mut cached_trace,
                 );
-                let mut uncached_trace: Vec<RefineMove> = Vec::new();
-                uncached_part = refine_existing_trace(
+                let cached_trace: Vec<RefineMove> = scratch.moves().to_vec();
+                uncached_part = refine_existing(
                     &ddg,
                     &machine,
                     ii,
@@ -154,10 +148,9 @@ proptest! {
                     &analysis,
                     &mut scratch,
                     None,
-                    &mut uncached_trace,
                 );
                 prop_assert_eq!(
-                    &cached_trace, &uncached_trace,
+                    &cached_trace[..], scratch.moves(),
                     "{} at ii {}: cache changed the move sequence", spec, ii
                 );
                 prop_assert_eq!(&cached_part, &uncached_part);
