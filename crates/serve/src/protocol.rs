@@ -377,9 +377,8 @@ pub fn render_deadline_body(deadline_ms: u64, out: &mut String) {
 /// Appends the `"error":{...}` body for a compile job whose worker
 /// panicked. Carries the offending cache key (loop fingerprint, interned
 /// spec id, mode index, seed count) so the input can be reproduced, plus
-/// the panic message. Never cached — the worker's context pool entry is
-/// discarded as poisoned, and a follow-up identical request recompiles
-/// on a rebuilt context.
+/// the panic message. Never cached — a follow-up identical request
+/// recompiles on a fresh context and scratch.
 pub fn render_panic_body(key: &crate::cache::CacheKey, detail: &str, out: &mut String) {
     out.push_str("\"error\":{\"kind\":\"compile_panic\",\"detail\":\"");
     json::escape_into(detail, out);

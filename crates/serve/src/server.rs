@@ -12,16 +12,16 @@
 //!    bound is reached, in which case the miss is **shed** with an
 //!    `overloaded` error and a `retry_after` hint.
 //! 2. **Compile fan-out**: each worker with jobs runs them on its own
-//!    thread against its own long-lived [`CompileContext`]s — a context
-//!    is keyed per `(loop, machine, seeds)` and survives across requests
-//!    and batches, so the scratch reuse the one-shot driver proves
-//!    byte-identical also pays off here. Workers never touch the cache.
-//!    Every job runs under `catch_unwind`: a panicking compile renders a
-//!    structured `compile_panic` response and discards the worker's
-//!    context for that key as poisoned (rebuilt on next use) instead of
-//!    killing the daemon. When a deadline is configured the job arms the
-//!    context's [`cvliw_replicate::CancelToken`], and a compile that
-//!    blows the budget renders `deadline_exceeded`.
+//!    thread. A worker owns one [`CompileScratch`], the same policy as a
+//!    suite lane: each job builds a fresh [`CompileContext`] over it,
+//!    compiles, and takes the scratch back, so only allocations outlive
+//!    a job. Workers never touch the cache. Every job runs under
+//!    `catch_unwind`: a panicking compile renders a structured
+//!    `compile_panic` response instead of killing the daemon, and the
+//!    scratch it held unwinds with its context. When a deadline is
+//!    configured the job arms its context's
+//!    [`cvliw_replicate::CancelToken`], and a compile that blows the
+//!    budget renders `deadline_exceeded`.
 //! 3. **Cache insert** (single-threaded, in admission order): freshly
 //!    rendered payloads — compile failures included — enter the LRU
 //!    stamped with their request seq, so the cache state after a batch
@@ -49,6 +49,7 @@
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, Write};
+use std::mem;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -60,7 +61,7 @@ use cvliw_ir::parse_loop;
 use cvliw_machine::MachineConfig;
 use cvliw_replicate::{
     compile_stats_ctx, fnv1a_64, loop_fingerprint, CompileContext, CompileError, CompileOptions,
-    Mode,
+    CompileScratch, Mode,
 };
 
 use crate::cache::CacheKey;
@@ -83,6 +84,9 @@ pub const RETRY_AFTER_PER_INFLIGHT_MS: u64 = 5;
 /// Ceiling of the shed back-off hint, in milliseconds.
 pub const RETRY_AFTER_MAX_MS: u64 = 2000;
 
+/// Raw-text memo entries per session (escaped loop source → fingerprint).
+const TEXT_MEMO_ENTRIES: usize = 1024;
+
 /// The back-off hint attached to `overloaded` responses: scales with
 /// the in-flight compile depth observed at shed time, clamped to
 /// [`RETRY_AFTER_MAX_MS`]. A pure function of the observed depth (no
@@ -103,10 +107,10 @@ pub struct ServerConfig {
     pub cache_entries: usize,
     /// Result-cache payload-byte bound.
     pub cache_bytes: usize,
-    /// Live [`CompileContext`]s each worker retains (LRU beyond that).
+    /// Has no effect: a worker keeps one [`CompileScratch`] and no
+    /// [`CompileContext`] between jobs. It stays only because the
+    /// benchmark reads it.
     pub contexts_per_worker: usize,
-    /// Raw-text memo entries (escaped loop source → fingerprint).
-    pub memo_entries: usize,
     /// Per-request compile budget in milliseconds; `None` disarms the
     /// deadline entirely (no token is ever armed).
     pub deadline_ms: Option<u64>,
@@ -122,7 +126,6 @@ impl Default for ServerConfig {
             cache_entries: 1024,
             cache_bytes: 64 << 20,
             contexts_per_worker: 64,
-            memo_entries: 1024,
             deadline_ms: None,
             max_inflight: 256,
         }
@@ -211,22 +214,6 @@ struct TextEntry {
     stamp: u64,
 }
 
-struct CtxEntry {
-    ddg: Ddg,
-    ctx: CompileContext,
-    stamp: u64,
-}
-
-/// One worker's private state: its long-lived compile contexts. Each
-/// `CompileContext` holds interior mutability (`RefCell` scratch), so it
-/// is `Send` but not `Sync` — ownership by exactly one worker is what
-/// makes the fan-out sound, and key-sharded routing is what makes it
-/// deterministic.
-#[derive(Default)]
-struct WorkerState {
-    ctxs: HashMap<(u64, u32, u32), CtxEntry>,
-}
-
 /// What became of one compile job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum JobOutcome {
@@ -255,7 +242,7 @@ impl JobOutcome {
 struct Job {
     key: CacheKey,
     mode: Mode,
-    ddg: Option<Ddg>,
+    ddg: Ddg,
     stamp: u64,
     payload: Option<Arc<str>>,
     outcome: JobOutcome,
@@ -274,12 +261,10 @@ enum Slot {
     Stats { id: u64 },
 }
 
-/// Everything a worker thread needs besides its own state: the session's
-/// spec mirror, pool sizing, the deadline and (under `fault-inject`) the
-/// fault plan.
+/// Everything a worker thread needs besides its scratch: the session's
+/// spec mirror, the deadline and (under `fault-inject`) the fault plan.
 struct WorkerEnv<'a> {
     machines: &'a HashMap<u32, MachineConfig>,
-    max_ctxs: usize,
     deadline_ms: Option<u64>,
     #[cfg(feature = "fault-inject")]
     fault: &'a FaultPlan,
@@ -287,7 +272,7 @@ struct WorkerEnv<'a> {
 
 /// One session of the compile daemon. Feed it batches of JSONL request
 /// lines (or a whole stream via [`Server::run_jsonl`]); session state —
-/// worker contexts, the raw-text memo — lives here, daemon state — the
+/// worker scratch, the raw-text memo — lives here, daemon state — the
 /// cache, the spec interner, counters — in the [`SharedState`] all
 /// sessions of one daemon share.
 pub struct Server {
@@ -299,7 +284,8 @@ pub struct Server {
     /// Session-local mirror: escaped spec text → shared id.
     spec_ids: HashMap<Box<str>, u32>,
     text_memo: HashMap<u64, TextEntry>,
-    workers: Vec<WorkerState>,
+    /// One recycled compile scratch per worker.
+    workers: Vec<CompileScratch>,
     worker_jobs: Vec<Vec<Job>>,
     pending: HashMap<CacheKey, (u32, u32)>,
     slots: Vec<Slot>,
@@ -329,7 +315,7 @@ impl Server {
             machines: HashMap::new(),
             spec_ids: HashMap::new(),
             text_memo: HashMap::new(),
-            workers: (0..jobs).map(|_| WorkerState::default()).collect(),
+            workers: (0..jobs).map(|_| CompileScratch::default()).collect(),
             worker_jobs: (0..jobs).map(|_| Vec::new()).collect(),
             pending: HashMap::new(),
             slots: Vec::new(),
@@ -397,7 +383,7 @@ impl Server {
         })?;
         let named = parse_loop(&text).map_err(ErrorKind::Parse)?;
         let fp = loop_fingerprint(&named.ddg);
-        if self.text_memo.len() >= self.cfg.memo_entries.max(1) {
+        if self.text_memo.len() >= TEXT_MEMO_ENTRIES {
             if let Some(&victim) = self
                 .text_memo
                 .iter()
@@ -454,16 +440,16 @@ impl Server {
             return Slot::Job { id, worker, idx };
         }
 
-        // A miss always carries its DDG: the worker may lack a context for
-        // it (or may evict one mid-batch), and re-parsing here costs noise
-        // next to the compile the miss is about to pay for anyway.
+        // A miss always carries its DDG: the worker builds a fresh context
+        // from it, and re-parsing here costs noise next to the compile the
+        // miss is about to pay for anyway.
         let ddg = match parsed {
-            Some(d) => Some(d),
+            Some(d) => d,
             None => match json::unescape(loop_src)
                 .ok()
                 .and_then(|text| parse_loop(&text).ok())
             {
-                Some(named) => Some(named.ddg),
+                Some(named) => named.ddg,
                 // Unreachable in practice: a memo hit means these exact
                 // bytes parsed before. Fail closed if it ever happens.
                 None => {
@@ -565,18 +551,17 @@ impl Server {
         if self.worker_jobs.iter().any(|jobs| !jobs.is_empty()) {
             let env = WorkerEnv {
                 machines: &self.machines,
-                max_ctxs: self.cfg.contexts_per_worker.max(1),
                 deadline_ms: self.cfg.deadline_ms,
                 #[cfg(feature = "fault-inject")]
                 fault: &self.fault,
             };
             let env = &env;
             thread::scope(|scope| {
-                for (ws, jobs) in self.workers.iter_mut().zip(self.worker_jobs.iter_mut()) {
+                for (scratch, jobs) in self.workers.iter_mut().zip(self.worker_jobs.iter_mut()) {
                     if jobs.is_empty() {
                         continue;
                     }
-                    scope.spawn(move || run_worker(ws, jobs, env));
+                    scope.spawn(move || run_worker(scratch, jobs, env));
                 }
             });
         }
@@ -822,21 +807,21 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-fn run_worker(ws: &mut WorkerState, jobs: &mut [Job], env: &WorkerEnv<'_>) {
+fn run_worker(scratch: &mut CompileScratch, jobs: &mut [Job], env: &WorkerEnv<'_>) {
     let mut body = String::new();
     for job in jobs {
         body.clear();
         // The containment boundary: a panic anywhere in context
-        // construction or compilation converts to a structured response,
-        // and the context this job touched is discarded as poisoned —
+        // construction or compilation converts to a structured response —
         // `thread::scope` would otherwise re-raise the panic on join and
-        // take the daemon down.
-        let outcome =
-            panic::catch_unwind(AssertUnwindSafe(|| compile_one(ws, job, env, &mut body)));
+        // take the daemon down. The panicking job's context took the
+        // scratch with it, so the next job starts on a fresh one.
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            compile_one(scratch, job, env, &mut body)
+        }));
         job.outcome = match outcome {
             Ok(outcome) => outcome,
             Err(panic_payload) => {
-                ws.ctxs.remove(&(job.key.fp, job.key.spec, job.key.seeds));
                 body.clear();
                 protocol::render_panic_body(&job.key, panic_message(&*panic_payload), &mut body);
                 JobOutcome::Panicked
@@ -846,12 +831,13 @@ fn run_worker(ws: &mut WorkerState, jobs: &mut [Job], env: &WorkerEnv<'_>) {
     }
 }
 
-/// Runs one compile job on the worker's context pool, rendering the
-/// response body and reporting what happened. May panic (a compiler bug
-/// or an injected fault); [`run_worker`] contains that.
+/// Runs one compile job on a fresh context over the worker's recycled
+/// scratch, rendering the response body and reporting what happened. May
+/// panic (a compiler bug or an injected fault); [`run_worker`] contains
+/// that.
 fn compile_one(
-    ws: &mut WorkerState,
-    job: &mut Job,
+    scratch: &mut CompileScratch,
+    job: &Job,
     env: &WorkerEnv<'_>,
     body: &mut String,
 ) -> JobOutcome {
@@ -859,7 +845,6 @@ fn compile_one(
     if env.fault.panics_at(job.stamp) {
         panic!("injected fault: worker panic at request {}", job.stamp);
     }
-    let ctx_key = (job.key.fp, job.key.spec, job.key.seeds);
     let Some(machine) = env.machines.get(&job.key.spec) else {
         protocol::render_error_body(
             &ErrorKind::Internal {
@@ -869,62 +854,25 @@ fn compile_one(
         );
         return JobOutcome::Internal;
     };
-    if !ws.ctxs.contains_key(&ctx_key) {
-        while ws.ctxs.len() >= env.max_ctxs {
-            let Some(victim) = ws.ctxs.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k) else {
-                break;
-            };
-            ws.ctxs.remove(&victim);
-        }
-        let Some(ddg) = job.ddg.take() else {
-            protocol::render_error_body(
-                &ErrorKind::Internal {
-                    detail: "compile job lost its DDG",
-                },
-                body,
-            );
-            return JobOutcome::Internal;
-        };
-        let ctx = CompileContext::new(&ddg, machine).with_refine_seeds(job.key.seeds);
-        ws.ctxs.insert(
-            ctx_key,
-            CtxEntry {
-                ddg,
-                ctx,
-                stamp: job.stamp,
-            },
-        );
+    let ctx = CompileContext::new_with_scratch(&job.ddg, machine, mem::take(scratch))
+        .with_refine_seeds(job.key.seeds);
+    // Deadline checkpoints live in the driver's II attempt loop. The
+    // context's token is fresh for every job, so arming it needs no
+    // matching disarm; with no deadline configured it is never touched.
+    if let Some(ms) = env.deadline_ms {
+        ctx.cancel_token()
+            .arm_deadline(Instant::now() + Duration::from_millis(ms));
     }
-    let Some(entry) = ws.ctxs.get_mut(&ctx_key) else {
-        protocol::render_error_body(
-            &ErrorKind::Internal {
-                detail: "context pool lost a just-ensured entry",
-            },
-            body,
-        );
-        return JobOutcome::Internal;
-    };
-    entry.stamp = entry.stamp.max(job.stamp);
-    let opts = CompileOptions {
-        mode: job.mode,
-        max_ii: None,
-    };
-    // Deadline checkpoints live in the driver's II attempt loop; arm the
-    // context's token for this job only and disarm before the context is
-    // reused. When no deadline is configured the token is never touched.
-    let token = env.deadline_ms.map(|ms| {
-        let token = entry.ctx.cancel_token();
-        token.arm_deadline(Instant::now() + Duration::from_millis(ms));
-        token
-    });
     #[cfg(feature = "fault-inject")]
     if let Some(stall) = env.fault.stall_at(job.stamp) {
         thread::sleep(stall);
     }
-    let result = compile_stats_ctx(&entry.ddg, machine, &opts, &entry.ctx);
-    if let Some(token) = token {
-        token.disarm_deadline();
-    }
+    let opts = CompileOptions {
+        mode: job.mode,
+        max_ii: None,
+    };
+    let result = compile_stats_ctx(&job.ddg, machine, &opts, &ctx);
+    *scratch = ctx.into_scratch();
     match result {
         Ok(stats) => {
             protocol::render_ok_body(&stats, body);
@@ -1253,8 +1201,8 @@ mod tests {
         assert!(out.contains("injected fault"), "{out}");
         assert_eq!(s.stats().panics, 1);
 
-        // Stamp 1 is not in the plan: the same request recompiles on a
-        // rebuilt context and matches a fresh server's answer.
+        // Stamp 1 is not in the plan: the same request recompiles and
+        // matches a fresh server's answer.
         out.clear();
         let line2 = request_line(2, TINY_LOOP, "4c1b2l64r", "replicate", 1);
         s.process_batch(std::slice::from_ref(&line2), &mut out);

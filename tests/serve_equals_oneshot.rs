@@ -7,9 +7,12 @@
 //! The oracle is deliberately naive: a fresh `CompileContext` per
 //! request, no cache, no sharding, no memo. Anything the server's fast
 //! paths change about the bytes — a stale cache entry, a fingerprint
-//! collision mishandled, scratch state leaking between compiles on a
-//! pooled context, nondeterministic worker routing — shows up here as a
-//! diff on a shrunken request stream.
+//! collision mishandled, scratch state leaking from one job into the
+//! next on a worker's recycled scratch, nondeterministic worker routing —
+//! shows up here as a diff on a shrunken request stream. The loop pool
+//! mixes small, medium and large loops, so a recycled scratch crosses
+//! loop-size boundaries in both directions as well as machine and seed
+//! boundaries.
 
 use cvliw::machine::{paper_specs, MachineConfig};
 use cvliw::replicate::{compile_stats_ctx, CompileContext, CompileOptions, Mode};
@@ -31,8 +34,21 @@ struct Req {
     seeds: u32,
 }
 
-fn arb_stream() -> impl Strategy<Value = (Vec<u64>, Vec<Req>)> {
-    let pool = prop::collection::vec(0u64..5000, 2..=4);
+/// Generator settings the loop pool draws from: small, medium and large
+/// chain counts and depths.
+fn size_params(size: usize) -> GeneratorParams {
+    let (chains, depth) = [((1, 2), (1, 3)), ((3, 6), (3, 6)), ((6, 8), (5, 8))][size];
+    GeneratorParams {
+        chains,
+        depth,
+        ..GeneratorParams::medium()
+    }
+}
+
+/// A pool of `(generator seed, size class)` loops plus the request stream
+/// over it.
+fn arb_stream() -> impl Strategy<Value = (Vec<(u64, usize)>, Vec<Req>)> {
+    let pool = prop::collection::vec((0u64..5000, 0usize..3), 2..=4);
     let req = (0usize..4, 0usize..6, 0usize..5, 1u32..3).prop_map(
         |(loop_idx, spec_idx, mode_idx, seeds)| Req {
             loop_idx,
@@ -71,11 +87,10 @@ proptest! {
         input in arb_stream(),
     ) {
         let (pool_seeds, stream) = input;
-        let params = GeneratorParams::medium();
         let pool: Vec<String> = pool_seeds
             .iter()
-            .map(|&s| {
-                let l = generate_loop(s, &params).expect("generator is total");
+            .map(|&(s, size)| {
+                let l = generate_loop(s, &size_params(size)).expect("generator is total");
                 cvliw::ir::print_loop("gen", &l.ddg)
             })
             .collect();
@@ -106,8 +121,7 @@ proptest! {
         prop_assert_eq!(&out4, &expected, "jobs=4 cold diverged from one-shot");
 
         // Warm replay on the same server: every response now comes from
-        // the cache (or a pooled, already-used context) and must still
-        // match the fresh-context oracle.
+        // the cache and must still match the fresh-context oracle.
         let mut warm = String::new();
         s4.process_batch(&lines, &mut warm);
         prop_assert_eq!(&warm, &expected, "warm replay diverged from one-shot");
