@@ -110,17 +110,86 @@ impl Edge {
 /// * the distance-0 subgraph is acyclic (the loop body has a topological
 ///   order), and
 /// * the graph has at least one node.
+///
+/// Adjacency is stored as compressed sparse rows (CSR), one per
+/// direction: an offsets vector of `node_count + 1` entries and one flat
+/// item vector, so node `n`'s row is `items[off[n]..off[n + 1]]`. Four
+/// such pairs cover out-edge ids, in-edge ids (each row in
+/// [`Ddg::edges`] order) and the deduplicated, sorted data producers and
+/// consumers. Adjacency is thus eight allocations whatever the graph's
+/// size, and every accessor hands out a slice of one of them.
 #[derive(Clone, Debug)]
 pub struct Ddg {
     nodes: Vec<Node>,
     edges: Vec<Edge>,
-    succs: Vec<Vec<u32>>,
-    preds: Vec<Vec<u32>>,
+    succs: Csr<u32>,
+    preds: Csr<u32>,
     /// Deduplicated data-dependence adjacency, precomputed at build time:
     /// the replication planner walks these for every candidate subgraph, so
     /// they are slices, not per-call allocations.
-    data_preds: Vec<Vec<NodeId>>,
-    data_succs: Vec<Vec<NodeId>>,
+    data_preds: Csr<NodeId>,
+    data_succs: Csr<NodeId>,
+}
+
+/// Compressed sparse rows: row `r` is `items[off[r]..off[r + 1]]`.
+#[derive(Clone, Debug)]
+struct Csr<T> {
+    off: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Csr<T> {
+    /// Counting sort of `(row, item)` pairs into `rows` rows, each row
+    /// keeping its items in input order. `fill` only pre-sizes the item
+    /// vector; every slot is overwritten.
+    fn from_pairs<I>(rows: usize, pairs: I, fill: T) -> Self
+    where
+        I: Iterator<Item = (usize, T)> + Clone,
+    {
+        let mut off = vec![0u32; rows + 1];
+        for (r, _) in pairs.clone() {
+            off[r + 1] += 1;
+        }
+        for r in 0..rows {
+            off[r + 1] += off[r];
+        }
+        let mut cursor = off[..rows].to_vec();
+        let mut items = vec![fill; off[rows] as usize];
+        for (r, item) in pairs {
+            items[cursor[r] as usize] = item;
+            cursor[r] += 1;
+        }
+        Csr { off, items }
+    }
+
+    fn row(&self, r: usize) -> &[T] {
+        &self.items[self.off[r] as usize..self.off[r + 1] as usize]
+    }
+}
+
+impl<T: Copy + Ord> Csr<T> {
+    /// Sorts every row and drops duplicates within it, compacting the
+    /// item vector in place.
+    fn sort_dedup_rows(&mut self) {
+        let rows = self.off.len() - 1;
+        let mut w = 0usize;
+        for r in 0..rows {
+            let (start, end) = (self.off[r] as usize, self.off[r + 1] as usize);
+            self.items[start..end].sort_unstable();
+            // `off[r]` is read above and rewritten here; `off[r + 1]` is
+            // still the old end until the next row reads it.
+            self.off[r] = w as u32;
+            for i in start..end {
+                if i == start || self.items[i] != self.items[i - 1] {
+                    self.items[w] = self.items[i];
+                    w += 1;
+                }
+            }
+        }
+        self.off[rows] = w as u32;
+        self.items.truncate(w);
+        self.items.shrink_to_fit();
+    }
 }
 
 impl Ddg {
@@ -174,14 +243,16 @@ impl Ddg {
 
     /// Outgoing edges of `n`.
     pub fn out_edges(&self, n: NodeId) -> impl ExactSizeIterator<Item = &Edge> + '_ {
-        self.succs[n.index()]
+        self.succs
+            .row(n.index())
             .iter()
             .map(move |&i| &self.edges[i as usize])
     }
 
     /// Incoming edges of `n`.
     pub fn in_edges(&self, n: NodeId) -> impl ExactSizeIterator<Item = &Edge> + '_ {
-        self.preds[n.index()]
+        self.preds
+            .row(n.index())
             .iter()
             .map(move |&i| &self.edges[i as usize])
     }
@@ -191,13 +262,13 @@ impl Ddg {
     /// incrementally updated latency vector of partition refinement).
     #[must_use]
     pub fn out_edge_ids(&self, n: NodeId) -> &[u32] {
-        &self.succs[n.index()]
+        self.succs.row(n.index())
     }
 
     /// Indices (into [`Ddg::edges`] order) of the incoming edges of `n`.
     #[must_use]
     pub fn in_edge_ids(&self, n: NodeId) -> &[u32] {
-        &self.preds[n.index()]
+        self.preds.row(n.index())
     }
 
     /// The edge with the given index in [`Ddg::edges`] order.
@@ -213,14 +284,14 @@ impl Ddg {
     /// Producers whose register values `n` reads (deduplicated, sorted).
     #[must_use]
     pub fn data_preds(&self, n: NodeId) -> &[NodeId] {
-        &self.data_preds[n.index()]
+        self.data_preds.row(n.index())
     }
 
     /// Consumers that read the register value `n` produces (deduplicated,
     /// sorted).
     #[must_use]
     pub fn data_succs(&self, n: NodeId) -> &[NodeId] {
-        &self.data_succs[n.index()]
+        self.data_succs.row(n.index())
     }
 
     /// Whether `n` has at least one data consumer.
@@ -377,25 +448,22 @@ impl DdgBuilder {
             }
         }
 
-        let mut succs = vec![Vec::new(); node_count];
-        let mut preds = vec![Vec::new(); node_count];
-        for (i, e) in self.edges.iter().enumerate() {
-            succs[e.src.index()].push(i as u32);
-            preds[e.dst.index()].push(i as u32);
-        }
-
-        let mut data_preds = vec![Vec::new(); node_count];
-        let mut data_succs = vec![Vec::new(); node_count];
-        for e in &self.edges {
-            if e.kind == DepKind::Data {
-                data_preds[e.dst.index()].push(e.src);
-                data_succs[e.src.index()].push(e.dst);
-            }
-        }
-        for adj in data_preds.iter_mut().chain(data_succs.iter_mut()) {
-            adj.sort_unstable();
-            adj.dedup();
-        }
+        let edge_ids = || self.edges.iter().zip(0u32..);
+        let succs = Csr::from_pairs(node_count, edge_ids().map(|(e, i)| (e.src.index(), i)), 0);
+        let preds = Csr::from_pairs(node_count, edge_ids().map(|(e, i)| (e.dst.index(), i)), 0);
+        let data = || self.edges.iter().filter(|e| e.kind == DepKind::Data);
+        let mut data_preds = Csr::from_pairs(
+            node_count,
+            data().map(|e| (e.dst.index(), e.src)),
+            NodeId(0),
+        );
+        let mut data_succs = Csr::from_pairs(
+            node_count,
+            data().map(|e| (e.src.index(), e.dst)),
+            NodeId(0),
+        );
+        data_preds.sort_dedup_rows();
+        data_succs.sort_dedup_rows();
 
         let ddg = Ddg {
             nodes: self.nodes,

@@ -4,22 +4,24 @@
 //! A batch of request lines flows through four strictly ordered phases:
 //!
 //! 1. **Admission** (single-threaded, in line order): parse, intern the
-//!    machine spec, fingerprint the loop (via a raw-text memo that lets a
-//!    repeated request skip unescape *and* parse), then classify each
+//!    machine spec, fingerprint the loop (via a raw-text memo that keeps
+//!    the parsed graph, so a repeated request skips unescape *and* parse
+//!    and its miss compiles from the shared graph), then classify each
 //!    line as a cache **hit**, a **coalesced** duplicate of a miss
 //!    already admitted this batch, or a fresh **miss** routed to a
 //!    worker by `fnv(key) % jobs` — unless the daemon-wide in-flight
 //!    bound is reached, in which case the miss is **shed** with an
 //!    `overloaded` error and a `retry_after` hint.
-//! 2. **Compile fan-out**: each worker with jobs runs them on its own
-//!    thread. A worker owns one [`CompileScratch`], the same policy as a
-//!    suite lane: each job builds a fresh [`CompileContext`] over it,
-//!    compiles, and takes the scratch back, so only allocations outlive
-//!    a job. Workers never touch the cache. Every job runs under
-//!    `catch_unwind`: a panicking compile renders a structured
-//!    `compile_panic` response instead of killing the daemon, and the
-//!    scratch it held unwinds with its context. When a deadline is
-//!    configured the job arms its context's
+//! 2. **Compile fan-out**: when one worker has jobs it runs them on the
+//!    calling thread; when two or more do, each runs its jobs on its own
+//!    scoped thread. A worker owns one [`CompileScratch`], the same
+//!    policy as a suite lane: each job builds a fresh [`CompileContext`]
+//!    over it, compiles, and takes the scratch back, so only allocations
+//!    outlive a job. Workers never touch the cache. Every job runs under
+//!    `catch_unwind` on whichever thread runs it: a panicking compile
+//!    renders a structured `compile_panic` response instead of killing
+//!    the daemon, and the scratch it held unwinds with its context. When
+//!    a deadline is configured the job arms its context's
 //!    [`cvliw_replicate::CancelToken`], and a compile that blows the
 //!    budget renders `deadline_exceeded`.
 //! 3. **Cache insert** (single-threaded, in admission order): freshly
@@ -34,11 +36,12 @@
 //!
 //! The warm path (every line a hit) allocates nothing: slots, job queues
 //! and the output string are reused across batches, payload clones are
-//! `Arc` refcount bumps, counters are atomics, and the compile fan-out —
-//! the only phase that spawns threads — is skipped entirely when no jobs
-//! were admitted. The fault-tolerance plumbing is free when disarmed: no
-//! deadline means no token is ever armed, and the shed gate is two
-//! atomic operations per miss, none per hit.
+//! `Arc` refcount bumps, counters are atomics, and the compile fan-out is
+//! skipped entirely when no jobs were admitted. Threads are spawned only
+//! for a batch whose misses land on two or more workers; a single-line
+//! batch never spawns one. The fault-tolerance plumbing is free when
+//! disarmed: no deadline means no token is ever armed, and the shed gate
+//! is two atomic operations per miss, none per hit.
 //!
 //! Cross-session state — the result cache, the spec interner, the seq
 //! counter, the counters and the shed gate — lives in [`SharedState`];
@@ -46,7 +49,7 @@
 //! bit-for-bit like the old single-owner design, which is what lets the
 //! differential layer keep pinning byte identity.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, Write};
 use std::mem;
@@ -84,7 +87,8 @@ pub const RETRY_AFTER_PER_INFLIGHT_MS: u64 = 5;
 /// Ceiling of the shed back-off hint, in milliseconds.
 pub const RETRY_AFTER_MAX_MS: u64 = 2000;
 
-/// Raw-text memo entries per session (escaped loop source → fingerprint).
+/// Raw-text memo entries per session (escaped loop source → fingerprint
+/// and parsed graph).
 const TEXT_MEMO_ENTRIES: usize = 1024;
 
 /// The back-off hint attached to `overloaded` responses: scales with
@@ -211,7 +215,7 @@ impl ShutdownFlag {
 struct TextEntry {
     escaped: Box<str>,
     fp: u64,
-    stamp: u64,
+    ddg: Arc<Ddg>,
 }
 
 /// What became of one compile job.
@@ -242,7 +246,7 @@ impl JobOutcome {
 struct Job {
     key: CacheKey,
     mode: Mode,
-    ddg: Ddg,
+    ddg: Arc<Ddg>,
     stamp: u64,
     payload: Option<Arc<str>>,
     outcome: JobOutcome,
@@ -261,7 +265,7 @@ enum Slot {
     Stats { id: u64 },
 }
 
-/// Everything a worker thread needs besides its scratch: the session's
+/// Everything a worker needs besides its scratch: the session's
 /// spec mirror, the deadline and (under `fault-inject`) the fault plan.
 struct WorkerEnv<'a> {
     machines: &'a HashMap<u32, MachineConfig>,
@@ -284,6 +288,8 @@ pub struct Server {
     /// Session-local mirror: escaped spec text → shared id.
     spec_ids: HashMap<Box<str>, u32>,
     text_memo: HashMap<u64, TextEntry>,
+    /// Text-memo keys in insertion order; the front is evicted first.
+    text_order: VecDeque<u64>,
     /// One recycled compile scratch per worker.
     workers: Vec<CompileScratch>,
     worker_jobs: Vec<Vec<Job>>,
@@ -315,6 +321,7 @@ impl Server {
             machines: HashMap::new(),
             spec_ids: HashMap::new(),
             text_memo: HashMap::new(),
+            text_order: VecDeque::new(),
             workers: (0..jobs).map(|_| CompileScratch::default()).collect(),
             worker_jobs: (0..jobs).map(|_| Vec::new()).collect(),
             pending: HashMap::new(),
@@ -360,50 +367,47 @@ impl Server {
         Ok(id)
     }
 
-    /// Fingerprints the escaped loop source, via the raw-text memo when it
-    /// has seen these exact bytes before. Returns the parsed DDG only when
-    /// parsing actually happened (memo misses).
-    fn fingerprint_loop(
-        &mut self,
-        escaped: &str,
-        stamp: u64,
-    ) -> Result<(u64, Option<Ddg>), ErrorKind> {
+    /// Fingerprints the escaped loop source and returns its parsed graph,
+    /// via the raw-text memo when it has seen these exact bytes before:
+    /// a memo hit neither unescapes nor parses, and hands out the graph
+    /// the first request parsed. The memo is bounded at
+    /// [`TEXT_MEMO_ENTRIES`] and evicts in insertion order.
+    fn fingerprint_loop(&mut self, escaped: &str) -> Result<(u64, Arc<Ddg>), ErrorKind> {
         let h = fnv1a_64(escaped.as_bytes());
-        if let Some(e) = self.text_memo.get_mut(&h) {
+        if let Some(e) = self.text_memo.get(&h) {
             // Full-text equality guards against a 64-bit collision ever
             // aliasing two different loops.
             if &*e.escaped == escaped {
-                e.stamp = stamp;
-                return Ok((e.fp, None));
+                return Ok((e.fp, Arc::clone(&e.ddg)));
             }
         }
         let text = json::unescape(escaped).map_err(|e| ErrorKind::BadField {
             field: "loop",
             detail: e.to_string(),
         })?;
-        let named = parse_loop(&text).map_err(ErrorKind::Parse)?;
-        let fp = loop_fingerprint(&named.ddg);
-        if self.text_memo.len() >= TEXT_MEMO_ENTRIES {
-            if let Some(&victim) = self
-                .text_memo
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k)
-            {
-                self.text_memo.remove(&victim);
+        let ddg = Arc::new(parse_loop(&text).map_err(ErrorKind::Parse)?.ddg);
+        let fp = loop_fingerprint(&ddg);
+        let entry = TextEntry {
+            escaped: Box::from(escaped),
+            fp,
+            ddg: Arc::clone(&ddg),
+        };
+        // A colliding key is overwritten in place and keeps its queue
+        // position, so every key sits in `text_order` exactly once.
+        if self.text_memo.insert(h, entry).is_none() {
+            self.text_order.push_back(h);
+            if self.text_order.len() > TEXT_MEMO_ENTRIES {
+                if let Some(victim) = self.text_order.pop_front() {
+                    self.text_memo.remove(&victim);
+                }
             }
         }
-        self.text_memo.insert(
-            h,
-            TextEntry {
-                escaped: Box::from(escaped),
-                fp,
-                stamp,
-            },
-        );
-        Ok((fp, Some(named.ddg)))
+        Ok((fp, ddg))
     }
 
+    /// Admits one compile request: a cache hit, a duplicate coalesced onto
+    /// a miss already admitted this batch, a shed miss, or a fresh miss
+    /// queued on its worker with the memo's shared graph.
     fn admit_compile(
         &mut self,
         id: u64,
@@ -417,7 +421,7 @@ impl Server {
             Ok(spec) => spec,
             Err(kind) => return Slot::Reject { id: Some(id), kind },
         };
-        let (fp, parsed) = match self.fingerprint_loop(loop_src, stamp) {
+        let (fp, ddg) = match self.fingerprint_loop(loop_src) {
             Ok(pair) => pair,
             Err(kind) => return Slot::Reject { id: Some(id), kind },
         };
@@ -439,30 +443,6 @@ impl Server {
             self.shared.stats().coalesced(1);
             return Slot::Job { id, worker, idx };
         }
-
-        // A miss always carries its DDG: the worker builds a fresh context
-        // from it, and re-parsing here costs noise next to the compile the
-        // miss is about to pay for anyway.
-        let ddg = match parsed {
-            Some(d) => d,
-            None => match json::unescape(loop_src)
-                .ok()
-                .and_then(|text| parse_loop(&text).ok())
-            {
-                Some(named) => named.ddg,
-                // Unreachable in practice: a memo hit means these exact
-                // bytes parsed before. Fail closed if it ever happens.
-                None => {
-                    return Slot::Reject {
-                        id: Some(id),
-                        kind: ErrorKind::BadField {
-                            field: "loop",
-                            detail: "loop no longer parses".into(),
-                        },
-                    }
-                }
-            },
-        };
 
         // Load shedding: a fresh miss claims one daemon-wide in-flight
         // slot or is turned away with a back-off hint — never queued
@@ -546,24 +526,29 @@ impl Server {
             self.slots.push(slot);
         }
 
-        // Phase 2: compile fan-out. Skipped entirely on an all-hit batch —
-        // even spawning a scope would allocate.
-        if self.worker_jobs.iter().any(|jobs| !jobs.is_empty()) {
-            let env = WorkerEnv {
-                machines: &self.machines,
-                deadline_ms: self.cfg.deadline_ms,
-                #[cfg(feature = "fault-inject")]
-                fault: &self.fault,
-            };
-            let env = &env;
-            thread::scope(|scope| {
-                for (scratch, jobs) in self.workers.iter_mut().zip(self.worker_jobs.iter_mut()) {
-                    if jobs.is_empty() {
-                        continue;
-                    }
+        // Phase 2: compile fan-out. A lone busy worker runs on this
+        // thread — `run_worker` contains its panics either way — so only a
+        // batch that keeps two or more workers busy pays for spawning.
+        let env = WorkerEnv {
+            machines: &self.machines,
+            deadline_ms: self.cfg.deadline_ms,
+            #[cfg(feature = "fault-inject")]
+            fault: &self.fault,
+        };
+        let env = &env;
+        let mut busy = self
+            .workers
+            .iter_mut()
+            .zip(self.worker_jobs.iter_mut())
+            .filter(|(_, jobs)| !jobs.is_empty());
+        match (busy.next(), busy.next()) {
+            (None, _) => {}
+            (Some((scratch, jobs)), None) => run_worker(scratch, jobs, env),
+            (Some(first), Some(second)) => thread::scope(|scope| {
+                for (scratch, jobs) in [first, second].into_iter().chain(busy) {
                     scope.spawn(move || run_worker(scratch, jobs, env));
                 }
-            });
+            }),
         }
 
         // Phase 3: cache insertion in admission (stamp) order, so the
@@ -813,8 +798,8 @@ fn run_worker(scratch: &mut CompileScratch, jobs: &mut [Job], env: &WorkerEnv<'_
         body.clear();
         // The containment boundary: a panic anywhere in context
         // construction or compilation converts to a structured response —
-        // `thread::scope` would otherwise re-raise the panic on join and
-        // take the daemon down. The panicking job's context took the
+        // it would otherwise unwind through the calling thread, or be
+        // re-raised by `thread::scope` on join, and take the daemon down. The panicking job's context took the
         // scratch with it, so the next job starts on a fresh one.
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             compile_one(scratch, job, env, &mut body)
@@ -1183,32 +1168,92 @@ mod tests {
         assert!(lines[1].starts_with("{\"id\":7,\"ok\":"), "{out}");
     }
 
+    #[test]
+    fn text_memo_stays_bounded_and_reparses_evicted_loops() {
+        let src = |i: usize| {
+            escape(&format!(
+                "loop l {{\n  i: iadd i@{}\n  ld: load i\n  st: store ld\n}}",
+                i + 1
+            ))
+        };
+        let mut s = server(1);
+        let (fp0, ddg0) = s.fingerprint_loop(&src(0)).unwrap();
+        let (again, shared) = s.fingerprint_loop(&src(0)).unwrap();
+        assert_eq!(again, fp0);
+        assert!(Arc::ptr_eq(&shared, &ddg0), "a memo hit must not re-parse");
+
+        for i in 1..=3 * TEXT_MEMO_ENTRIES {
+            s.fingerprint_loop(&src(i)).unwrap();
+            assert!(
+                s.text_memo.len() <= TEXT_MEMO_ENTRIES,
+                "memo outgrew its bound"
+            );
+            assert_eq!(s.text_order.len(), s.text_memo.len());
+        }
+        assert!(!s.text_memo.contains_key(&fnv1a_64(src(0).as_bytes())));
+        let (fp, ddg) = s.fingerprint_loop(&src(0)).unwrap();
+        assert_eq!(
+            fp, fp0,
+            "an evicted loop must re-parse to the same fingerprint"
+        );
+        assert!(
+            !Arc::ptr_eq(&ddg, &ddg0),
+            "an evicted loop is parsed afresh"
+        );
+    }
+
+    /// What a one-shot compile of `src` renders for request `id`.
+    #[cfg(feature = "fault-inject")]
+    fn oneshot_response(id: u64, src: &str) -> String {
+        let ddg = parse_loop(src).unwrap().ddg;
+        let machine = MachineConfig::from_extended_spec("4c1b2l64r").unwrap();
+        let ctx = CompileContext::new(&ddg, &machine).with_refine_seeds(1);
+        let opts = CompileOptions {
+            mode: Mode::Replicate,
+            max_ii: None,
+        };
+        let mut body = String::new();
+        match compile_stats_ctx(&ddg, &machine, &opts, &ctx) {
+            Ok(stats) => protocol::render_ok_body(&stats, &mut body),
+            Err(e) => protocol::render_compile_error_body(&e, &mut body),
+        }
+        let mut out = String::new();
+        protocol::render_response(Some(id), &body, &mut out);
+        out
+    }
+
+    /// One-line batches keep one worker busy, so every job here runs on
+    /// the calling thread: the panic is contained there, and the scratch
+    /// the worker recycles — dirtied by an earlier, different loop — is
+    /// clean for the next job.
     #[cfg(feature = "fault-inject")]
     #[test]
-    fn injected_panic_is_contained_and_the_context_rebuilt() {
+    fn injected_panic_on_the_inline_path_leaves_a_clean_scratch() {
         let mut s = server(2);
         s.set_fault_plan(FaultPlan {
-            panic_at: vec![0],
+            panic_at: vec![1],
             ..FaultPlan::default()
         });
-        let line = request_line(1, TINY_LOOP, "4c1b2l64r", "replicate", 1);
-        let mut out = String::new();
-        s.process_batch(std::slice::from_ref(&line), &mut out);
-        assert!(
-            out.starts_with("{\"id\":1,\"error\":{\"kind\":\"compile_panic\""),
-            "{out}"
-        );
-        assert!(out.contains("injected fault"), "{out}");
-        assert_eq!(s.stats().panics, 1);
+        let mut serve = |id: u64, src: &str| {
+            let mut out = String::new();
+            s.process_batch(
+                &[request_line(id, src, "4c1b2l64r", "replicate", 1)],
+                &mut out,
+            );
+            out
+        };
 
-        // Stamp 1 is not in the plan: the same request recompiles and
-        // matches a fresh server's answer.
-        out.clear();
-        let line2 = request_line(2, TINY_LOOP, "4c1b2l64r", "replicate", 1);
-        s.process_batch(std::slice::from_ref(&line2), &mut out);
-        let mut oracle = String::new();
-        server(1).process_batch(std::slice::from_ref(&line2), &mut oracle);
-        assert_eq!(out, oracle, "post-panic compile diverged");
+        assert_eq!(serve(0, OTHER_LOOP), oneshot_response(0, OTHER_LOOP));
+        let panicked = serve(1, TINY_LOOP);
+        assert!(
+            panicked.starts_with("{\"id\":1,\"error\":{\"kind\":\"compile_panic\""),
+            "{panicked}"
+        );
+        assert!(panicked.contains("injected fault"), "{panicked}");
+        // Stamp 2 is not in the plan: the same request recompiles (the
+        // panic payload was not cached) and matches the one-shot render.
+        assert_eq!(serve(2, TINY_LOOP), oneshot_response(2, TINY_LOOP));
+        assert_eq!(s.stats().panics, 1);
         assert_eq!(s.stats().hits, 0, "panic payload must not be cached");
     }
 }

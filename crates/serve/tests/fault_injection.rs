@@ -6,16 +6,24 @@
 //! a poisoned payload in the result cache (a disarmed replay of the same
 //! stream compiles cleanly and matches the oracle everywhere).
 //!
+//! The panic and deadline properties run on both compile paths: one-line
+//! batches keep one worker busy, which compiles on the calling thread;
+//! one batch of the whole stream keeps both workers busy, which compiles
+//! on scoped threads.
+//!
 //! Runs only under the `fault-inject` feature, which compiles the
 //! injection hooks into the server:
 //! `cargo test -p cvliw_serve --features fault-inject`.
 #![cfg(feature = "fault-inject")]
 
 use cvliw_machine::MachineConfig;
-use cvliw_replicate::{compile_stats_ctx, CompileContext, CompileOptions, Mode};
+use cvliw_replicate::{
+    compile_stats_ctx, fnv1a_64, loop_fingerprint, CompileContext, CompileOptions, Mode,
+};
 use cvliw_serve::testutil::request_line;
 use cvliw_serve::{
-    render_compile_error_body, render_ok_body, render_response, FaultPlan, Server, ServerConfig,
+    render_compile_error_body, render_ok_body, render_response, CacheKey, FaultPlan, Server,
+    ServerConfig,
 };
 use proptest::prelude::*;
 
@@ -60,6 +68,48 @@ fn serve_one(s: &mut Server, id: u64, src: &str) -> String {
     out
 }
 
+/// Serves requests `0..n` (id = stamp = index) and returns one response
+/// line per request: as one-line batches, or as a single batch of all `n`
+/// lines. Either way the global stamps equal the request indices, and the
+/// loops are distinct, so nothing coalesces.
+fn serve_stream(s: &mut Server, n: u64, one_batch: bool) -> Vec<String> {
+    if !one_batch {
+        return (0..n).map(|i| serve_one(s, i, &distinct_loop(i))).collect();
+    }
+    let lines: Vec<String> = (0..n)
+        .map(|i| request_line(i, &distinct_loop(i), SPEC, "replicate", 1))
+        .collect();
+    let mut out = String::new();
+    s.process_batch(&lines, &mut out);
+    out.lines().map(|l| format!("{l}\n")).collect()
+}
+
+/// The worker request `i` routes to on a fresh `jobs`-worker server: the
+/// daemon shards misses by `fnv1a(key) % jobs`, and the first spec a
+/// server interns gets id 0.
+fn worker_of(i: u64, jobs: u64) -> u64 {
+    let ddg = cvliw_ir::parse_loop(&distinct_loop(i))
+        .expect("fixture loop parses")
+        .ddg;
+    let key = CacheKey {
+        fp: loop_fingerprint(&ddg),
+        spec: 0,
+        mode: Mode::Replicate.index(),
+        seeds: 1,
+    };
+    fnv1a_64(&key.bytes()) % jobs
+}
+
+/// Precondition of the scoped-path runs: a batch of requests `0..n` keeps
+/// both of two workers busy.
+fn assert_batch_busies_two_workers(n: u64) {
+    let first = worker_of(0, 2);
+    assert!(
+        (1..n).any(|i| worker_of(i, 2) != first),
+        "a batch of {n} fixture loops routes to one worker; the scoped path goes untested"
+    );
+}
+
 /// Replays the whole stream with faults disarmed and asserts every
 /// response matches the oracle — the proof that no fault corrupted the
 /// shared cache (a poisoned payload would be served right back here).
@@ -79,65 +129,75 @@ proptest! {
 
     /// Worker panics at seeded stamps: the daemon answers them with
     /// structured `compile_panic` errors, answers everything else
-    /// byte-identically to the oracle, and recovers completely.
+    /// byte-identically to the oracle, and recovers completely — on the
+    /// inline path and on the scoped path.
     #[test]
     fn injected_panics_never_kill_the_daemon(seed in 0u64..1_000_000) {
         const N: u64 = 6;
-        let plan = FaultPlan::seeded(seed, N, 10);
-        let faulted = plan.faulted_stamps(false);
-        let mut s = Server::new(ServerConfig { jobs: 2, ..ServerConfig::default() });
-        s.set_fault_plan(plan);
+        assert_batch_busies_two_workers(N);
+        for one_batch in [false, true] {
+            let plan = FaultPlan::seeded(seed, N, 10);
+            let faulted = plan.faulted_stamps(false);
+            let mut s = Server::new(ServerConfig { jobs: 2, ..ServerConfig::default() });
+            s.set_fault_plan(plan);
 
-        for i in 0..N {
-            let src = distinct_loop(i);
-            let got = serve_one(&mut s, i, &src);
-            if faulted.contains(&i) {
-                let prefix = format!("{{\"id\":{i},\"error\":{{\"kind\":\"compile_panic\"");
-                prop_assert!(got.starts_with(&prefix), "stamp {}: {}", i, got);
-            } else {
-                prop_assert_eq!(got, oneshot_response(i, &src), "unaffected stamp {}", i);
+            let got = serve_stream(&mut s, N, one_batch);
+            prop_assert_eq!(got.len() as u64, N);
+            for (i, got) in (0..N).zip(&got) {
+                if faulted.contains(&i) {
+                    let prefix = format!("{{\"id\":{i},\"error\":{{\"kind\":\"compile_panic\"");
+                    prop_assert!(got.starts_with(&prefix), "stamp {} (one batch: {}): {}", i, one_batch, got);
+                } else {
+                    let want = oneshot_response(i, &distinct_loop(i));
+                    prop_assert_eq!(got, &want, "unaffected stamp {} (one batch: {})", i, one_batch);
+                }
             }
+            prop_assert_eq!(s.stats().panics, faulted.len() as u64);
+            assert_clean_replay(&mut s, N)?;
         }
-        prop_assert_eq!(s.stats().panics, faulted.len() as u64);
-        assert_clean_replay(&mut s, N)?;
     }
 
     /// Slow compiles under an armed deadline: the seeded stalls (200 ms)
     /// deterministically blow the 50 ms budget and answer
     /// `deadline_exceeded`; panics still answer `compile_panic`; every
     /// unaffected request still matches the oracle (its compile runs in
-    /// microseconds, three orders of magnitude inside the budget).
+    /// microseconds, three orders of magnitude inside the budget, and its
+    /// clock starts when its own job does). Both compile paths.
     #[test]
     fn slow_compiles_exceed_the_deadline_and_nothing_else_does(seed in 0u64..1_000_000) {
         const N: u64 = 5;
-        let plan = FaultPlan::seeded(seed, N, 200);
-        let panicked = plan.faulted_stamps(false);
-        let faulted = plan.faulted_stamps(true);
-        let mut s = Server::new(ServerConfig {
-            jobs: 2,
-            deadline_ms: Some(50),
-            ..ServerConfig::default()
-        });
-        s.set_fault_plan(plan);
+        assert_batch_busies_two_workers(N);
+        for one_batch in [false, true] {
+            let plan = FaultPlan::seeded(seed, N, 200);
+            let panicked = plan.faulted_stamps(false);
+            let faulted = plan.faulted_stamps(true);
+            let mut s = Server::new(ServerConfig {
+                jobs: 2,
+                deadline_ms: Some(50),
+                ..ServerConfig::default()
+            });
+            s.set_fault_plan(plan);
 
-        let mut deadline_hits = 0u64;
-        for i in 0..N {
-            let src = distinct_loop(i);
-            let got = serve_one(&mut s, i, &src);
-            if panicked.contains(&i) {
-                let prefix = format!("{{\"id\":{i},\"error\":{{\"kind\":\"compile_panic\"");
-                prop_assert!(got.starts_with(&prefix), "stamp {}: {}", i, got);
-            } else if faulted.contains(&i) {
-                let prefix = format!("{{\"id\":{i},\"error\":{{\"kind\":\"deadline_exceeded\"");
-                prop_assert!(got.starts_with(&prefix), "stamp {}: {}", i, got);
-                prop_assert!(got.contains("\"deadline_ms\":50"), "{}", got);
-                deadline_hits += 1;
-            } else {
-                prop_assert_eq!(got, oneshot_response(i, &src), "unaffected stamp {}", i);
+            let got = serve_stream(&mut s, N, one_batch);
+            prop_assert_eq!(got.len() as u64, N);
+            let mut deadline_hits = 0u64;
+            for (i, got) in (0..N).zip(&got) {
+                if panicked.contains(&i) {
+                    let prefix = format!("{{\"id\":{i},\"error\":{{\"kind\":\"compile_panic\"");
+                    prop_assert!(got.starts_with(&prefix), "stamp {} (one batch: {}): {}", i, one_batch, got);
+                } else if faulted.contains(&i) {
+                    let prefix = format!("{{\"id\":{i},\"error\":{{\"kind\":\"deadline_exceeded\"");
+                    prop_assert!(got.starts_with(&prefix), "stamp {} (one batch: {}): {}", i, one_batch, got);
+                    prop_assert!(got.contains("\"deadline_ms\":50"), "{}", got);
+                    deadline_hits += 1;
+                } else {
+                    let want = oneshot_response(i, &distinct_loop(i));
+                    prop_assert_eq!(got, &want, "unaffected stamp {} (one batch: {})", i, one_batch);
+                }
             }
+            prop_assert_eq!(s.stats().deadlines, deadline_hits);
+            assert_clean_replay(&mut s, N)?;
         }
-        prop_assert_eq!(s.stats().deadlines, deadline_hits);
-        assert_clean_replay(&mut s, N)?;
     }
 
     /// Torn client streams — a write truncated mid-line, a disconnect
