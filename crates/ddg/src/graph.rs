@@ -167,31 +167,6 @@ impl<T: Copy> Csr<T> {
     }
 }
 
-impl<T: Copy + Ord> Csr<T> {
-    /// Sorts every row and drops duplicates within it, compacting the
-    /// item vector in place.
-    fn sort_dedup_rows(&mut self) {
-        let rows = self.off.len() - 1;
-        let mut w = 0usize;
-        for r in 0..rows {
-            let (start, end) = (self.off[r] as usize, self.off[r + 1] as usize);
-            self.items[start..end].sort_unstable();
-            // `off[r]` is read above and rewritten here; `off[r + 1]` is
-            // still the old end until the next row reads it.
-            self.off[r] = w as u32;
-            for i in start..end {
-                if i == start || self.items[i] != self.items[i - 1] {
-                    self.items[w] = self.items[i];
-                    w += 1;
-                }
-            }
-        }
-        self.off[rows] = w as u32;
-        self.items.truncate(w);
-        self.items.shrink_to_fit();
-    }
-}
-
 impl Ddg {
     /// Starts building a new graph.
     #[must_use]
@@ -451,19 +426,21 @@ impl DdgBuilder {
         let edge_ids = || self.edges.iter().zip(0u32..);
         let succs = Csr::from_pairs(node_count, edge_ids().map(|(e, i)| (e.src.index(), i)), 0);
         let preds = Csr::from_pairs(node_count, edge_ids().map(|(e, i)| (e.dst.index(), i)), 0);
-        let data = || self.edges.iter().filter(|e| e.kind == DepKind::Data);
-        let mut data_preds = Csr::from_pairs(
-            node_count,
-            data().map(|e| (e.dst.index(), e.src)),
-            NodeId(0),
-        );
-        let mut data_succs = Csr::from_pairs(
-            node_count,
-            data().map(|e| (e.src.index(), e.dst)),
-            NodeId(0),
-        );
-        data_preds.sort_dedup_rows();
-        data_succs.sort_dedup_rows();
+        // Data rows are sorted and deduplicated: sorting the pairs first
+        // hands `from_pairs` each row's items in order.
+        let data_rows = |pair: fn(&Edge) -> (usize, NodeId)| {
+            let mut pairs: Vec<_> = self
+                .edges
+                .iter()
+                .filter(|e| e.is_data())
+                .map(pair)
+                .collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            Csr::from_pairs(node_count, pairs.iter().copied(), NodeId(0))
+        };
+        let data_preds = data_rows(|e| (e.dst.index(), e.src));
+        let data_succs = data_rows(|e| (e.src.index(), e.dst));
 
         let ddg = Ddg {
             nodes: self.nodes,

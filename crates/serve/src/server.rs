@@ -12,10 +12,10 @@
 //!    worker by `fnv(key) % jobs` — unless the daemon-wide in-flight
 //!    bound is reached, in which case the miss is **shed** with an
 //!    `overloaded` error and a `retry_after` hint.
-//! 2. **Compile fan-out**: when one worker has jobs it runs them on the
-//!    calling thread; when two or more do, each runs its jobs on its own
-//!    scoped thread. A worker owns one [`CompileScratch`], the same
-//!    policy as a suite lane: each job builds a fresh [`CompileContext`]
+//! 2. **Compile fan-out**: the first worker with jobs runs them on the
+//!    calling thread, and every other worker with jobs runs them on a
+//!    scoped thread of its own. A worker owns one [`CompileScratch`], the
+//!    same policy as a suite lane: each job builds a fresh [`CompileContext`]
 //!    over it, compiles, and takes the scratch back, so only allocations
 //!    outlive a job. Workers never touch the cache. Every job runs under
 //!    `catch_unwind` on whichever thread runs it: a panicking compile
@@ -37,11 +37,12 @@
 //! The warm path (every line a hit) allocates nothing: slots, job queues
 //! and the output string are reused across batches, payload clones are
 //! `Arc` refcount bumps, counters are atomics, and the compile fan-out is
-//! skipped entirely when no jobs were admitted. Threads are spawned only
-//! for a batch whose misses land on two or more workers; a single-line
-//! batch never spawns one. The fault-tolerance plumbing is free when
-//! disarmed: no deadline means no token is ever armed, and the shed gate
-//! is two atomic operations per miss, none per hit.
+//! skipped entirely when no jobs were admitted. A batch spawns one
+//! thread fewer than it has busy workers, so a batch whose misses land
+//! on one worker — a single-line batch included — spawns none. The
+//! fault-tolerance plumbing is free when disarmed: no deadline means no
+//! token is ever armed, and the shed gate is two atomic operations per
+//! miss, none per hit.
 //!
 //! Cross-session state — the result cache, the spec interner, the seq
 //! counter, the counters and the shed gate — lives in [`SharedState`];
@@ -526,9 +527,10 @@ impl Server {
             self.slots.push(slot);
         }
 
-        // Phase 2: compile fan-out. A lone busy worker runs on this
-        // thread — `run_worker` contains its panics either way — so only a
-        // batch that keeps two or more workers busy pays for spawning.
+        // Phase 2: compile fan-out. The first busy worker runs on this
+        // thread and every other busy worker on a scoped thread of its own,
+        // so a batch spawns one thread fewer than it has busy workers.
+        // `run_worker` contains its panics on whichever thread runs it.
         let env = WorkerEnv {
             machines: &self.machines,
             deadline_ms: self.cfg.deadline_ms,
@@ -541,14 +543,13 @@ impl Server {
             .iter_mut()
             .zip(self.worker_jobs.iter_mut())
             .filter(|(_, jobs)| !jobs.is_empty());
-        match (busy.next(), busy.next()) {
-            (None, _) => {}
-            (Some((scratch, jobs)), None) => run_worker(scratch, jobs, env),
-            (Some(first), Some(second)) => thread::scope(|scope| {
-                for (scratch, jobs) in [first, second].into_iter().chain(busy) {
+        if let Some((scratch, jobs)) = busy.next() {
+            thread::scope(|scope| {
+                for (scratch, jobs) in busy {
                     scope.spawn(move || run_worker(scratch, jobs, env));
                 }
-            }),
+                run_worker(scratch, jobs, env);
+            });
         }
 
         // Phase 3: cache insertion in admission (stamp) order, so the
@@ -799,8 +800,9 @@ fn run_worker(scratch: &mut CompileScratch, jobs: &mut [Job], env: &WorkerEnv<'_
         // The containment boundary: a panic anywhere in context
         // construction or compilation converts to a structured response —
         // it would otherwise unwind through the calling thread, or be
-        // re-raised by `thread::scope` on join, and take the daemon down. The panicking job's context took the
-        // scratch with it, so the next job starts on a fresh one.
+        // re-raised by `thread::scope` on join, and take the daemon down.
+        // The panicking job's context took the scratch with it, so the
+        // next job starts on a fresh one.
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             compile_one(scratch, job, env, &mut body)
         }));
@@ -1228,7 +1230,7 @@ mod tests {
     /// clean for the next job.
     #[cfg(feature = "fault-inject")]
     #[test]
-    fn injected_panic_on_the_inline_path_leaves_a_clean_scratch() {
+    fn injected_panic_on_the_calling_thread_leaves_a_clean_scratch() {
         let mut s = server(2);
         s.set_fault_plan(FaultPlan {
             panic_at: vec![1],

@@ -6,10 +6,10 @@
 //! a poisoned payload in the result cache (a disarmed replay of the same
 //! stream compiles cleanly and matches the oracle everywhere).
 //!
-//! The panic and deadline properties run on both compile paths: one-line
-//! batches keep one worker busy, which compiles on the calling thread;
-//! one batch of the whole stream keeps both workers busy, which compiles
-//! on scoped threads.
+//! The panic and deadline properties run in two batch shapes: one-line
+//! batches keep one worker busy, which compiles on the calling thread and
+//! spawns nothing; one batch of the whole stream keeps both workers busy,
+//! so one of them compiles on a spawned thread.
 //!
 //! Runs only under the `fault-inject` feature, which compiles the
 //! injection hooks into the server:
@@ -100,13 +100,13 @@ fn worker_of(i: u64, jobs: u64) -> u64 {
     fnv1a_64(&key.bytes()) % jobs
 }
 
-/// Precondition of the scoped-path runs: a batch of requests `0..n` keeps
+/// Precondition of the one-batch runs: a batch of requests `0..n` keeps
 /// both of two workers busy.
 fn assert_batch_busies_two_workers(n: u64) {
     let first = worker_of(0, 2);
     assert!(
         (1..n).any(|i| worker_of(i, 2) != first),
-        "a batch of {n} fixture loops routes to one worker; the scoped path goes untested"
+        "a batch of {n} fixture loops routes to one worker; no worker runs on a spawned thread"
     );
 }
 
@@ -130,7 +130,7 @@ proptest! {
     /// Worker panics at seeded stamps: the daemon answers them with
     /// structured `compile_panic` errors, answers everything else
     /// byte-identically to the oracle, and recovers completely — on the
-    /// inline path and on the scoped path.
+    /// calling thread and on a spawned one.
     #[test]
     fn injected_panics_never_kill_the_daemon(seed in 0u64..1_000_000) {
         const N: u64 = 6;
@@ -162,7 +162,7 @@ proptest! {
     /// `deadline_exceeded`; panics still answer `compile_panic`; every
     /// unaffected request still matches the oracle (its compile runs in
     /// microseconds, three orders of magnitude inside the budget, and its
-    /// clock starts when its own job does). Both compile paths.
+    /// clock starts when its own job does). Both batch shapes.
     #[test]
     fn slow_compiles_exceed_the_deadline_and_nothing_else_does(seed in 0u64..1_000_000) {
         const N: u64 = 5;
