@@ -7,7 +7,7 @@
 
 use cvliw_bench::{banner, f2, pct, print_row, suite_for_bench};
 use cvliw_machine::MachineConfig;
-use cvliw_replicate::{macro_replicate, EngineScratch, ReplicationEngine};
+use cvliw_replicate::{macro_replicate, EngineScratch, LoopAnalysis, ReplicationEngine};
 
 fn main() {
     banner("Ablation: macro-node vs subgraph replication", "§5.2");
@@ -18,11 +18,12 @@ fn main() {
     let mut coarse = (0u64, 0u64, 0u64);
     for program in &suite {
         for l in &program.loops {
-            let mii = cvliw_sched::mii(&l.ddg, &machine);
+            let analysis = LoopAnalysis::new(&l.ddg, &machine);
+            let mii = analysis.mii();
             let partition = cvliw_partition::partition_loop(&l.ddg, &machine, mii);
 
             let mut engine =
-                ReplicationEngine::new(&l.ddg, &machine, mii, partition.to_assignment());
+                ReplicationEngine::new(&l.ddg, &machine, mii, partition.to_assignment(), &analysis);
             engine.run(&mut EngineScratch::default());
             let (_, s) = engine.into_parts();
             fine.0 += u64::from(s.initial_coms);

@@ -10,7 +10,7 @@
 
 use cvliw_bench::{banner, f2, pct, print_row, suite_for_bench};
 use cvliw_machine::MachineConfig;
-use cvliw_replicate::{EngineScratch, ReplicationEngine, ReplicationStats};
+use cvliw_replicate::{EngineScratch, LoopAnalysis, ReplicationEngine, ReplicationStats};
 use cvliw_workloads::BenchmarkProgram;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -33,10 +33,11 @@ fn run_policy(
     let mut stuck = 0u64;
     for program in programs {
         for l in &program.loops {
-            let mii = cvliw_sched::mii(&l.ddg, machine);
+            let analysis = LoopAnalysis::new(&l.ddg, machine);
+            let mii = analysis.mii();
             let partition = cvliw_partition::partition_loop(&l.ddg, machine, mii);
             let mut engine =
-                ReplicationEngine::new(&l.ddg, machine, mii, partition.to_assignment());
+                ReplicationEngine::new(&l.ddg, machine, mii, partition.to_assignment(), &analysis);
             let outcome = match policy {
                 Policy::Weight => engine.run(&mut EngineScratch::default()),
                 _ => run_custom(&mut engine, policy),

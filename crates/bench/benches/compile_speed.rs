@@ -1,8 +1,8 @@
-//! Criterion micro-benchmarks for the compiler itself: partitioning,
-//! ordering, scheduling and the full pipeline with and without
-//! replication, plus the `LoopAnalysis` cache that the driver threads
-//! through all of them. These measure *our* implementation's throughput,
-//! not a paper result.
+//! Criterion micro-benchmarks for the compiler itself: the `LoopAnalysis`
+//! cache the driver threads through every stage (latencies, recurrences
+//! and the swing order), partitioning, scheduling and the full pipeline
+//! with and without replication. These measure *our* implementation's
+//! throughput, not a paper result.
 //!
 //! This is the one target a plain `cargo bench` runs (every figure
 //! regenerator is `bench = false` and invoked explicitly); the suite-level
@@ -16,7 +16,6 @@ use cvliw_partition::partition_loop;
 use cvliw_replicate::{
     compile_loop, compile_loop_ctx, CompileContext, CompileOptions, LoopAnalysis, Mode,
 };
-use cvliw_sched::sms_order;
 use cvliw_workloads::{generate_loop, GeneratorParams};
 
 fn representative_loop() -> cvliw_ddg::Ddg {
@@ -33,10 +32,6 @@ fn bench_pipeline(c: &mut Criterion) {
     let ddg = representative_loop();
     let machine = MachineConfig::from_spec("4c1b2l64r").expect("spec parses");
     let ctx = CompileContext::new(&ddg, &machine);
-
-    c.bench_function("sms_order/40ops", |b| {
-        b.iter(|| black_box(sms_order(black_box(&ddg), black_box(&machine))));
-    });
 
     c.bench_function("loop_analysis/build", |b| {
         b.iter(|| black_box(LoopAnalysis::new(black_box(&ddg), black_box(&machine))));

@@ -19,7 +19,7 @@ use cvliw_sched::{
 
 use crate::engine::{EngineScratch, ReplicationEngine, ReplicationOutcome, ReplicationStats};
 use crate::sched_len::extend_for_length;
-use crate::value_clone::uncloneable_coms;
+use crate::value_clone::{uncloneable_coms, value_clone};
 
 /// Which compilation pipeline to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -436,9 +436,10 @@ impl CompileScratch {
     /// its shape check alone cannot catch the swap), zeroes the stage
     /// clocks, and replaces the [`CancelToken`] so a deadline armed
     /// against the previous loop's context cannot leak into this one.
-    /// Everything else is either graph-agnostic ([`RefineScratch`], the
-    /// scheduler buffers) or fingerprint-guarded (the engine's anchors)
-    /// and keeps its allocations — which is the whole point.
+    /// Everything else is graph-agnostic ([`RefineScratch`], the scheduler
+    /// buffers) or refilled on every use (the engine's anchors, from the
+    /// context's analysis) and keeps its allocations — which is the whole
+    /// point.
     fn reset_for_new_loop(&mut self) {
         self.refine_cache.invalidate();
         self.stage_nanos = [0; 4];
@@ -523,7 +524,6 @@ impl CompileContext {
         scratch.reset_for_new_loop();
         let analysis = LoopAnalysis::new(ddg, machine);
         scratch.stage_nanos[Stage::Analysis as usize] = elapsed_nanos(started);
-        scratch.engine.prepare(ddg, &analysis);
         CompileContext {
             analysis,
             initial_partition: OnceCell::new(),
@@ -690,7 +690,8 @@ impl CompileContext {
             }
         }
         let started = Instant::now();
-        let mut engine = ReplicationEngine::new(ddg, machine, ii, base.to_assignment());
+        let mut engine =
+            ReplicationEngine::new(ddg, machine, ii, base.to_assignment(), &self.analysis);
         let step = match engine.run(&mut scratch.engine) {
             ReplicationOutcome::Fits => {
                 let (assignment, stats) = engine.into_parts();
@@ -842,7 +843,7 @@ pub fn compile_loop_ctx(
         }
         if ii < bus_bound {
             debug_assert!(
-                skipped_attempt_fails_bus(ddg, machine, opts.mode, &partition, ii),
+                skipped_attempt_fails_bus(ddg, machine, opts.mode, &partition, ii, ctx.analysis()),
                 "the II-skip bound must only skip provably failing attempts"
             );
             causes.add(IiCause::Bus);
@@ -861,7 +862,7 @@ pub fn compile_loop_ctx(
                 }
             }
         } else if opts.mode == Mode::ValueClone {
-            let out = crate::value_clone::value_clone(ddg, machine, ii, partition.to_assignment());
+            let out = value_clone(ddg, machine, ii, partition.to_assignment(), ctx.analysis());
             scratch.stage_nanos[Stage::Replicate as usize] += elapsed_nanos(started);
             out
         } else {
@@ -991,15 +992,12 @@ fn skipped_attempt_fails_bus(
     mode: Mode,
     partition: &Partition,
     ii: u32,
+    analysis: &LoopAnalysis,
 ) -> bool {
     let base = partition.to_assignment();
     let ncoms = match mode {
         Mode::Baseline => base.comm_count(ddg),
-        Mode::ValueClone => {
-            crate::value_clone::value_clone(ddg, machine, ii, base)
-                .1
-                .final_coms
-        }
+        Mode::ValueClone => value_clone(ddg, machine, ii, base, analysis).1.final_coms,
         _ => return false, // the bound is never armed for replicating modes
     };
     ncoms > machine.coms_capacity_per_ii(ii)

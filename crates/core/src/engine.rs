@@ -7,26 +7,20 @@ use cvliw_ddg::{Ddg, NodeId};
 use cvliw_machine::MachineConfig;
 use cvliw_sched::{Assignment, ClusterSet, LoopAnalysis};
 
-use crate::liveness::{always_anchor_into, dead_instances_dense, on_cycle_into, DenseViewRef};
+use crate::liveness::{always_anchor_into, dead_instances_dense, DenseViewRef};
 use crate::plan::{
     plan_fits_dense, plan_weight_dense, share_counts_dense, PlanArena, PlanRef, ReplicationPlan,
 };
 
-/// The replication engine's persistent workspace: the recurrence and
-/// always-anchor slices the liveness queries run on, the dense
-/// [`PlanArena`], the usage/extra/freed censuses and the share table. One
-/// scratch serves every engine run of a compilation (every II of every
-/// replicating mode); [`ReplicationEngine::run`] resets what each run
-/// needs.
+/// The replication engine's persistent workspace: the always-anchor slice
+/// the liveness queries run on, the dense [`PlanArena`], the
+/// usage/extra/freed censuses and the share table. One scratch serves
+/// every engine run of a compilation (every II of every replicating mode);
+/// [`ReplicationEngine::run`] resets what each run needs, so a scratch
+/// may move freely between loops.
 #[derive(Clone, Debug, Default)]
 pub struct EngineScratch {
-    on_cycle: Vec<bool>,
     always_anchor: Vec<bool>,
-    /// Fingerprint of the loop `on_cycle`/`always_anchor` were computed
-    /// for (see [`fingerprint`]), so a scratch accidentally reused across
-    /// loops recomputes instead of anchoring liveness on a stale
-    /// recurrence set.
-    on_cycle_for: Option<u64>,
     arena: PlanArena,
     share: Vec<u32>,
     usage: Vec<[u32; 3]>,
@@ -37,58 +31,6 @@ pub struct EngineScratch {
     worklist: Vec<(NodeId, u8)>,
     dead: Vec<(NodeId, u8)>,
     coms_buf: Vec<NodeId>,
-}
-
-impl EngineScratch {
-    /// Seeds the recurrence-membership and always-anchor slices for `ddg`
-    /// from its cached [`LoopAnalysis`] instead of recomputing the SCC
-    /// decomposition on first use. `analysis` must have been built for
-    /// `ddg`; the engine re-checks the loop fingerprint on every run, so a
-    /// scratch handed a *different* loop falls back to recomputing instead
-    /// of anchoring liveness on stale recurrences.
-    pub fn prepare(&mut self, ddg: &Ddg, analysis: &LoopAnalysis) {
-        debug_assert_eq!(ddg.node_count(), analysis.scc_of().len());
-        self.on_cycle.clear();
-        self.on_cycle.extend(
-            analysis
-                .scc_of()
-                .iter()
-                .map(|&c| analysis.scc_recurrent()[c]),
-        );
-        always_anchor_into(ddg, &self.on_cycle, &mut self.always_anchor);
-        self.on_cycle_for = Some(fingerprint(ddg));
-    }
-
-    fn ensure_on_cycle(&mut self, ddg: &Ddg) {
-        if self.on_cycle_for != Some(fingerprint(ddg)) {
-            on_cycle_into(ddg, &mut self.on_cycle);
-            always_anchor_into(ddg, &self.on_cycle, &mut self.always_anchor);
-            self.on_cycle_for = Some(fingerprint(ddg));
-        }
-    }
-}
-
-/// Identity of a loop for scratch-staleness checks: an FNV-1a hash over
-/// the node count and every edge's endpoints, distance and kind — the
-/// exact inputs `on_cycle` is a function of. Content-based (addresses
-/// would be unsound under allocator reuse), and cheaper than the Tarjan
-/// pass it guards.
-fn fingerprint(ddg: &Ddg) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(PRIME);
-    };
-    mix(ddg.node_count() as u64);
-    for e in ddg.edges() {
-        mix(u64::from(e.src.index() as u32));
-        mix(u64::from(e.dst.index() as u32));
-        mix(u64::from(e.distance));
-        mix(e.is_data() as u64);
-    }
-    h
 }
 
 /// Counters describing what a replication pass did to one loop.
@@ -159,6 +101,8 @@ pub enum ReplicationOutcome {
 pub struct ReplicationEngine<'a> {
     ddg: &'a Ddg,
     machine: &'a MachineConfig,
+    /// The loop's cached analysis; its recurrence flags anchor liveness.
+    analysis: &'a LoopAnalysis,
     ii: u32,
     assignment: Assignment,
     coms: BTreeSet<NodeId>,
@@ -178,9 +122,17 @@ pub struct ReplicationEngine<'a> {
 }
 
 impl<'a> ReplicationEngine<'a> {
-    /// Creates an engine over a partition-derived assignment at `ii`.
+    /// Creates an engine over a partition-derived assignment at `ii`;
+    /// `analysis` must have been built for `(ddg, machine)`.
     #[must_use]
-    pub fn new(ddg: &'a Ddg, machine: &'a MachineConfig, ii: u32, assignment: Assignment) -> Self {
+    pub fn new(
+        ddg: &'a Ddg,
+        machine: &'a MachineConfig,
+        ii: u32,
+        assignment: Assignment,
+        analysis: &'a LoopAnalysis,
+    ) -> Self {
+        debug_assert_eq!(analysis.on_cycle().len(), ddg.node_count());
         let coms: BTreeSet<NodeId> = assignment.communicated(ddg).into_iter().collect();
         let stats = ReplicationStats {
             initial_coms: coms.len() as u32,
@@ -190,6 +142,7 @@ impl<'a> ReplicationEngine<'a> {
         ReplicationEngine {
             ddg,
             machine,
+            analysis,
             ii,
             assignment,
             coms,
@@ -213,10 +166,8 @@ impl<'a> ReplicationEngine<'a> {
         if self.cache_valid {
             return;
         }
-        let mut on_cycle = Vec::new();
-        on_cycle_into(self.ddg, &mut on_cycle);
         let mut anchor = Vec::new();
-        always_anchor_into(self.ddg, &on_cycle, &mut anchor);
+        always_anchor_into(self.ddg, self.analysis.on_cycle(), &mut anchor);
         let coms: Vec<NodeId> = self.coms.iter().copied().collect();
         let clean = self
             .cache
@@ -292,13 +243,17 @@ impl<'a> ReplicationEngine<'a> {
     /// §3.3).
     ///
     /// The plan arena, the liveness anchors and every census and worklist
-    /// live in `scratch` and are reused across engine runs; a warm scratch
-    /// yields the same outcomes, assignments and statistics as a fresh
-    /// one. The arena builds plans in the same ascending-value order the
+    /// live in `scratch` and are reused across engine runs; the anchors
+    /// are refilled from the analysis on entry, so a warm scratch yields
+    /// the same outcomes, assignments and statistics as a fresh one. The arena builds plans in the same ascending-value order the
     /// map oracle iterates, and every weight is the same arithmetic in the
     /// same order.
     pub fn run(&mut self, scratch: &mut EngineScratch) -> ReplicationOutcome {
-        scratch.ensure_on_cycle(self.ddg);
+        always_anchor_into(
+            self.ddg,
+            self.analysis.on_cycle(),
+            &mut scratch.always_anchor,
+        );
         while self.extra_coms() > 0 {
             let EngineScratch {
                 always_anchor,
@@ -365,10 +320,8 @@ impl<'a> ReplicationEngine<'a> {
     /// Applies one plan: create its instances, drop the communication,
     /// remove instances that became dead, refresh statistics.
     pub fn commit(&mut self, plan: &ReplicationPlan) {
-        let mut on_cycle = Vec::new();
-        on_cycle_into(self.ddg, &mut on_cycle);
         let mut always_anchor = Vec::new();
-        always_anchor_into(self.ddg, &on_cycle, &mut always_anchor);
+        always_anchor_into(self.ddg, self.analysis.on_cycle(), &mut always_anchor);
         let adds: Vec<(NodeId, ClusterSet)> = plan.adds.iter().map(|(&n, &set)| (n, set)).collect();
         self.commit_dense(
             plan.com,
@@ -510,7 +463,8 @@ mod tests {
         let (ddg, asg) = two_coms();
         let m = machine("4c1b2l64r");
         // II = 2 → bus capacity 1 → extra = 1: exactly one replication.
-        let mut engine = ReplicationEngine::new(&ddg, &m, 2, asg);
+        let analysis = LoopAnalysis::new(&ddg, &m);
+        let mut engine = ReplicationEngine::new(&ddg, &m, 2, asg, &analysis);
         assert_eq!(engine.extra_coms(), 1);
         assert_eq!(
             engine.run(&mut EngineScratch::default()),
@@ -529,7 +483,8 @@ mod tests {
         let (ddg, asg) = two_coms();
         let m = machine("4c1b2l64r");
         // II = 1 → capacity 0 → both communications must go.
-        let mut engine = ReplicationEngine::new(&ddg, &m, 1, asg);
+        let analysis = LoopAnalysis::new(&ddg, &m);
+        let mut engine = ReplicationEngine::new(&ddg, &m, 1, asg, &analysis);
         assert_eq!(engine.extra_coms(), 2);
         assert_eq!(
             engine.run(&mut EngineScratch::default()),
@@ -543,7 +498,8 @@ mod tests {
         let (ddg, asg) = two_coms();
         let m = machine("4c2b2l64r");
         // II = 2, 2 buses → capacity 2 → nothing to do.
-        let mut engine = ReplicationEngine::new(&ddg, &m, 2, asg);
+        let analysis = LoopAnalysis::new(&ddg, &m);
+        let mut engine = ReplicationEngine::new(&ddg, &m, 2, asg, &analysis);
         assert_eq!(engine.extra_coms(), 0);
         assert_eq!(
             engine.run(&mut EngineScratch::default()),
@@ -568,7 +524,8 @@ mod tests {
         let ddg = b.build().unwrap();
         let asg = Assignment::from_partition(&[0, 0, 1, 1]);
         let m = machine("4c1b2l64r");
-        let mut engine = ReplicationEngine::new(&ddg, &m, 1, asg);
+        let analysis = LoopAnalysis::new(&ddg, &m);
+        let mut engine = ReplicationEngine::new(&ddg, &m, 1, asg, &analysis);
         assert_eq!(engine.extra_coms(), 1);
         assert_eq!(
             engine.run(&mut EngineScratch::default()),
@@ -590,7 +547,8 @@ mod tests {
         let ddg = b.build().unwrap();
         let asg = Assignment::from_partition(&[0, 1, 0, 0, 0, 2]);
         let m = machine("4c1b2l64r");
-        let mut engine = ReplicationEngine::new(&ddg, &m, 4, asg);
+        let analysis = LoopAnalysis::new(&ddg, &m);
+        let mut engine = ReplicationEngine::new(&ddg, &m, 4, asg, &analysis);
         let wa = engine.weight_of(a).unwrap();
         let wz = engine.weight_of(z).unwrap();
         assert!(wa < wz, "single-node subgraph is lighter");
@@ -610,7 +568,8 @@ mod tests {
         // e, j in cluster 0; ce in 1; cj in 2.
         let asg = Assignment::from_partition(&[0, 0, 1, 2]);
         let m = machine("4c1b2l64r");
-        let mut engine = ReplicationEngine::new(&ddg, &m, 8, asg);
+        let analysis = LoopAnalysis::new(&ddg, &m);
+        let mut engine = ReplicationEngine::new(&ddg, &m, 8, asg, &analysis);
         // S_j excludes e while e is communicated.
         let before_j: Vec<NodeId> = engine.plan_of(j).unwrap().subgraph().collect();
         assert_eq!(before_j, vec![j]);

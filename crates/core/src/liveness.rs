@@ -45,17 +45,19 @@ impl InstanceView {
     }
 }
 
-/// Marks every node sitting on a dependence cycle (a non-trivial SCC or a
-/// self-loop) — the recurrence anchors of the Figure-5 liveness rule.
-/// Equals `analysis.scc_recurrent()[analysis.scc_of()[n]]` for a cached
-/// `LoopAnalysis`; the replication engine fills its scratch from whichever
-/// source is at hand so the SCC decomposition is not recomputed per plan.
-pub(crate) fn on_cycle_into(ddg: &Ddg, on_cycle: &mut Vec<bool>) {
+/// Marks every node sitting on a dependence cycle (a recurrent SCC) — the
+/// recurrence anchors of the Figure-5 liveness rule — straight from the
+/// graph. The map-based reference [`live_instances`] is the only caller;
+/// every pipeline stage reads the same flags from its cached
+/// `LoopAnalysis::on_cycle`.
+fn on_cycle_into(ddg: &Ddg, on_cycle: &mut Vec<bool>) {
     on_cycle.clear();
     on_cycle.resize(ddg.node_count(), false);
     for comp in &cvliw_ddg::sccs(ddg) {
-        let cyclic = comp.len() > 1 || ddg.out_edges(comp[0]).any(|e| e.dst == comp[0]);
-        if cyclic {
+        // Only membership matters: under zero latencies every recurrence
+        // is satisfied at II 1, so the RecMII search stops at its first
+        // probe.
+        if cvliw_ddg::scc_rec_mii(ddg, comp, |_| 0).is_some() {
             for &node in comp {
                 on_cycle[node.index()] = true;
             }
@@ -78,10 +80,11 @@ pub(crate) struct ViewRef<'a> {
 }
 
 /// Marks every node the Figure-5 anchor rule fires for unconditionally —
-/// stores, leaves (no data successors) and recurrence members. A pure
-/// function of the loop, so the engine scratch computes it once per loop
-/// (next to `on_cycle`) and the dense liveness queries below read a bool
-/// instead of re-deriving the three conditions per node per plan.
+/// stores, leaves (no data successors) and recurrence members (`on_cycle`,
+/// read from the loop's `LoopAnalysis`). A pure function of the loop, so
+/// each replication pass fills it once on entry and the dense liveness
+/// queries below read a bool instead of re-deriving the three conditions
+/// per node per plan.
 pub(crate) fn always_anchor_into(ddg: &Ddg, on_cycle: &[bool], anchor: &mut Vec<bool>) {
     anchor.clear();
     anchor.extend(ddg.node_ids().map(|n| {

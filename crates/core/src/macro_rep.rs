@@ -163,7 +163,8 @@ mod tests {
         let (ddg, part) = case();
         let m = MachineConfig::from_spec("4c1b2l64r").unwrap();
         let (_, macro_stats) = macro_replicate(&ddg, &m, 2, &part);
-        let mut engine = ReplicationEngine::new(&ddg, &m, 2, part.to_assignment());
+        let analysis = LoopAnalysis::new(&ddg, &m);
+        let mut engine = ReplicationEngine::new(&ddg, &m, 2, part.to_assignment(), &analysis);
         engine.run(&mut EngineScratch::default());
         let (_, fine_stats) = engine.into_parts();
         if macro_stats.removed_coms() >= fine_stats.removed_coms() {

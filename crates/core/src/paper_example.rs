@@ -152,7 +152,7 @@ pub const FIG3_II: u32 = 2;
 mod tests {
     use super::*;
     use crate::engine::{EngineScratch, ReplicationEngine};
-    use cvliw_sched::ClusterSet;
+    use cvliw_sched::{ClusterSet, LoopAnalysis};
     use std::collections::BTreeSet;
 
     fn set(clusters: &[u8]) -> ClusterSet {
@@ -170,7 +170,8 @@ mod tests {
     fn extra_coms_is_one() {
         let (ddg, asg, _) = fig3_example();
         let machine = fig3_machine();
-        let engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, asg);
+        let analysis = LoopAnalysis::new(&ddg, &machine);
+        let engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, asg, &analysis);
         assert_eq!(engine.extra_coms(), 1);
     }
 
@@ -205,7 +206,8 @@ mod tests {
     fn weights_match_figure_3() {
         let (ddg, asg, nd) = fig3_example();
         let machine = fig3_machine();
-        let mut engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, asg);
+        let analysis = LoopAnalysis::new(&ddg, &machine);
+        let mut engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, asg, &analysis);
         let w_d = engine.weight_of(nd.d).unwrap();
         let w_j = engine.weight_of(nd.j).unwrap();
         let w_e = engine.weight_of(nd.e).unwrap();
@@ -222,7 +224,8 @@ mod tests {
     fn engine_replicates_s_e_first() {
         let (ddg, asg, nd) = fig3_example();
         let machine = fig3_machine();
-        let mut engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, asg);
+        let analysis = LoopAnalysis::new(&ddg, &machine);
+        let mut engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, asg, &analysis);
         let outcome = engine.run(&mut EngineScratch::default());
         assert_eq!(outcome, crate::engine::ReplicationOutcome::Fits);
         let (asg, stats) = engine.into_parts();
@@ -246,7 +249,8 @@ mod tests {
     fn figure_6_updates_hold_after_replicating_s_e() {
         let (ddg, asg, nd) = fig3_example();
         let machine = fig3_machine();
-        let mut engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, asg);
+        let analysis = LoopAnalysis::new(&ddg, &machine);
+        let mut engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, asg, &analysis);
         let plan_e = engine.plan_of(nd.e).unwrap().to_plan();
         engine.commit(&plan_e);
 
@@ -283,7 +287,8 @@ mod tests {
     fn full_pipeline_schedules_the_example() {
         let (ddg, asg, _) = fig3_example();
         let machine = fig3_machine();
-        let mut engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, asg);
+        let analysis = LoopAnalysis::new(&ddg, &machine);
+        let mut engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, asg, &analysis);
         engine.run(&mut EngineScratch::default());
         let (asg, _) = engine.into_parts();
         let sched = cvliw_sched::schedule(
@@ -295,7 +300,7 @@ mod tests {
                 zero_bus_dep_latency: false,
             },
             cvliw_sched::OrderStrategy::Swing,
-            &cvliw_sched::LoopAnalysis::new(&ddg, &machine),
+            &analysis,
             &mut cvliw_sched::SchedScratch::default(),
         )
         .expect("the example schedules at II=2 after replication");

@@ -11,7 +11,7 @@ use cvliw_ddg::{time_bounds, Ddg, NodeId, OpClass};
 use cvliw_machine::MachineConfig;
 use cvliw_sched::{Assignment, ClusterSet, LoopAnalysis};
 
-use crate::liveness::{always_anchor_into, dead_instances_dense, on_cycle_into, DenseViewRef};
+use crate::liveness::{always_anchor_into, dead_instances_dense, DenseViewRef};
 
 /// Upper bound on extension rounds; each round commits one replication.
 const MAX_ROUNDS: usize = 8;
@@ -62,7 +62,8 @@ fn estimated_length(
 /// Applies the §5.1 extension: repeatedly pick a zero-slack cross-cluster
 /// data edge, replicate the producer into that one consumer cluster, and
 /// keep the change only if the estimated schedule length shrinks. Producer
-/// latencies are read from the cached [`LoopAnalysis`].
+/// latencies and recurrence membership are read from the cached
+/// [`LoopAnalysis`].
 #[must_use]
 pub fn extend_for_length(
     ddg: &Ddg,
@@ -91,10 +92,8 @@ pub fn extend_for_length(
     let mut worklist: Vec<(NodeId, u8)> = Vec::new();
     let mut dead: Vec<(NodeId, u8)> = Vec::new();
     let mut removable: Vec<(NodeId, u8)> = Vec::new();
-    let mut on_cycle = Vec::new();
-    on_cycle_into(ddg, &mut on_cycle);
     let mut always_anchor = Vec::new();
-    always_anchor_into(ddg, &on_cycle, &mut always_anchor);
+    always_anchor_into(ddg, analysis.on_cycle(), &mut always_anchor);
 
     for _ in 0..MAX_ROUNDS {
         // One full ASAP/ALAP pass per round gives both the current length

@@ -14,12 +14,12 @@
 
 use cvliw_ddg::{Ddg, NodeId};
 use cvliw_machine::MachineConfig;
-use cvliw_sched::Assignment;
+use cvliw_sched::{Assignment, LoopAnalysis};
 
 use crate::engine::ReplicationStats;
 use crate::liveness::{
-    always_anchor_into, dead_after_decommunicating, dead_instances_dense, on_cycle_into,
-    DenseViewRef, RegionScratch,
+    always_anchor_into, dead_after_decommunicating, dead_instances_dense, DenseViewRef,
+    RegionScratch,
 };
 
 /// Whether `n` is cloneable under Kuras et al.'s rules: it produces a
@@ -73,12 +73,15 @@ pub fn uncloneable_coms(ddg: &Ddg, assignment: &Assignment) -> u32 {
 ///
 /// Returns the updated assignment and statistics in the same shape the §3
 /// replication engine reports, so the two techniques compare directly.
+/// Recurrence membership, which anchors liveness, is read from the cached
+/// [`LoopAnalysis`] of `(ddg, machine)`.
 #[must_use]
 pub fn value_clone(
     ddg: &Ddg,
     machine: &MachineConfig,
     ii: u32,
     mut assignment: Assignment,
+    analysis: &LoopAnalysis,
 ) -> (Assignment, ReplicationStats) {
     let mut coms: Vec<NodeId> = Vec::new();
     assignment.communicated_into(ddg, &mut coms);
@@ -93,7 +96,6 @@ pub fn value_clone(
     // rare call that actually clones needs them — most calls exit on the
     // capacity check above without ever running a liveness query. The
     // censuses and worklists below are reused across clone rounds.
-    let mut on_cycle = Vec::new();
     let mut always_anchor = Vec::new();
     let mut anchors_ready = false;
     let mut usage = Vec::new();
@@ -115,8 +117,7 @@ pub fn value_clone(
         }
         if !anchors_ready {
             anchors_ready = true;
-            on_cycle_into(ddg, &mut on_cycle);
-            always_anchor_into(ddg, &on_cycle, &mut always_anchor);
+            always_anchor_into(ddg, analysis.on_cycle(), &mut always_anchor);
         }
         let settled = *settled.get_or_insert_with(|| {
             com_src.clear();
@@ -311,7 +312,7 @@ mod tests {
         // II=2 → capacity 1; two communications (iv, fmul-chain load... the
         // fmul value) → one must go. Only iv is cloneable.
         let before = asg.comm_count(&ddg);
-        let (after, stats) = value_clone(&ddg, &m, 2, asg);
+        let (after, stats) = value_clone(&ddg, &m, 2, asg, &LoopAnalysis::new(&ddg, &m));
         assert!(before >= 2);
         let iv = ddg.find_by_label("iv").unwrap();
         assert!(
@@ -331,7 +332,7 @@ mod tests {
         let (ddg, asg) = case();
         let m = MachineConfig::from_spec("4c4b4l64r").unwrap();
         // II=8 → capacity 8 ≥ coms: nothing to do.
-        let (_, stats) = value_clone(&ddg, &m, 8, asg);
+        let (_, stats) = value_clone(&ddg, &m, 8, asg, &LoopAnalysis::new(&ddg, &m));
         assert_eq!(stats.added_instances(), 0);
         assert_eq!(stats.initial_coms, stats.final_coms);
     }
@@ -350,7 +351,7 @@ mod tests {
         let ddg = b.build().unwrap();
         let asg = Assignment::from_partition(&[0, 1, 1, 1]);
         let m = MachineConfig::from_spec("4c1b2l64r").unwrap();
-        let (after, stats) = value_clone(&ddg, &m, 1, asg);
+        let (after, stats) = value_clone(&ddg, &m, 1, asg, &LoopAnalysis::new(&ddg, &m));
         assert_eq!(stats.added_instances(), 0, "no room for the clone at II=1");
         assert_eq!(after.instances(iv), ClusterSet::single(0));
     }
@@ -359,7 +360,7 @@ mod tests {
     fn stats_balance() {
         let (ddg, asg) = case();
         let m = MachineConfig::from_spec("4c1b2l64r").unwrap();
-        let (after, stats) = value_clone(&ddg, &m, 2, asg);
+        let (after, stats) = value_clone(&ddg, &m, 2, asg, &LoopAnalysis::new(&ddg, &m));
         assert_eq!(stats.final_coms, after.comm_count(&ddg));
         assert_eq!(
             stats.added_instances() as i64 - stats.removed_instances as i64,

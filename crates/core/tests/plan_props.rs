@@ -12,7 +12,7 @@ use cvliw_machine::MachineConfig;
 use cvliw_replicate::{
     plan_weight, replication_plan, share_counts, ReplicationEngine, ReplicationPlan,
 };
-use cvliw_sched::Assignment;
+use cvliw_sched::{Assignment, LoopAnalysis};
 use proptest::prelude::*;
 
 fn arb_kind() -> impl Strategy<Value = OpKind> {
@@ -88,7 +88,8 @@ proptest! {
             })
             .collect();
         let assignment = Assignment::from_partition(&part);
-        let mut engine = ReplicationEngine::new(&ddg, &machine, ii, assignment);
+        let analysis = LoopAnalysis::new(&ddg, &machine);
+        let mut engine = ReplicationEngine::new(&ddg, &machine, ii, assignment, &analysis);
 
         for _round in 0..4 {
             let oracle = oracle_plans(&ddg, &engine);

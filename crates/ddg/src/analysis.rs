@@ -1,12 +1,15 @@
 //! Graph analyses: topological order, strongly connected components,
 //! recurrence-aware ASAP/ALAP bounds, depth and height.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::graph::{Ddg, Edge, NodeId};
 
 /// Topological order of the distance-0 (same-iteration) subgraph.
 ///
-/// A valid [`Ddg`] always has one; ties are broken by node index so the
-/// result is deterministic.
+/// A valid [`Ddg`] always has one; ties are broken by node index (the
+/// smallest ready index goes first) so the result is deterministic.
 #[must_use]
 pub fn topo_order(ddg: &Ddg) -> Vec<NodeId> {
     let n = ddg.node_count();
@@ -16,29 +19,21 @@ pub fn topo_order(ddg: &Ddg) -> Vec<NodeId> {
             indeg[e.dst.index()] += 1;
         }
     }
-    // A binary heap would give O(E log V); loops are small, keep it simple
-    // with a sorted ready list for determinism.
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    ready.sort_unstable_by(|a, b| b.cmp(a));
+    let mut ready: BinaryHeap<Reverse<usize>> =
+        (0..n).filter(|&i| indeg[i] == 0).map(Reverse).collect();
     let mut order = Vec::with_capacity(n);
-    while let Some(i) = ready.pop() {
+    while let Some(Reverse(i)) = ready.pop() {
         let id = NodeId::new(i as u32);
         order.push(id);
-        let mut newly_ready = Vec::new();
         for e in ddg.out_edges(id) {
             if e.distance == 0 {
                 let d = e.dst.index();
                 indeg[d] -= 1;
                 if indeg[d] == 0 {
-                    newly_ready.push(d);
+                    ready.push(Reverse(d));
                 }
             }
         }
-        newly_ready.sort_unstable();
-        for d in newly_ready.into_iter().rev() {
-            ready.push(d);
-        }
-        ready.sort_unstable_by(|a, b| b.cmp(a));
     }
     debug_assert_eq!(order.len(), n, "validated DDGs are acyclic at distance 0");
     order
@@ -61,7 +56,7 @@ pub fn sccs(ddg: &Ddg) -> Vec<Vec<NodeId>> {
     let mut result: Vec<Vec<NodeId>> = Vec::new();
     let mut counter = 0usize;
 
-    // Explicit DFS state: (node, iterator position over succs).
+    // Explicit DFS state: (node, position in its out-edge row).
     let mut call_stack: Vec<(usize, usize)> = Vec::new();
 
     for root in 0..n {
@@ -76,12 +71,9 @@ pub fn sccs(ddg: &Ddg) -> Vec<Vec<NodeId>> {
         on_stack[root] = true;
 
         while let Some(&mut (v, ref mut pos)) = call_stack.last_mut() {
-            let succs: Vec<usize> = ddg
-                .out_edges(NodeId::new(v as u32))
-                .map(|e| e.dst.index())
-                .collect();
-            if *pos < succs.len() {
-                let w = succs[*pos];
+            let out = ddg.out_edge_ids(NodeId::new(v as u32));
+            if let Some(&id) = out.get(*pos) {
+                let w = ddg.edge(id).dst.index();
                 *pos += 1;
                 if index[w] == usize::MAX {
                     index[w] = counter;
@@ -115,19 +107,6 @@ pub fn sccs(ddg: &Ddg) -> Vec<Vec<NodeId>> {
         }
     }
     result
-}
-
-/// Maps each node to the index of its component in [`sccs`]' output.
-#[must_use]
-pub fn scc_of_node(ddg: &Ddg) -> Vec<usize> {
-    let comps = sccs(ddg);
-    let mut of = vec![0usize; ddg.node_count()];
-    for (i, comp) in comps.iter().enumerate() {
-        for &n in comp {
-            of[n.index()] = i;
-        }
-    }
-    of
 }
 
 /// ASAP/ALAP issue-time bounds of every node for a candidate initiation
@@ -364,11 +343,8 @@ mod tests {
         b.data(a1, c0); // bridge
         let ddg = b.build().unwrap();
         let comps = sccs(&ddg);
-        assert_eq!(comps.len(), 2);
-        let of = scc_of_node(&ddg);
-        assert_eq!(of[a0.index()], of[a1.index()]);
-        assert_eq!(of[c0.index()], of[c1.index()]);
-        assert_ne!(of[a0.index()], of[c0.index()]);
+        // Reverse-topological discovery: the downstream component first.
+        assert_eq!(comps, vec![vec![c0, c1], vec![a0, a1]]);
     }
 
     #[test]

@@ -18,15 +18,15 @@
 //! needs: topological order of the acyclic (distance-0) subgraph, strongly
 //! connected components over loop-carried edges, recurrence-constrained
 //! ASAP/ALAP issue-time bounds, and the recurrence-induced minimum initiation
-//! interval (RecMII).
+//! interval (RecMII) of each component and of the whole loop.
 //!
 //! # Example
 //!
-//! Build the three-instruction loop `a[i] = a[i-1] * 2.0` and compute its
-//! RecMII for unit latencies:
+//! Build the three-instruction loop `a[i] = a[i-1] * 2.0` and compute the
+//! RecMII of its one recurrence under Table-1 latencies:
 //!
 //! ```
-//! use cvliw_ddg::{Ddg, DepKind, OpKind, rec_mii};
+//! use cvliw_ddg::{rec_mii, scc_rec_mii, sccs, Ddg, DepKind, OpKind};
 //!
 //! let mut b = Ddg::builder();
 //! let load = b.add_node(OpKind::Load);
@@ -45,6 +45,10 @@
 //!     OpKind::FpMul => 6,
 //!     _ => 1,
 //! };
+//! let comps = sccs(&ddg);
+//! assert_eq!(comps.len(), 1); // load, mul and store form one recurrence
+//! assert_eq!(scc_rec_mii(&ddg, &comps[0], lat), Some(10));
+//! // The loop-wide RecMII is the largest per-component one.
 //! assert_eq!(rec_mii(&ddg, lat), 10);
 //! # Ok::<(), cvliw_ddg::DdgError>(())
 //! ```
@@ -60,12 +64,10 @@ mod incremental;
 mod op;
 mod recurrence;
 
-pub use analysis::{
-    asap_times_into, depth_height, scc_of_node, sccs, time_bounds, topo_order, TimeBounds,
-};
+pub use analysis::{asap_times_into, depth_height, sccs, time_bounds, topo_order, TimeBounds};
 pub use dot::to_dot;
 pub use error::DdgError;
 pub use graph::{Ddg, DdgBuilder, DepKind, Edge, Node, NodeId};
 pub use incremental::IncrementalAsap;
 pub use op::{LatencyClass, OpClass, OpKind, ParseOpKindError};
-pub use recurrence::{is_feasible_ii, rec_mii};
+pub use recurrence::{is_feasible_ii, rec_mii, scc_rec_mii};

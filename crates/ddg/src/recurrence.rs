@@ -1,7 +1,7 @@
 //! Recurrence-induced minimum initiation interval (RecMII).
 
-use crate::analysis::time_bounds;
-use crate::graph::{Ddg, Edge};
+use crate::analysis::{sccs, time_bounds};
+use crate::graph::{Ddg, Edge, NodeId};
 
 /// Whether an initiation interval satisfies every recurrence of the loop.
 ///
@@ -17,34 +17,82 @@ pub fn is_feasible_ii(ddg: &Ddg, ii: u32, lat: impl Fn(&Edge) -> u32) -> bool {
 /// the maximum over all dependence circuits of
 /// `ceil(total latency / total distance)`.
 ///
-/// Returns `1` for acyclic graphs (every schedule satisfies them).
-/// Computed by binary search on [`is_feasible_ii`]; loops in this workspace
-/// have at most a few hundred nodes, so the `O(V·E·log Σlat)` cost is
-/// negligible.
+/// Returns `1` for acyclic graphs (every schedule satisfies them). Every
+/// circuit lies inside one strongly connected component, so this is the
+/// largest [`scc_rec_mii`] over the components of [`sccs`].
 #[must_use]
 pub fn rec_mii(ddg: &Ddg, lat: impl Fn(&Edge) -> u32) -> u32 {
-    // Upper bound: total latency of all edges always satisfies every cycle
-    // (each cycle has distance ≥ 1 and latency sum ≤ this bound).
-    let ub: u64 = ddg.edges().map(|e| u64::from(lat(e))).sum::<u64>().max(1);
-    let ub = u32::try_from(ub.min(u64::from(u32::MAX / 2))).expect("bounded above");
+    sccs(ddg)
+        .iter()
+        .filter_map(|comp| scc_rec_mii(ddg, comp, &lat))
+        .max()
+        .unwrap_or(1)
+}
 
-    if is_feasible_ii(ddg, 1, &lat) {
-        return 1;
+/// Whether a strongly connected component carries a recurrence: more than
+/// one node, or a single node with a loop-carried self-dependence.
+fn is_recurrent(ddg: &Ddg, comp: &[NodeId]) -> bool {
+    comp.len() > 1 || ddg.out_edges(comp[0]).any(|e| e.dst == comp[0])
+}
+
+/// RecMII of the recurrence one strongly connected component carries, or
+/// `None` when it carries none (a single node without a self-dependence).
+///
+/// `comp` is one component of [`sccs`], sorted by node index. The result
+/// is the smallest II at which the component's internal edges admit no
+/// positive-weight cycle under `lat(e) - ii·distance(e)`, found by binary
+/// search over a Bellman-Ford feasibility probe restricted to the
+/// component.
+#[must_use]
+pub fn scc_rec_mii(ddg: &Ddg, comp: &[NodeId], lat: impl Fn(&Edge) -> u32) -> Option<u32> {
+    if !is_recurrent(ddg, comp) {
+        return None;
     }
+    // Internal edges as (src slot, dst slot, latency, distance).
+    let slot = |n: NodeId| comp.binary_search(&n).ok();
+    let mut internal: Vec<(usize, usize, i64, i64)> = Vec::new();
+    for (u, &node) in comp.iter().enumerate() {
+        for e in ddg.out_edges(node) {
+            if let Some(v) = slot(e.dst) {
+                internal.push((u, v, i64::from(lat(e)), i64::from(e.distance)));
+            }
+        }
+    }
+    let mut t = vec![0i64; comp.len()];
+    let mut feasible = |ii: u32| -> bool {
+        t.fill(0);
+        for _ in 0..=comp.len() {
+            let mut changed = false;
+            for &(u, v, lat, dist) in &internal {
+                let cand = t[u] + lat - i64::from(ii) * dist;
+                if cand > t[v] {
+                    t[v] = cand;
+                    changed = true;
+                }
+            }
+            if !changed {
+                return true;
+            }
+        }
+        false // still relaxing after |comp| + 1 passes: a positive cycle
+    };
+    if feasible(1) {
+        return Some(1);
+    }
+    // Any II above the total internal latency satisfies every circuit
+    // (each has distance >= 1).
+    let total: i64 = internal.iter().map(|&(_, _, lat, _)| lat).sum();
+    let ub = u32::try_from(total + 1).unwrap_or(u32::MAX);
     let (mut lo, mut hi) = (1u32, ub); // lo infeasible, hi feasible
-    debug_assert!(
-        is_feasible_ii(ddg, hi, &lat),
-        "upper bound must be feasible"
-    );
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if is_feasible_ii(ddg, mid, &lat) {
+        if feasible(mid) {
             hi = mid;
         } else {
             lo = mid;
         }
     }
-    hi
+    Some(hi)
 }
 
 #[cfg(test)]
@@ -130,5 +178,16 @@ mod tests {
             let ddg = b.build().unwrap();
             assert_eq!(rec_mii(&ddg, |_| 12), 12u32.div_ceil(dist));
         }
+    }
+
+    #[test]
+    fn trivial_components_carry_no_recurrence() {
+        let mut b = Ddg::builder();
+        let a = b.add_node(OpKind::Load);
+        let i = b.add_node(OpKind::IntAdd);
+        b.data(a, i).data_dist(i, i, 1);
+        let ddg = b.build().unwrap();
+        assert_eq!(scc_rec_mii(&ddg, &[a], |_| 5), None);
+        assert_eq!(scc_rec_mii(&ddg, &[i], |_| 5), Some(5));
     }
 }

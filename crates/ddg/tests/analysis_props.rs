@@ -1,7 +1,12 @@
 //! Property tests for the graph analyses: topological order, ASAP/ALAP
-//! time bounds, and the recurrence-constrained MII.
+//! time bounds, and the recurrence-constrained MII — including the
+//! per-component RecMII against the whole-graph binary search it replaced,
+//! kept here as the oracle.
 
-use cvliw_ddg::{is_feasible_ii, rec_mii, time_bounds, topo_order, Ddg, DepKind, Edge, OpKind};
+use cvliw_ddg::{
+    is_feasible_ii, rec_mii, scc_rec_mii, sccs, time_bounds, topo_order, Ddg, DepKind, Edge,
+    NodeId, OpKind,
+};
 use proptest::prelude::*;
 
 fn arb_kind() -> impl Strategy<Value = OpKind> {
@@ -34,6 +39,127 @@ fn arb_ddg() -> impl Strategy<Value = Ddg> {
             }
             b.build().expect("valid by construction")
         })
+}
+
+/// Graphs rich in recurrences, with per-node producer latencies: loop-carried
+/// distances up to 4 (so self-loops with distance > 1 are common) and up to
+/// four edges per node, which yields acyclic graphs, single self-loops and
+/// several recurrent components side by side.
+fn arb_recurrent_ddg() -> impl Strategy<Value = (Ddg, Vec<u32>)> {
+    let nodes = prop::collection::vec(arb_kind(), 1..14);
+    nodes
+        .prop_flat_map(|kinds| {
+            let n = kinds.len();
+            let edges = prop::collection::vec((0..n, 0..n, 0u32..5), 0..(4 * n));
+            let lats = prop::collection::vec(1u32..25, n);
+            (Just(kinds), edges, lats)
+        })
+        .prop_map(|(kinds, edges, lats)| {
+            let mut b = Ddg::builder();
+            let ids: Vec<_> = kinds.iter().map(|&k| b.add_node(k)).collect();
+            for (src, dst, dist) in edges {
+                let kind = if kinds[src].produces_value() {
+                    DepKind::Data
+                } else {
+                    DepKind::Mem
+                };
+                if dist > 0 || src < dst {
+                    b.edge(ids[src], ids[dst], kind, dist);
+                }
+            }
+            (b.build().expect("valid by construction"), lats)
+        })
+}
+
+/// The whole-graph RecMII search: binary search on [`is_feasible_ii`] over
+/// every edge of the loop. The oracle the per-component `rec_mii` must
+/// equal.
+fn whole_graph_rec_mii(ddg: &Ddg, lat: impl Fn(&Edge) -> u32) -> u32 {
+    // Upper bound: total latency of all edges always satisfies every cycle
+    // (each cycle has distance ≥ 1 and latency sum ≤ this bound).
+    let ub: u64 = ddg.edges().map(|e| u64::from(lat(e))).sum::<u64>().max(1);
+    let ub = u32::try_from(ub.min(u64::from(u32::MAX / 2))).expect("bounded above");
+
+    if is_feasible_ii(ddg, 1, &lat) {
+        return 1;
+    }
+    let (mut lo, mut hi) = (1u32, ub); // lo infeasible, hi feasible
+    debug_assert!(
+        is_feasible_ii(ddg, hi, &lat),
+        "upper bound must be feasible"
+    );
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if is_feasible_ii(ddg, mid, &lat) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
+/// The subgraph induced by one component: its nodes (renumbered in index
+/// order) and the edges between them, each keeping its producer latency.
+fn induced(ddg: &Ddg, comp: &[NodeId], lats: &[u32]) -> (Ddg, Vec<u32>) {
+    let mut b = Ddg::builder();
+    let ids: Vec<_> = comp.iter().map(|&n| b.add_node(ddg.kind(n))).collect();
+    let slot = |n: NodeId| comp.binary_search(&n).ok();
+    for e in ddg.edges() {
+        if let (Some(s), Some(d)) = (slot(e.src), slot(e.dst)) {
+            b.edge(ids[s], ids[d], e.kind, e.distance);
+        }
+    }
+    let sub_lats = comp.iter().map(|n| lats[n.index()]).collect();
+    (
+        b.build().expect("an induced subgraph stays valid"),
+        sub_lats,
+    )
+}
+
+#[test]
+fn rec_mii_matches_the_oracle_on_named_shapes() {
+    // Acyclic: RecMII 1, no recurrent component.
+    let mut b = Ddg::builder();
+    let ld = b.add_node(OpKind::Load);
+    let mul = b.add_node(OpKind::FpMul);
+    b.data(ld, mul);
+    let acyclic = b.build().unwrap();
+    // A self-loop with distance 3: ceil(7 / 3) = 3.
+    let mut b = Ddg::builder();
+    let acc = b.add_node(OpKind::FpAdd);
+    b.data_dist(acc, acc, 3);
+    let self_loop = b.build().unwrap();
+    // Two recurrences joined by a bridge: ring A carries 7 + 7 cycles over
+    // distance 2 (RecMII 7), ring B 9 + 7 over distance 1 (RecMII 16).
+    let mut b = Ddg::builder();
+    let a0 = b.add_node(OpKind::FpAdd);
+    let a1 = b.add_node(OpKind::FpAdd);
+    let c0 = b.add_node(OpKind::FpAdd);
+    let c1 = b.add_node(OpKind::FpAdd);
+    b.data(a0, a1).data_dist(a1, a0, 2);
+    b.data(c0, c1).data_dist(c1, c0, 1);
+    b.data(a1, c0);
+    let two_rings = b.build().unwrap();
+    let lat = |ddg: &Ddg| {
+        let lats: Vec<u32> = ddg
+            .node_ids()
+            .map(|n| if n.index() == 2 { 9 } else { 7 })
+            .collect();
+        move |e: &Edge| lats[e.src.index()]
+    };
+    for (ddg, expect) in [(&acyclic, 1), (&self_loop, 3), (&two_rings, 16)] {
+        assert_eq!(rec_mii(ddg, lat(ddg)), expect);
+        assert_eq!(whole_graph_rec_mii(ddg, lat(ddg)), expect);
+    }
+    let per_comp: Vec<Option<u32>> = sccs(&two_rings)
+        .iter()
+        .map(|c| scc_rec_mii(&two_rings, c, lat(&two_rings)))
+        .collect();
+    assert_eq!(per_comp, vec![Some(16), Some(7)]);
+    assert!(sccs(&acyclic)
+        .iter()
+        .all(|c| scc_rec_mii(&acyclic, c, lat(&acyclic)).is_none()));
 }
 
 /// Unit latency for every edge — keeps the properties easy to state.
@@ -129,6 +255,29 @@ proptest! {
         let mii = rec_mii(&ddg, unit);
         if mii > 1 {
             prop_assert!(time_bounds(&ddg, mii - 1, unit).is_none());
+        }
+    }
+
+    #[test]
+    fn rec_mii_equals_the_whole_graph_search(case in arb_recurrent_ddg()) {
+        let (ddg, lats) = case;
+        let lat = |e: &Edge| lats[e.src.index()];
+        prop_assert_eq!(rec_mii(&ddg, lat), whole_graph_rec_mii(&ddg, lat));
+        prop_assert_eq!(rec_mii(&ddg, unit), whole_graph_rec_mii(&ddg, unit));
+    }
+
+    #[test]
+    fn scc_rec_mii_is_the_rec_mii_of_the_component_alone(case in arb_recurrent_ddg()) {
+        let (ddg, lats) = case;
+        for comp in sccs(&ddg) {
+            let per_comp = scc_rec_mii(&ddg, &comp, |e: &Edge| lats[e.src.index()]);
+            let self_loop = ddg.out_edges(comp[0]).any(|e| e.dst == comp[0]);
+            prop_assert_eq!(per_comp.is_some(), comp.len() > 1 || self_loop);
+            if let Some(mii) = per_comp {
+                let (sub, sub_lats) = induced(&ddg, &comp, &lats);
+                let oracle = whole_graph_rec_mii(&sub, |e: &Edge| sub_lats[e.src.index()]);
+                prop_assert_eq!(mii, oracle);
+            }
         }
     }
 }

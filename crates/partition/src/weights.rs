@@ -22,7 +22,7 @@ const BASE_WEIGHT: u64 = 1;
 /// Memory-ordering edges get weight 0: cutting them costs nothing because
 /// the memory hierarchy is centralized. Data edges cost more the less slack
 /// they have at the loop's MII-feasible II, and far more when they sit on a
-/// recurrence. The RecMII and SCC decomposition are read from the cached
+/// recurrence. The RecMII and recurrence membership are read from the cached
 /// [`LoopAnalysis`]; only the II-dependent slack bounds are evaluated per
 /// call.
 #[must_use]
@@ -37,7 +37,7 @@ pub(crate) fn edge_weights(
     let bounds =
         time_bounds(ddg, feasible_ii, &lat).expect("II at or above RecMII always has time bounds");
     let of = analysis.scc_of();
-    let recurrent = analysis.scc_recurrent();
+    let on_cycle = analysis.on_cycle();
     // The conservative scalar communication cost: the worst transfer
     // latency any cluster pair can pay (= the bus latency on shared-bus
     // machines, so the paper configurations score identically).
@@ -49,7 +49,7 @@ pub(crate) fn edge_weights(
             }
             let mut w = BASE_WEIGHT;
             let same_scc = of[e.src.index()] == of[e.dst.index()];
-            if same_scc && recurrent[of[e.src.index()]] {
+            if same_scc && on_cycle[e.src.index()] {
                 w += RECURRENCE_PENALTY * bus;
             }
             let slack = bounds.alap[e.dst.index()] - bounds.asap[e.src.index()] - i64::from(lat(e))

@@ -8,26 +8,26 @@
 //!
 //! * per-node producer latencies and the dense per-edge latency vector,
 //! * longest-path depth/height over the distance-0 subgraph,
-//! * the SCC decomposition, which components carry recurrences, and each
-//!   component's RecMII,
+//! * the SCC of each node and whether it sits on a recurrence,
 //! * the loop-wide RecMII / unclustered ResMII / MII triple,
 //! * the operation census per functional-unit class, and
 //! * the full swing-modulo-scheduling priority order plus the topological
 //!   fallback order.
 //!
 //! [`LoopAnalysis`] computes all of it exactly once and is threaded **by
-//! shared reference** through `mii`, partitioning, replication and the
-//! scheduler, so an II bump or a policy switch reuses it instead of
-//! recomputing. Construction calls the same functions the one-shot APIs
-//! call, so cached and uncached paths are bit-identical by construction
-//! (the workspace's determinism contract); the equivalence property test
-//! in the root crate asserts exactly that.
+//! shared reference** through partitioning, replication and the scheduler,
+//! so an II bump or a policy switch reuses it instead of recomputing. It
+//! is also the only place a loop's recurrence structure is derived: one
+//! Tarjan pass yields the components, each recurrent component's RecMII
+//! (`cvliw_ddg::scc_rec_mii`) feeds both the loop-wide RecMII and the
+//! swing order's priority groups, and every consumer reads the per-node
+//! flags instead of recomputing them.
 
-use cvliw_ddg::{depth_height, rec_mii, scc_of_node, sccs, topo_order, Ddg, Edge, NodeId};
+use cvliw_ddg::{depth_height, scc_rec_mii, sccs, topo_order, Ddg, Edge, NodeId};
 use cvliw_machine::MachineConfig;
 
 use crate::mii::res_mii_unclustered;
-use crate::order::{comp_rec_miis, is_recurrent_comp, sms_order_parts};
+use crate::order::sms_order_parts;
 
 /// Every II-invariant artifact of one `(loop, machine)` pair.
 ///
@@ -41,10 +41,8 @@ pub struct LoopAnalysis {
     edge_lat: Vec<u32>,
     depth: Vec<i64>,
     height: Vec<i64>,
-    sccs: Vec<Vec<NodeId>>,
     scc_of: Vec<usize>,
-    scc_recurrent: Vec<bool>,
-    scc_rec_mii: Vec<u32>,
+    on_cycle: Vec<bool>,
     rec_mii: u32,
     res_mii: u32,
     mii: u32,
@@ -57,32 +55,42 @@ impl LoopAnalysis {
     /// Computes every II-invariant artifact of `(ddg, machine)`.
     #[must_use]
     pub fn new(ddg: &Ddg, machine: &MachineConfig) -> Self {
+        let n = ddg.node_count();
         let node_lat: Vec<u32> = ddg
             .node_ids()
-            .map(|n| machine.latency(ddg.kind(n)))
+            .map(|v| machine.latency(ddg.kind(v)))
             .collect();
         let edge_lat: Vec<u32> = ddg.edges().map(|e| node_lat[e.src.index()]).collect();
         let lat = |e: &Edge| node_lat[e.src.index()];
 
         let (depth, height) = depth_height(ddg, lat);
         let comps = sccs(ddg);
-        let scc_of = scc_of_node(ddg);
-        let scc_recurrent: Vec<bool> = comps.iter().map(|c| is_recurrent_comp(ddg, c)).collect();
-        let scc_rec_mii = comp_rec_miis(ddg, &comps, lat);
-
-        let rec = rec_mii(ddg, lat);
+        let mut scc_of = vec![0usize; n];
+        let mut on_cycle = vec![false; n];
+        let mut recurrences: Vec<(u32, &[NodeId])> = Vec::new();
+        for (i, comp) in comps.iter().enumerate() {
+            for &v in comp {
+                scc_of[v.index()] = i;
+            }
+            if let Some(comp_mii) = scc_rec_mii(ddg, comp, lat) {
+                for &v in comp {
+                    on_cycle[v.index()] = true;
+                }
+                recurrences.push((comp_mii, comp));
+            }
+        }
+        // Every circuit lies inside one component.
+        let rec = recurrences.iter().map(|&(m, _)| m).max().unwrap_or(1);
         let res = res_mii_unclustered(ddg, machine);
-        let order = sms_order_parts(ddg, &depth, &height, &comps, &scc_rec_mii);
+        let order = sms_order_parts(ddg, &depth, &height, &mut recurrences);
 
         LoopAnalysis {
             node_lat,
             edge_lat,
             depth,
             height,
-            sccs: comps,
             scc_of,
-            scc_recurrent,
-            scc_rec_mii,
+            on_cycle,
             rec_mii: rec,
             res_mii: res,
             mii: res.max(rec),
@@ -122,28 +130,18 @@ impl LoopAnalysis {
         &self.height
     }
 
-    /// The strongly connected components, as produced by `cvliw_ddg::sccs`.
-    #[must_use]
-    pub fn sccs(&self) -> &[Vec<NodeId>] {
-        &self.sccs
-    }
-
-    /// Component index of each node in [`LoopAnalysis::sccs`].
+    /// Index of each node's strongly connected component (in the order
+    /// `cvliw_ddg::sccs` discovers them).
     #[must_use]
     pub fn scc_of(&self) -> &[usize] {
         &self.scc_of
     }
 
-    /// Whether each component carries a recurrence (size > 1 or self-loop).
+    /// Whether each node sits on a dependence cycle: its component has
+    /// more than one node, or the node depends on itself.
     #[must_use]
-    pub fn scc_recurrent(&self) -> &[bool] {
-        &self.scc_recurrent
-    }
-
-    /// RecMII of each component (1 for non-recurrent components).
-    #[must_use]
-    pub fn scc_rec_mii(&self) -> &[u32] {
-        &self.scc_rec_mii
+    pub fn on_cycle(&self) -> &[bool] {
+        &self.on_cycle
     }
 
     /// The loop-wide recurrence-constrained MII.
@@ -158,7 +156,7 @@ impl LoopAnalysis {
         self.res_mii
     }
 
-    /// `max(ResMII, RecMII)` — what [`crate::mii`] computes from scratch.
+    /// `max(ResMII, RecMII)`: the II the driver's attempt loop starts at.
     #[must_use]
     pub fn mii(&self) -> u32 {
         self.mii
@@ -186,7 +184,6 @@ impl LoopAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{mii, sms_order};
     use cvliw_ddg::OpKind;
 
     fn machine(spec: &str) -> MachineConfig {
@@ -206,37 +203,37 @@ mod tests {
     }
 
     #[test]
-    fn matches_one_shot_apis() {
+    fn matches_the_graph_analyses() {
         let ddg = sample();
         let m = machine("4c1b2l64r");
         let a = LoopAnalysis::new(&ddg, &m);
-        assert_eq!(a.mii(), mii(&ddg, &m));
-        assert_eq!(a.sms_order(), sms_order(&ddg, &m).as_slice());
-        assert_eq!(a.topo_order(), cvliw_ddg::topo_order(&ddg).as_slice());
-        assert_eq!(a.rec_mii(), cvliw_ddg::rec_mii(&ddg, m.edge_latency(&ddg)));
-        assert_eq!(a.count_by_class(), &ddg.count_by_class());
         let lat = m.edge_latency(&ddg);
+        let rec = cvliw_ddg::rec_mii(&ddg, &lat);
+        assert_eq!(a.rec_mii(), rec);
+        assert_eq!(a.res_mii(), res_mii_unclustered(&ddg, &m));
+        assert_eq!(a.mii(), a.res_mii().max(rec));
+        assert_eq!(a.topo_order(), cvliw_ddg::topo_order(&ddg).as_slice());
+        assert_eq!(a.count_by_class(), &ddg.count_by_class());
         let expect: Vec<u32> = ddg.edges().map(&lat).collect();
         assert_eq!(a.edge_lat(), expect.as_slice());
         let (depth, height) = cvliw_ddg::depth_height(&ddg, &lat);
         assert_eq!(a.depth(), depth.as_slice());
         assert_eq!(a.height(), height.as_slice());
+        // The ring's group comes first, each group from its highest node.
+        let ids: Vec<NodeId> = ddg.node_ids().collect();
+        assert_eq!(a.sms_order(), ids.as_slice());
     }
 
     #[test]
     fn scc_artifacts_are_aligned() {
         let ddg = sample();
         let a = LoopAnalysis::new(&ddg, &machine("4c1b2l64r"));
-        assert_eq!(a.sccs().len(), a.scc_recurrent().len());
-        assert_eq!(a.sccs().len(), a.scc_rec_mii().len());
         assert_eq!(a.scc_of().len(), ddg.node_count());
-        // the fp ring is recurrent with RecMII 3+6=9; ld/st are trivial.
-        let ring_comp = a.scc_of()[0];
-        assert!(a.scc_recurrent()[ring_comp]);
-        assert_eq!(a.scc_rec_mii()[ring_comp], 9);
-        let ld_comp = a.scc_of()[2];
-        assert!(!a.scc_recurrent()[ld_comp]);
-        assert_eq!(a.scc_rec_mii()[ld_comp], 1);
+        // the fp ring is one recurrent component with RecMII 3+6=9; ld/st
+        // are trivial components of their own.
+        assert_eq!(a.scc_of()[0], a.scc_of()[1]);
+        assert_ne!(a.scc_of()[2], a.scc_of()[3]);
+        assert_eq!(a.on_cycle(), &[true, true, false, false]);
         assert_eq!(a.rec_mii(), 9);
     }
 

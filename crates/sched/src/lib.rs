@@ -3,10 +3,12 @@
 //! This crate implements the scheduling substrate of the MICRO-36 2003
 //! instruction-replication paper:
 //!
-//! * [`mii`]/[`res_mii_assigned`]/[`ii_part`] — the initiation-interval
-//!   lower bounds (resources, recurrences, bus bandwidth);
-//! * [`sms_order`] — the swing-modulo-scheduling node ordering (the paper's
+//! * [`LoopAnalysis`] — every II-invariant artifact of a (loop, machine)
+//!   pair, computed once: latencies, the recurrences and their RecMII, the
+//!   MII, and the swing-modulo-scheduling node order (the paper's
 //!   reference \[18\]);
+//! * [`res_mii_assigned`]/[`ii_part`] — the initiation-interval lower
+//!   bounds of a concrete assignment (resources, bus bandwidth);
 //! * [`Assignment`]/[`ClusterSet`] — which clusters hold an instance of
 //!   each operation (the representation instruction replication
 //!   manipulates);
@@ -73,9 +75,8 @@ pub use assign::{Assignment, ClusterSet};
 pub use cache::LoopAnalysis;
 pub use error::{IiCause, ScheduleError, VerifyError};
 pub use expand::{code_shape, expand, render_expansion, CodeShape, ExpandedOp, Expansion};
-pub use mii::{ii_part, mii, res_mii_assigned, res_mii_unclustered};
+pub use mii::{ii_part, res_mii_assigned, res_mii_unclustered};
 pub use mrt::Mrt;
-pub use order::{neighbor_adjacency_ratio, sms_order};
 pub use pseudo::{comm_penalty, pseudo_schedule, PseudoSchedule, PseudoScratch};
 pub use regalloc::{
     allocate_registers, ClusterAllocation, OutOfRegisters, RegAssignment, RegisterAllocation,

@@ -1,6 +1,6 @@
 //! Minimum initiation interval bounds.
 
-use cvliw_ddg::{rec_mii, Ddg, OpClass};
+use cvliw_ddg::{Ddg, OpClass};
 use cvliw_machine::MachineConfig;
 
 use crate::assign::Assignment;
@@ -46,16 +46,6 @@ pub fn res_mii_assigned(ddg: &Ddg, assignment: &Assignment, machine: &MachineCon
 pub fn ii_part(ddg: &Ddg, assignment: &Assignment, machine: &MachineConfig) -> u32 {
     let ncoms = assignment.comm_count(ddg);
     machine.min_ii_for_coms(ncoms).unwrap_or(u32::MAX)
-}
-
-/// The overall MII used to seed the driver loop:
-/// `max(ResMII, RecMII)` on the unclustered machine (communications are a
-/// property of the partition, not of the loop, so they do not contribute —
-/// exactly why Figure 1 attributes II growth beyond MII mostly to the bus).
-#[must_use]
-pub fn mii(ddg: &Ddg, machine: &MachineConfig) -> u32 {
-    let rec = rec_mii(ddg, machine.edge_latency(ddg));
-    res_mii_unclustered(ddg, machine).max(rec)
 }
 
 #[cfg(test)]
@@ -169,6 +159,7 @@ mod tests {
 
     #[test]
     fn mii_combines_resources_and_recurrences() {
+        let mii = |ddg: &Ddg, m: &MachineConfig| crate::LoopAnalysis::new(ddg, m).mii();
         // Recurrence: fp add self-loop distance 1 → RecMII = 3 under Table 1.
         let mut b = Ddg::builder();
         let a = b.add_node(OpKind::FpAdd);

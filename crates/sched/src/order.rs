@@ -5,82 +5,54 @@
 //! one of its neighbours is already ordered (keeping issue windows tight and
 //! register lifetimes short), gives priority to the most critical
 //! recurrences, and alternates top-down/bottom-up sweeps.
+//!
+//! [`crate::LoopAnalysis`] computes the order once per (loop, machine) from
+//! its cached depth/height and recurrences. Every pass works on dense
+//! per-node flags.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
 
-use cvliw_ddg::{depth_height, sccs, Ddg, Edge, NodeId};
-use cvliw_machine::MachineConfig;
+use cvliw_ddg::{Ddg, NodeId};
+
+/// Group index of a node not yet assigned to a priority group.
+const UNGROUPED: u32 = u32::MAX;
 
 /// Computes the swing-modulo-scheduling order of all nodes.
 ///
-/// Recurrences are processed in decreasing RecMII order, each together with
-/// the nodes on paths connecting it to the already-ordered subgraph; the
-/// remaining (non-recurrent) nodes come last. Within a group the classic
-/// alternating height/depth sweep is used. Ties break on node index, so the
-/// result is deterministic.
-///
-/// One-shot convenience: recomputes every ingredient (latencies, SCCs,
-/// depth/height) from scratch. The driver's II loop instead computes the
-/// order once per (loop, machine) through [`crate::LoopAnalysis`], which
-/// calls the same internals on its cached artifacts.
-#[must_use]
-pub fn sms_order(ddg: &Ddg, machine: &MachineConfig) -> Vec<NodeId> {
-    let node_lat: Vec<u32> = ddg
-        .node_ids()
-        .map(|n| machine.latency(ddg.kind(n)))
-        .collect();
-    let lat = |e: &Edge| node_lat[e.src.index()];
-    let (depth, height) = depth_height(ddg, lat);
-    let comps = sccs(ddg);
-    let comp_rec_mii = comp_rec_miis(ddg, &comps, lat);
-    sms_order_parts(ddg, &depth, &height, &comps, &comp_rec_mii)
-}
-
-/// Whether a strongly connected component carries a recurrence: more than
-/// one node, or a single node with a loop-carried self-dependence.
-pub(crate) fn is_recurrent_comp(ddg: &Ddg, comp: &[NodeId]) -> bool {
-    comp.len() > 1 || ddg.out_edges(comp[0]).any(|e| e.dst == comp[0])
-}
-
-/// RecMII of every component of `comps`, aligned by index; trivial
-/// (non-recurrent) components report 1, the floor any II satisfies.
-pub(crate) fn comp_rec_miis(
-    ddg: &Ddg,
-    comps: &[Vec<NodeId>],
-    lat: impl Fn(&Edge) -> u32,
-) -> Vec<u32> {
-    comps
-        .iter()
-        .map(|c| {
-            if is_recurrent_comp(ddg, c) {
-                scc_rec_mii(ddg, c, &lat)
-            } else {
-                1
-            }
-        })
-        .collect()
-}
-
-/// The ordering core on precomputed artifacts: depth/height per node and
-/// the SCC decomposition with each component's RecMII.
+/// `recurrences` holds each recurrent strongly connected component (sorted
+/// by node index) with its RecMII. Recurrences are processed in decreasing
+/// RecMII order, each together with the nodes on paths connecting it to the
+/// already-grouped subgraph; the remaining (non-recurrent) nodes come last.
+/// Within a group the classic alternating height/depth sweep is used. Ties
+/// break on node index, so the result is deterministic.
 pub(crate) fn sms_order_parts(
     ddg: &Ddg,
     depth: &[i64],
     height: &[i64],
-    comps: &[Vec<NodeId>],
-    comp_rec_mii: &[u32],
+    recurrences: &mut [(u32, &[NodeId])],
 ) -> Vec<NodeId> {
     let n = ddg.node_count();
-    let groups = priority_groups(ddg, comps, comp_rec_mii);
+    let group_of = priority_groups(ddg, recurrences);
+    // Every node, by priority group and ascending within a group.
+    let mut by_group: Vec<NodeId> = ddg.node_ids().collect();
+    by_group.sort_by_key(|v| group_of[v.index()]);
 
-    let mut order: Vec<NodeId> = Vec::with_capacity(n);
-    let mut ordered = vec![false; n];
-
-    for group in groups {
-        order_group(ddg, &group, depth, height, &mut order, &mut ordered);
+    let mut sweeper = Sweeper {
+        ddg,
+        depth,
+        height,
+        group_of: &group_of,
+        group: 0,
+        order: Vec::with_capacity(n),
+        ordered: vec![false; n],
+        ready: Vec::new(),
+        in_ready: vec![false; n],
+    };
+    for members in by_group.chunk_by(|a, b| group_of[a.index()] == group_of[b.index()]) {
+        sweeper.order_group(members);
     }
-    debug_assert_eq!(order.len(), n);
-    order
+    debug_assert_eq!(sweeper.order.len(), n);
+    sweeper.order
 }
 
 /// Direction of the current sweep.
@@ -90,314 +62,228 @@ enum Sweep {
     BottomUp,
 }
 
-fn order_group(
-    ddg: &Ddg,
-    group: &BTreeSet<NodeId>,
-    depth: &[i64],
-    height: &[i64],
-    order: &mut Vec<NodeId>,
-    ordered: &mut [bool],
-) {
-    let in_group_unordered =
-        |n: NodeId, ordered: &[bool]| group.contains(&n) && !ordered[n.index()];
+/// The ordering state: the order so far, which nodes it holds, and the
+/// ready set of the group being ordered as a list plus membership flags.
+struct Sweeper<'a> {
+    ddg: &'a Ddg,
+    depth: &'a [i64],
+    height: &'a [i64],
+    group_of: &'a [u32],
+    /// The group being ordered.
+    group: u32,
+    order: Vec<NodeId>,
+    ordered: Vec<bool>,
+    ready: Vec<NodeId>,
+    in_ready: Vec<bool>,
+}
 
-    let remaining = |ordered: &[bool]| {
-        group
-            .iter()
-            .copied()
-            .filter(|n| !ordered[n.index()])
-            .count()
-    };
-
-    while remaining(ordered) > 0 {
-        // Seed the ready set from nodes adjacent to the ordered prefix.
-        let mut ready: BTreeSet<NodeId> = BTreeSet::new();
-        let mut sweep = Sweep::TopDown;
-        for &o in order.iter() {
-            for e in ddg.out_edges(o) {
-                if in_group_unordered(e.dst, ordered) {
-                    ready.insert(e.dst);
-                }
-            }
-        }
-        if ready.is_empty() {
-            for &o in order.iter() {
-                for e in ddg.in_edges(o) {
-                    if in_group_unordered(e.src, ordered) {
-                        ready.insert(e.src);
-                    }
-                }
-            }
-            if !ready.is_empty() {
+impl Sweeper<'_> {
+    /// Orders every node of one priority group; `members` is non-empty.
+    fn order_group(&mut self, members: &[NodeId]) {
+        self.group = self.group_of[members[0].index()];
+        let mut remaining = members.len();
+        while remaining > 0 {
+            // Ready the members adjacent to the ordered prefix: below it
+            // first (a top-down sweep), else above it (bottom-up). A sweep
+            // runs until no member is left adjacent on its own side, so
+            // this scan is also the switch between alternating sweeps.
+            let mut sweep = Sweep::TopDown;
+            self.collect_adjacent(members, sweep);
+            if self.ready.is_empty() {
                 sweep = Sweep::BottomUp;
+                self.collect_adjacent(members, sweep);
             }
-        }
-        if ready.is_empty() {
-            // Fresh component: start from the highest node (max height).
-            let seed = group
-                .iter()
-                .copied()
-                .filter(|n| !ordered[n.index()])
-                .max_by_key(|n| (height[n.index()], std::cmp::Reverse(n.index())))
-                .expect("non-empty remaining group");
-            ready.insert(seed);
-            sweep = Sweep::TopDown;
-        }
-
-        // Alternate sweeps until this group's connected region is exhausted.
-        loop {
-            while let Some(v) = pick(&ready, sweep, depth, height) {
-                ready.remove(&v);
-                if ordered[v.index()] {
-                    continue;
-                }
-                ordered[v.index()] = true;
-                order.push(v);
-                let next: Box<dyn Iterator<Item = &Edge>> = match sweep {
-                    Sweep::TopDown => Box::new(ddg.out_edges(v)),
-                    Sweep::BottomUp => Box::new(ddg.in_edges(v)),
-                };
-                for e in next {
-                    let w = if sweep == Sweep::TopDown {
-                        e.dst
-                    } else {
-                        e.src
-                    };
-                    if in_group_unordered(w, ordered) {
-                        ready.insert(w);
+            if self.ready.is_empty() {
+                // Fresh component: start top-down from the highest node.
+                sweep = Sweep::TopDown;
+                let seed = members
+                    .iter()
+                    .copied()
+                    .filter(|v| !self.ordered[v.index()])
+                    .max_by_key(|v| (self.height[v.index()], Reverse(v.index())))
+                    .expect("non-empty remaining group");
+                self.offer(seed);
+            }
+            while let Some(v) = self.pick(sweep) {
+                self.ordered[v.index()] = true;
+                self.order.push(v);
+                remaining -= 1;
+                match sweep {
+                    Sweep::TopDown => {
+                        for e in self.ddg.out_edges(v) {
+                            self.offer(e.dst);
+                        }
+                    }
+                    Sweep::BottomUp => {
+                        for e in self.ddg.in_edges(v) {
+                            self.offer(e.src);
+                        }
                     }
                 }
             }
-            // Switch direction: collect unordered group nodes adjacent to
-            // anything ordered so far, on the opposite side.
-            sweep = match sweep {
-                Sweep::TopDown => Sweep::BottomUp,
-                Sweep::BottomUp => Sweep::TopDown,
+        }
+    }
+
+    /// Readies every unordered member with an ordered neighbour on the
+    /// side `sweep` walks away from: an ordered predecessor when sweeping
+    /// top-down, an ordered successor when sweeping bottom-up.
+    fn collect_adjacent(&mut self, members: &[NodeId], sweep: Sweep) {
+        for &w in members {
+            if self.ordered[w.index()] {
+                continue;
+            }
+            let adjacent = match sweep {
+                Sweep::TopDown => self.ddg.in_edges(w).any(|e| self.ordered[e.src.index()]),
+                Sweep::BottomUp => self.ddg.out_edges(w).any(|e| self.ordered[e.dst.index()]),
             };
-            for &o in order.iter() {
-                let adj: Box<dyn Iterator<Item = &Edge>> = match sweep {
-                    Sweep::TopDown => Box::new(ddg.out_edges(o)),
-                    Sweep::BottomUp => Box::new(ddg.in_edges(o)),
-                };
-                for e in adj {
-                    let w = if sweep == Sweep::TopDown {
-                        e.dst
-                    } else {
-                        e.src
-                    };
-                    if in_group_unordered(w, ordered) {
-                        ready.insert(w);
-                    }
-                }
-            }
-            ready.retain(|v| !ordered[v.index()]);
-            if ready.is_empty() {
-                break;
+            if adjacent {
+                self.offer(w);
             }
         }
+    }
+
+    /// Adds `w` to the ready set if it is an unordered, not yet ready node
+    /// of the group being ordered.
+    fn offer(&mut self, w: NodeId) {
+        let i = w.index();
+        if self.group_of[i] == self.group && !self.ordered[i] && !self.in_ready[i] {
+            self.in_ready[i] = true;
+            self.ready.push(w);
+        }
+    }
+
+    /// Removes and returns the next node of the ready set: highest height
+    /// when sweeping top-down, highest depth when sweeping bottom-up; ties
+    /// break on the other metric and then on the lowest node index.
+    fn pick(&mut self, sweep: Sweep) -> Option<NodeId> {
+        let (depth, height) = (self.depth, self.height);
+        let (slot, _) = self.ready.iter().enumerate().max_by_key(|&(_, v)| {
+            let (primary, secondary) = match sweep {
+                Sweep::TopDown => (height[v.index()], depth[v.index()]),
+                Sweep::BottomUp => (depth[v.index()], height[v.index()]),
+            };
+            (primary, secondary, Reverse(v.index()))
+        })?;
+        let v = self.ready.swap_remove(slot);
+        self.in_ready[v.index()] = false;
+        Some(v)
     }
 }
 
-/// Picks the next node of the ready set: highest height when sweeping
-/// top-down, highest depth when sweeping bottom-up; ties break on the other
-/// metric and then on node index.
-fn pick(ready: &BTreeSet<NodeId>, sweep: Sweep, depth: &[i64], height: &[i64]) -> Option<NodeId> {
-    ready.iter().copied().max_by_key(|n| {
-        let (primary, secondary) = match sweep {
-            Sweep::TopDown => (height[n.index()], depth[n.index()]),
-            Sweep::BottomUp => (depth[n.index()], height[n.index()]),
-        };
-        (primary, secondary, std::cmp::Reverse(n.index()))
-    })
-}
-
-/// Builds the ordered list of node groups: each non-trivial SCC in
-/// decreasing RecMII order together with the nodes on paths connecting it
-/// to previously grouped nodes, then everything else. The per-component
-/// RecMIIs arrive precomputed ([`comp_rec_miis`]) so a schedule attempt
-/// never re-runs the binary searches.
-fn priority_groups(
-    ddg: &Ddg,
-    comps: &[Vec<NodeId>],
-    comp_rec_mii: &[u32],
-) -> Vec<BTreeSet<NodeId>> {
-    let mut recurrent: Vec<(u32, Vec<NodeId>)> = comps
-        .iter()
-        .zip(comp_rec_mii)
-        .filter(|(c, _)| is_recurrent_comp(ddg, c))
-        .map(|(c, &mii)| (mii, c.clone()))
-        .collect();
-    recurrent.sort_by_key(|(mii, c)| (std::cmp::Reverse(*mii), c[0].index()));
-
-    let ancestors = reachability(ddg, true);
-    let descendants = reachability(ddg, false);
-
-    let mut grouped = vec![false; ddg.node_count()];
-    let mut groups: Vec<BTreeSet<NodeId>> = Vec::new();
-    for (_, comp) in recurrent {
-        let mut group: BTreeSet<NodeId> = BTreeSet::new();
-        for &v in &comp {
-            if !grouped[v.index()] {
-                group.insert(v);
-            }
-        }
-        // Nodes on paths between earlier groups and this SCC.
-        for prev in groups.iter() {
-            for &p in prev {
-                for &v in &comp {
-                    for mid in ddg.node_ids() {
-                        if grouped[mid.index()] || group.contains(&mid) {
-                            continue;
-                        }
-                        let on_path = (descendants[p.index()].contains(&mid)
-                            && ancestors[v.index()].contains(&mid))
-                            || (descendants[v.index()].contains(&mid)
-                                && ancestors[p.index()].contains(&mid));
-                        if on_path {
-                            group.insert(mid);
-                        }
-                    }
-                }
-            }
-        }
-        for &v in &group {
-            grouped[v.index()] = true;
-        }
-        if !group.is_empty() {
-            groups.push(group);
-        }
-    }
-    let rest: BTreeSet<NodeId> = ddg.node_ids().filter(|n| !grouped[n.index()]).collect();
-    if !rest.is_empty() {
-        groups.push(rest);
-    }
-    groups
-}
-
-/// RecMII of a single strongly connected component, by binary search over
-/// the feasibility of its internal edges.
-fn scc_rec_mii(ddg: &Ddg, comp: &[NodeId], lat: impl Fn(&Edge) -> u32) -> u32 {
-    let inside = |n: NodeId| comp.binary_search(&n).is_ok();
-    // Build feasibility check over internal edges only by inflating the
-    // latency function: external edges get distance-covered weight 0.
-    let feasible = |ii: u32| -> bool {
-        // Bellman-Ford on comp nodes only.
-        let index_of = |n: NodeId| comp.binary_search(&n).expect("internal node");
-        let mut t = vec![0i64; comp.len()];
-        for pass in 0..=comp.len() {
-            let mut changed = false;
-            for &u in comp {
-                for e in ddg.out_edges(u) {
-                    if !inside(e.dst) {
-                        continue;
-                    }
-                    let w = i64::from(lat(e)) - i64::from(ii) * i64::from(e.distance);
-                    let cand = t[index_of(u)] + w;
-                    if cand > t[index_of(e.dst)] {
-                        t[index_of(e.dst)] = cand;
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                return true;
-            }
-            if pass == comp.len() {
-                return false;
-            }
-        }
-        true
-    };
-    let mut ub = 1u32;
-    for &u in comp {
-        for e in ddg.out_edges(u) {
-            if inside(e.dst) {
-                ub += lat(e);
-            }
-        }
-    }
-    if feasible(1) {
-        return 1;
-    }
-    let (mut lo, mut hi) = (1u32, ub);
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if feasible(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    hi
-}
-
-/// For each node, the set of nodes that can reach it (`backward == true`)
-/// or that it can reach (`backward == false`), excluding itself unless on a
-/// cycle.
-fn reachability(ddg: &Ddg, backward: bool) -> Vec<BTreeSet<NodeId>> {
+/// Assigns every node its priority group and returns the group index per
+/// node: each recurrence in decreasing RecMII order (ties on its lowest
+/// node), together with the nodes on paths between it and earlier groups,
+/// then one group holding everything else.
+///
+/// A node lies on such a path when it descends from some earlier-grouped
+/// node and is an ancestor of some node of the recurrence, or the other
+/// way round. Four multi-source depth-first passes per recurrence answer
+/// that for every node at once.
+fn priority_groups(ddg: &Ddg, recurrences: &mut [(u32, &[NodeId])]) -> Vec<u32> {
+    recurrences.sort_by_key(|&(mii, comp)| (Reverse(mii), comp[0].index()));
     let n = ddg.node_count();
-    let mut sets = vec![BTreeSet::new(); n];
-    for start in ddg.node_ids() {
-        let mut stack = vec![start];
-        let mut seen = vec![false; n];
-        while let Some(v) = stack.pop() {
-            let edges: Box<dyn Iterator<Item = &Edge>> = if backward {
-                Box::new(ddg.in_edges(v))
-            } else {
-                Box::new(ddg.out_edges(v))
-            };
-            for e in edges {
-                let w = if backward { e.src } else { e.dst };
-                if !seen[w.index()] {
-                    seen[w.index()] = true;
-                    stack.push(w);
+    let mut group_of = vec![UNGROUPED; n];
+    let mut groups = 0u32;
+    let [mut below_grouped, mut above_grouped, mut below_rec, mut above_rec] =
+        [(); 4].map(|()| vec![false; n]);
+    let mut stack = Vec::new();
+    for &(_, comp) in recurrences.iter() {
+        let mut joined = false;
+        for &v in comp {
+            if group_of[v.index()] == UNGROUPED {
+                group_of[v.index()] = groups;
+                joined = true;
+            }
+        }
+        if groups > 0 {
+            let grouped: Vec<NodeId> = ddg
+                .node_ids()
+                .filter(|v| group_of[v.index()] < groups)
+                .collect();
+            reach(ddg, &grouped, true, &mut below_grouped, &mut stack);
+            reach(ddg, &grouped, false, &mut above_grouped, &mut stack);
+            reach(ddg, comp, true, &mut below_rec, &mut stack);
+            reach(ddg, comp, false, &mut above_rec, &mut stack);
+            for (mid, g) in group_of.iter_mut().enumerate() {
+                if *g == UNGROUPED
+                    && ((below_grouped[mid] && above_rec[mid])
+                        || (below_rec[mid] && above_grouped[mid]))
+                {
+                    *g = groups;
+                    joined = true;
                 }
             }
         }
-        for (i, &was_seen) in seen.iter().enumerate() {
-            if was_seen {
-                sets[start.index()].insert(NodeId::new(i as u32));
+        if joined {
+            groups += 1;
+        }
+    }
+    for g in &mut group_of {
+        if *g == UNGROUPED {
+            *g = groups;
+        }
+    }
+    group_of
+}
+
+/// Marks in `seen` every node reachable by one or more edges from some node
+/// of `sources`, following edges forwards (descendants) or backwards
+/// (ancestors). A source is marked only when it lies on a cycle or below
+/// another source.
+fn reach(ddg: &Ddg, sources: &[NodeId], forward: bool, seen: &mut [bool], stack: &mut Vec<NodeId>) {
+    seen.fill(false);
+    stack.clear();
+    stack.extend_from_slice(sources);
+    while let Some(v) = stack.pop() {
+        let edge_ids = if forward {
+            ddg.out_edge_ids(v)
+        } else {
+            ddg.in_edge_ids(v)
+        };
+        for &id in edge_ids {
+            let e = ddg.edge(id);
+            let w = if forward { e.dst } else { e.src };
+            if !seen[w.index()] {
+                seen[w.index()] = true;
+                stack.push(w);
             }
         }
     }
-    sets
-}
-
-/// Sanity helper used by tests: fraction of non-seed nodes that are
-/// adjacent to an earlier node in the order (1.0 for connected graphs).
-#[must_use]
-pub fn neighbor_adjacency_ratio(ddg: &Ddg, order: &[NodeId]) -> f64 {
-    if order.len() <= 1 {
-        return 1.0;
-    }
-    let mut placed = vec![false; ddg.node_count()];
-    placed[order[0].index()] = true;
-    let mut adjacent = 0usize;
-    let mut seeds = 1usize; // first node is always a seed
-    for &v in &order[1..] {
-        let has_neighbor = ddg
-            .in_edges(v)
-            .map(|e| e.src)
-            .chain(ddg.out_edges(v).map(|e| e.dst))
-            .any(|w| placed[w.index()]);
-        if has_neighbor {
-            adjacent += 1;
-        } else {
-            seeds += 1;
-        }
-        placed[v.index()] = true;
-    }
-    let _ = seeds;
-    adjacent as f64 / (order.len() - 1) as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LoopAnalysis;
     use cvliw_ddg::OpKind;
+    use cvliw_machine::MachineConfig;
 
-    fn machine() -> MachineConfig {
-        MachineConfig::from_spec("4c1b2l64r").unwrap()
+    fn sms_order(ddg: &Ddg) -> Vec<NodeId> {
+        let machine = MachineConfig::from_spec("4c1b2l64r").unwrap();
+        LoopAnalysis::new(ddg, &machine).sms_order().to_vec()
+    }
+
+    /// Fraction of non-first nodes adjacent to an earlier node in the
+    /// order (1.0 for connected graphs).
+    fn neighbor_adjacency_ratio(ddg: &Ddg, order: &[NodeId]) -> f64 {
+        if order.len() <= 1 {
+            return 1.0;
+        }
+        let mut placed = vec![false; ddg.node_count()];
+        placed[order[0].index()] = true;
+        let mut adjacent = 0usize;
+        for &v in &order[1..] {
+            let has_neighbor = ddg
+                .in_edges(v)
+                .map(|e| e.src)
+                .chain(ddg.out_edges(v).map(|e| e.dst))
+                .any(|w| placed[w.index()]);
+            if has_neighbor {
+                adjacent += 1;
+            }
+            placed[v.index()] = true;
+        }
+        adjacent as f64 / (order.len() - 1) as f64
     }
 
     #[test]
@@ -409,7 +295,7 @@ mod tests {
         }
         b.data_dist(nodes[7], nodes[0], 1);
         let ddg = b.build().unwrap();
-        let mut order = sms_order(&ddg, &machine());
+        let mut order = sms_order(&ddg);
         assert_eq!(order.len(), 8);
         order.sort_unstable();
         order.dedup();
@@ -428,7 +314,7 @@ mod tests {
         let s = b.add_node(OpKind::Store);
         b.data(a, l).data(a, r).data(l, j).data(r, j).data(j, s);
         let ddg = b.build().unwrap();
-        let order = sms_order(&ddg, &machine());
+        let order = sms_order(&ddg);
         assert_eq!(neighbor_adjacency_ratio(&ddg, &order), 1.0);
     }
 
@@ -444,7 +330,7 @@ mod tests {
         let rec1 = b.add_node(OpKind::FpAdd);
         b.data(rec0, rec1).data_dist(rec1, rec0, 1);
         let ddg = b.build().unwrap();
-        let order = sms_order(&ddg, &machine());
+        let order = sms_order(&ddg);
         let pos = |n: NodeId| order.iter().position(|&o| o == n).unwrap();
         assert!(pos(rec0) < pos(chain0));
         assert!(pos(rec1) < pos(chain0));
@@ -460,7 +346,7 @@ mod tests {
         let fast = b.add_node(OpKind::IntAdd);
         b.data_dist(fast, fast, 1);
         let ddg = b.build().unwrap();
-        let order = sms_order(&ddg, &machine());
+        let order = sms_order(&ddg);
         assert_eq!(order[0], slow);
         assert_eq!(order[1], fast);
     }
@@ -482,7 +368,7 @@ mod tests {
         let leftover = b.add_node(OpKind::Load);
         let _ = leftover;
         let ddg = b.build().unwrap();
-        let order = sms_order(&ddg, &machine());
+        let order = sms_order(&ddg);
         let pos = |n: NodeId| order.iter().position(|&o| o == n).unwrap();
         assert!(pos(bridge) < pos(leftover));
         assert_eq!(order.len(), 5);
@@ -504,8 +390,8 @@ mod tests {
             b.data(nodes[i / 2], nodes[i]);
         }
         let ddg = b.build().unwrap();
-        let o1 = sms_order(&ddg, &machine());
-        let o2 = sms_order(&ddg, &machine());
+        let o1 = sms_order(&ddg);
+        let o2 = sms_order(&ddg);
         assert_eq!(o1, o2);
     }
 
@@ -516,7 +402,7 @@ mod tests {
             b.add_node(OpKind::Load);
         }
         let ddg = b.build().unwrap();
-        let order = sms_order(&ddg, &machine());
+        let order = sms_order(&ddg);
         assert_eq!(order.len(), 5);
     }
 }

@@ -399,10 +399,10 @@ impl Schedule {
 /// Which node ordering drives the backtracking-free placer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OrderStrategy {
-    /// Swing modulo scheduling ([`crate::sms_order`]): best schedule quality, but
-    /// its alternating sweeps can sandwich a join node between already
-    /// placed neighbours whose distance-0 window never opens, failing at
-    /// every II.
+    /// Swing modulo scheduling ([`crate::LoopAnalysis::sms_order`]): best
+    /// schedule quality, but its alternating sweeps can sandwich a join
+    /// node between already placed neighbours whose distance-0 window
+    /// never opens, failing at every II.
     #[default]
     Swing,
     /// Topological order: when placing a node only its predecessors (and

@@ -5,7 +5,7 @@
 //! Run with `cargo run --example paper_example`.
 
 use cvliw::replicate::paper_example::{fig3_example, fig3_machine, FIG3_II};
-use cvliw::replicate::ReplicationEngine;
+use cvliw::replicate::{LoopAnalysis, ReplicationEngine};
 
 fn main() {
     let (ddg, assignment, _) = fig3_example();
@@ -23,7 +23,8 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    let mut engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, assignment);
+    let analysis = LoopAnalysis::new(&ddg, &machine);
+    let mut engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, assignment, &analysis);
     println!(
         "extra_coms = {} (3 communications, bus fits 2 per II)\n",
         engine.extra_coms()

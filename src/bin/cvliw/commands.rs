@@ -11,8 +11,7 @@ use cvliw::exp::{
 use cvliw::ir::{parse_module, print_loop, NamedLoop, ParseError};
 use cvliw::machine::{MachineConfig, SpecError};
 use cvliw::replicate::{compile_loop, CompileError, CompileOptions, CompiledLoop, Mode};
-use cvliw::sched::mii as sched_mii;
-use cvliw::sched::res_mii_unclustered;
+use cvliw::sched::LoopAnalysis;
 use cvliw::sim::simulate;
 
 use crate::args::{Args, UsageError};
@@ -345,9 +344,8 @@ fn cmd_mii(args: &Args) -> Result<(), CliError> {
         "loop", "ResMII", "RecMII", "MII"
     );
     for l in read_loops(args)? {
-        let res = res_mii_unclustered(&l.ddg, &machine);
-        let total = sched_mii(&l.ddg, &machine);
-        let rec = cvliw::ddg::rec_mii(&l.ddg, machine.edge_latency(&l.ddg));
+        let a = LoopAnalysis::new(&l.ddg, &machine);
+        let (res, rec, total) = (a.res_mii(), a.rec_mii(), a.mii());
         println!("{:<16} {res:>6} {rec:>7} {total:>6}", l.name);
     }
     Ok(())
