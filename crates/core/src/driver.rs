@@ -1,7 +1,7 @@
 //! The full compilation driver: the II loop of the paper's Figure 2 with
 //! instruction replication slotted between partitioning and scheduling.
 
-use std::cell::{OnceCell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
@@ -13,8 +13,8 @@ use cvliw_partition::{
     RefineCache, RefineScratch,
 };
 use cvliw_sched::{
-    schedule, Assignment, IiCause, LoopAnalysis, OrderStrategy, SchedScratch, Schedule,
-    ScheduleError, ScheduleRequest,
+    schedule, Assignment, IiCause, LoopAnalysis, SchedScratch, Schedule, ScheduleError,
+    ScheduleRequest,
 };
 
 use crate::engine::{EngineScratch, ReplicationEngine, ReplicationOutcome, ReplicationStats};
@@ -262,9 +262,9 @@ pub enum CompileError {
     },
     /// The compile's [`CancelToken`] fired (deadline expired or an
     /// explicit cancel) before any II produced a schedule. The partial
-    /// work — refinement chain, engine memo — stays consistent: only
-    /// fully completed steps were memoized, so the context remains safe
-    /// to reuse.
+    /// work — refinement chain, engine and schedule memos — stays
+    /// consistent: only fully completed steps were memoized, so the
+    /// context remains safe to reuse.
     Cancelled {
         /// The II the sweep was about to attempt when it observed the
         /// cancellation.
@@ -302,7 +302,8 @@ pub enum Stage {
     Partition = 1,
     /// The replication engine, value cloning and the §5.1 extension.
     Replicate = 2,
-    /// Modulo scheduling attempts (including the topological retry).
+    /// Modulo scheduling attempts (including the topological retry and
+    /// the clones served from the schedule memo).
     Schedule = 3,
 }
 
@@ -466,10 +467,39 @@ enum EngineStep {
     Stuck,
 }
 
+/// One memoized schedule attempt at `ii = mii + k` (the row it sits in):
+/// the rest of its key and its outcome.
+#[derive(Clone, Debug)]
+struct ScheduleAttempt {
+    zero_bus_dep_latency: bool,
+    assignment: Assignment,
+    outcome: Result<Schedule, ScheduleError>,
+}
+
+/// Host-independent work counts of a [`CompileContext`]: deterministic
+/// units of work that sit beside the stage clocks, so a change in how much
+/// work a compile does shows on any host, whatever its timing noise.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WorkCounts {
+    /// Schedule attempts the scheduler actually ran.
+    pub schedule_attempts_run: u64,
+    /// Schedule attempts served from the context's memo instead.
+    pub schedule_attempts_reused: u64,
+}
+
+impl WorkCounts {
+    /// Adds another tally into this one.
+    pub fn add(&mut self, other: WorkCounts) {
+        self.schedule_attempts_run += other.schedule_attempts_run;
+        self.schedule_attempts_reused += other.schedule_attempts_reused;
+    }
+}
+
 /// The per-(loop, machine) compilation context: the II-invariant
 /// [`LoopAnalysis`], the memoized refinement chain, the memoized
-/// replication-engine outcomes, and the persistent [`CompileScratch`]
-/// threaded by `&mut` through the whole attempt loop.
+/// replication-engine outcomes, the memoized schedule attempts, and the
+/// persistent [`CompileScratch`] threaded by `&mut` through the whole
+/// attempt loop.
 ///
 /// The driver's Figure-2 loop always starts from `partition_loop` at the
 /// MII and refines the *current* partition at each II bump — a chain that
@@ -481,8 +511,16 @@ enum EngineStep {
 /// is likewise a pure function of `(loop, machine, ii)` given the chain —
 /// the three replicating modes differ only *after* the engine (the §5.1
 /// extension, the zero-bus-latency relaxation) — so its per-II outcome is
-/// memoized the same way. The scratch warms up once and keeps its buffers
-/// for every II of every mode.
+/// memoized the same way. A schedule attempt is a pure function of
+/// `(loop, machine, ii, zero_bus_dep_latency, assignment)`; when replication
+/// has nothing to do, several modes hand the scheduler the same assignment
+/// at the same II, so the context memoizes every completed attempt under
+/// that key and later modes clone its outcome (debug builds re-run each hit
+/// and compare). The memos live here, not in the scratch, so a scratch
+/// recycled into another loop's context can never alias them, and they
+/// hold only completed steps, so cancellation and `max_ii` caps leave them
+/// sound. The scratch warms up once and keeps its buffers for every II of
+/// every mode.
 #[derive(Debug)]
 pub struct CompileContext {
     analysis: LoopAnalysis,
@@ -493,6 +531,11 @@ pub struct CompileContext {
     /// `engine_memo[k]` = the §3 engine outcome at `ii = mii + k`, `None`
     /// until some replicating mode first reaches that II.
     engine_memo: RefCell<Vec<Option<EngineStep>>>,
+    /// `sched_memo[k]` = every schedule attempt run at `ii = mii + k`, in
+    /// the order some mode first ran it.
+    sched_memo: RefCell<Vec<Vec<ScheduleAttempt>>>,
+    /// Schedule attempts run and reused through this context.
+    work: Cell<WorkCounts>,
     /// Parallel refinement seeds to race for the MII seed partition
     /// (1 = racing disabled; see [`CompileContext::with_refine_seeds`]).
     refine_seeds: u32,
@@ -529,6 +572,8 @@ impl CompileContext {
             initial_partition: OnceCell::new(),
             chain: RefCell::new(Vec::new()),
             engine_memo: RefCell::new(Vec::new()),
+            sched_memo: RefCell::new(Vec::new()),
+            work: Cell::new(WorkCounts::default()),
             refine_seeds: 1,
             scratch: RefCell::new(scratch),
         }
@@ -594,6 +639,14 @@ impl CompileContext {
     #[must_use]
     pub fn stage_nanos(&self) -> [u64; 4] {
         self.scratch.borrow().stage_nanos
+    }
+
+    /// How many schedule attempts every compilation run through this
+    /// context ran and reused. Deterministic: each mode's II climb is, so
+    /// the counts do not depend on the order the modes run in.
+    #[must_use]
+    pub fn work(&self) -> WorkCounts {
+        self.work.get()
     }
 
     /// The memoized `partition_loop` result at the loop's MII (racing
@@ -707,6 +760,49 @@ impl CompileContext {
         memo[k] = Some(step.clone());
         step
     }
+
+    /// The memoized schedule attempt for `req` (whose `ii` is at least the
+    /// MII): the first mode to reach an `(ii, zero_bus_dep_latency,
+    /// assignment)` runs the scheduler, later modes clone the outcome.
+    fn schedule_step(
+        &self,
+        req: &ScheduleRequest<'_>,
+        sched: &mut SchedScratch,
+    ) -> Result<Schedule, ScheduleError> {
+        let k = (req.ii - self.analysis.mii()) as usize;
+        let mut work = self.work.get();
+        let hit = self.sched_memo.borrow().get(k).and_then(|row| {
+            row.iter()
+                .find(|a| {
+                    a.zero_bus_dep_latency == req.zero_bus_dep_latency
+                        && a.assignment == *req.assignment
+                })
+                .map(|a| a.outcome.clone())
+        });
+        if let Some(outcome) = hit {
+            debug_assert_eq!(
+                outcome,
+                schedule(req, &self.analysis, sched),
+                "a memoized schedule attempt must equal a fresh one"
+            );
+            work.schedule_attempts_reused += 1;
+            self.work.set(work);
+            return outcome;
+        }
+        let outcome = schedule(req, &self.analysis, sched);
+        work.schedule_attempts_run += 1;
+        self.work.set(work);
+        let mut memo = self.sched_memo.borrow_mut();
+        if memo.len() <= k {
+            memo.resize_with(k + 1, Vec::new);
+        }
+        memo[k].push(ScheduleAttempt {
+            zero_bus_dep_latency: req.zero_bus_dep_latency,
+            assignment: req.assignment.clone(),
+            outcome: outcome.clone(),
+        });
+        outcome
+    }
 }
 
 /// Races `seeds` perturbed multilevel partitionings of `(ddg, machine)` at
@@ -783,8 +879,9 @@ pub fn compile_loop(
 }
 
 /// [`compile_loop`] on a shared [`CompileContext`]: the analysis, the
-/// refinement chain, the engine memo *and* the persistent compile scratch
-/// are reused across calls. Results are bit-identical to [`compile_loop`].
+/// refinement chain, the engine and schedule memos *and* the persistent
+/// compile scratch are reused across calls. Results are bit-identical to
+/// [`compile_loop`].
 ///
 /// # Errors
 ///
@@ -828,8 +925,9 @@ pub fn compile_loop_ctx(
     let mut bus_bound = 0u32;
     while ii <= max_ii {
         // Cooperative cancellation checkpoint: between attempts nothing
-        // is half-done — the chain and engine memos only ever hold fully
-        // completed steps — so bailing here leaves the context reusable.
+        // is half-done — the chain, engine and schedule memos only ever
+        // hold fully completed steps — so bailing here leaves the context
+        // reusable.
         if scratch.cancel.expired() {
             return Err(CompileError::Cancelled { ii_reached: ii });
         }
@@ -923,29 +1021,8 @@ pub fn compile_loop_ctx(
             ii,
             zero_bus_dep_latency: opts.mode == Mode::ZeroBusLatency,
         };
-        // Swing ordering first (best quality); if its sweeps sandwiched a
-        // node into a window that cannot open, retry with a topological
-        // order, whose windows provably relax as the II grows. When both
-        // fail, the topological failure carries the honest cause — a swing
-        // window-closure may be an ordering artifact, while topological
-        // windows only close under genuine recurrence pressure.
         let started = Instant::now();
-        let attempt = schedule(&request, OrderStrategy::Swing, analysis, &mut scratch.sched)
-            .or_else(|first| {
-                if matches!(
-                    first,
-                    ScheduleError::Recurrence { .. } | ScheduleError::CopySlots { .. }
-                ) {
-                    schedule(
-                        &request,
-                        OrderStrategy::Topological,
-                        analysis,
-                        &mut scratch.sched,
-                    )
-                } else {
-                    Err(first)
-                }
-            });
+        let attempt = ctx.schedule_step(&request, &mut scratch.sched);
         scratch.stage_nanos[Stage::Schedule as usize] += elapsed_nanos(started);
         match attempt {
             Ok(sched) => {

@@ -78,7 +78,7 @@ pub use cvliw_sched::LoopAnalysis;
 pub use driver::{
     compile_loop, compile_loop_ctx, compile_stats, compile_stats_ctx, CancelToken, CauseCounts,
     CompileContext, CompileError, CompileOptions, CompileScratch, CompiledLoop, LoopStats, Mode,
-    Stage,
+    Stage, WorkCounts,
 };
 pub use engine::{EngineScratch, ReplicationEngine, ReplicationOutcome, ReplicationStats};
 pub use fingerprint::{fnv1a_64, loop_fingerprint};

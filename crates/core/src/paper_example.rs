@@ -299,7 +299,6 @@ mod tests {
                 ii: FIG3_II,
                 zero_bus_dep_latency: false,
             },
-            cvliw_sched::OrderStrategy::Swing,
             &analysis,
             &mut cvliw_sched::SchedScratch::default(),
         )

@@ -16,7 +16,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use cvliw_replicate::Stage;
+use cvliw_replicate::{Stage, WorkCounts};
 
 use crate::grid::SuiteGrid;
 use crate::runner::{prepare, run_pool, SuiteError};
@@ -73,6 +73,10 @@ pub struct BenchReport {
     /// replicate, schedule). Shows where compile time goes so a perf PR
     /// can aim before it fires.
     pub stage_ms: [f64; 4],
+    /// Host-independent work counts of the last measured run. Every run
+    /// compiles the same grid, so every run counts the same, at any worker
+    /// count.
+    pub work: WorkCounts,
     /// Median per-pair timings, spec-major then program (grid order).
     pub pairs: Vec<PairTiming>,
     /// The slowest pairs (at most ten), heaviest first, each with its
@@ -125,18 +129,20 @@ pub fn bench_suite(
     let mut pair_stage_samples: Vec<[Vec<f64>; 4]> = (0..prep.pair_count())
         .map(|_| std::array::from_fn(|_| Vec::with_capacity(runs)))
         .collect();
+    let mut work = WorkCounts::default();
     for _ in 0..runs {
         let started = Instant::now();
-        let (_, pair_nanos, pair_stages) = run_pool(&prep, jobs);
+        let run = run_pool(&prep, jobs);
         run_wall_ms.push(started.elapsed().as_secs_f64() * 1e3);
-        for (samples, nanos) in pair_samples.iter_mut().zip(&pair_nanos) {
+        work = run.work;
+        for (samples, nanos) in pair_samples.iter_mut().zip(&run.pair_nanos) {
             samples.push(*nanos as f64 / 1e6);
         }
         for (stage, samples) in stage_samples.iter_mut().enumerate() {
-            let total: u64 = pair_stages.iter().map(|s| s[stage]).sum();
+            let total: u64 = run.pair_stages.iter().map(|s| s[stage]).sum();
             samples.push(total as f64 / 1e6);
         }
-        for (per_pair, stages) in pair_stage_samples.iter_mut().zip(&pair_stages) {
+        for (per_pair, stages) in pair_stage_samples.iter_mut().zip(&run.pair_stages) {
             for (samples, &nanos) in per_pair.iter_mut().zip(stages.iter()) {
                 samples.push(nanos as f64 / 1e6);
             }
@@ -191,6 +197,7 @@ pub fn bench_suite(
         total_wall_ms,
         cells_per_sec: cells as f64 / (total_wall_ms / 1e3),
         stage_ms,
+        work,
         pairs,
         pairs_top,
         serve: None,
@@ -231,6 +238,19 @@ pub fn emit_bench_json(report: &BenchReport) -> String {
             "\n"
         });
     }
+    // Deterministic work counts beside the clocks. No key here may be a
+    // stage name: CI's gate reads the first line holding `"<stage>":`.
+    o.push_str("  },\n  \"work\": {\n");
+    let _ = writeln!(
+        o,
+        "    \"schedule_attempts_run\": {},",
+        report.work.schedule_attempts_run
+    );
+    let _ = writeln!(
+        o,
+        "    \"schedule_attempts_reused\": {}",
+        report.work.schedule_attempts_reused
+    );
     // Per-stage share of the median total wall clock. On one worker the
     // shares nearly sum to 1; with more workers (or seed racing) the
     // buckets are CPU time against an elapsed total, so the sum exceeds it.
@@ -381,6 +401,43 @@ mod tests {
             bench_suite(&grid, 1, 1, 0),
             Err(SuiteError::Spec { .. })
         ));
+    }
+
+    #[test]
+    fn work_counts_are_identical_across_runs_and_jobs() {
+        let grid = SuiteGrid::paper()
+            .with_programs(vec!["tomcatv".into(), "wave5".into()])
+            .with_specs(vec!["2c1b2l64r".into(), "4c1b2l64r".into()])
+            .with_max_loops(2);
+        let first = bench_suite(&grid, 1, 1, 0).unwrap().work;
+        let second = bench_suite(&grid, 1, 1, 0).unwrap().work;
+        let two_jobs = bench_suite(&grid, 2, 2, 0).unwrap().work;
+        assert_eq!(first, second, "two runs counted differently");
+        assert_eq!(first, two_jobs, "--jobs 2 counted differently");
+        assert!(first.schedule_attempts_run > 0);
+        assert!(
+            first.schedule_attempts_reused > 0,
+            "all five modes share each context, so some attempt repeats: {first:?}"
+        );
+    }
+
+    #[test]
+    fn work_section_follows_stage_ms_and_names_no_stage() {
+        let report = bench_suite(&tiny_grid(), 1, 1, 0).unwrap();
+        let json = emit_bench_json(&report);
+        let work = json.find("\"work\"").expect("work section");
+        let stage_ms = json.find("\"stage_ms\"").unwrap();
+        let stage_share = json.find("\"stage_share\"").unwrap();
+        assert!(stage_ms < work && work < stage_share);
+        let section = &json[work..stage_share];
+        assert!(section.contains(&format!(
+            "\"schedule_attempts_run\": {}",
+            report.work.schedule_attempts_run
+        )));
+        assert!(section.contains("\"schedule_attempts_reused\""));
+        for stage in Stage::ALL {
+            assert!(!section.contains(&format!("\"{}\":", stage.name())));
+        }
     }
 
     #[test]

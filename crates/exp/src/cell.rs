@@ -11,7 +11,7 @@
 use cvliw_machine::MachineConfig;
 use cvliw_replicate::{
     compile_loop, compile_stats, compile_stats_ctx, CompileContext, CompileOptions, CompileScratch,
-    LoopStats, Mode,
+    LoopStats, Mode, WorkCounts,
 };
 use cvliw_sim::IpcAccumulator;
 use cvliw_workloads::{BenchmarkProgram, WorkloadLoop};
@@ -140,8 +140,8 @@ fn ratio(num: u64, den: u64) -> f64 {
 /// The suite's atomic unit of work: one loop of one (machine, program)
 /// pair under every mode of `cells`, on one [`CompileContext`] built over
 /// a recycled [`CompileScratch`]. Returns the per-mode outcome (`None` =
-/// compile failure), the context's per-stage wall clock, and the scratch
-/// for the caller's next unit.
+/// compile failure), the context's per-stage wall clock and work counts,
+/// and the scratch for the caller's next unit.
 ///
 /// `refine_seeds > 1` races that many perturbed refinements per loop for
 /// the MII seed partition (deterministic winner; see
@@ -154,7 +154,7 @@ pub(crate) fn compile_loop_all_modes(
     cells: &[CellSpec],
     refine_seeds: u32,
     scratch: CompileScratch,
-) -> (Vec<Option<LoopStats>>, [u64; 4], CompileScratch) {
+) -> (Vec<Option<LoopStats>>, [u64; 4], WorkCounts, CompileScratch) {
     let ctx =
         CompileContext::new_with_scratch(&l.ddg, machine, scratch).with_refine_seeds(refine_seeds);
     let per_mode = cells
@@ -168,7 +168,8 @@ pub(crate) fn compile_loop_all_modes(
         })
         .collect();
     let stages = ctx.stage_nanos();
-    (per_mode, stages, ctx.into_scratch())
+    let work = ctx.work();
+    (per_mode, stages, work, ctx.into_scratch())
 }
 
 /// Folds one loop's per-mode outcomes into the pair's cell accumulators,

@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use cvliw_machine::{MachineConfig, SpecError};
-use cvliw_replicate::{CompileScratch, LoopStats};
+use cvliw_replicate::{CompileScratch, LoopStats, WorkCounts};
 use cvliw_workloads::{program, program_subset, BenchmarkProgram};
 
 use crate::cell::{compile_loop_all_modes, fold_loop, CellResult};
@@ -178,13 +178,25 @@ pub(crate) fn prepare(grid: &SuiteGrid) -> Result<PreparedSuite, SuiteError> {
 }
 
 /// One compiled unit of the pool: the per-mode outcomes of one loop, the
-/// context's per-stage clocks, and the unit's wall time.
-type LoopUnitResult = (Vec<Option<LoopStats>>, [u64; 4], u64);
+/// context's per-stage clocks and work counts, and the unit's wall time.
+type LoopUnitResult = (Vec<Option<LoopStats>>, [u64; 4], WorkCounts, u64);
+
+/// What one pass of the worker pool produced.
+pub(crate) struct PoolRun {
+    /// Per-cell results in grid order.
+    pub(crate) results: Vec<CellResult>,
+    /// Each pair's nanoseconds (indexed `spec-major × program`).
+    pub(crate) pair_nanos: Vec<u64>,
+    /// Each pair's per-stage nanoseconds, same indexing.
+    pub(crate) pair_stages: Vec<[u64; 4]>,
+    /// The work counts of every unit, summed.
+    pub(crate) work: WorkCounts,
+}
 
 /// Runs the worker pool over the grid, returning the per-cell results in
-/// grid order plus each pair's nanoseconds and per-stage nanoseconds
-/// (indexed `spec-major × program`; the bench harness reads them, plain
-/// suite runs drop them).
+/// grid order plus each pair's nanoseconds and per-stage nanoseconds and
+/// the summed work counts (the bench harness reads the measurements,
+/// plain suite runs drop them).
 ///
 /// The unit of work is one **loop** of one pair: the heavy su2cor/fpppp
 /// pairs do not serialize a whole worker each, so `--jobs N` cuts the
@@ -194,10 +206,7 @@ type LoopUnitResult = (Vec<Option<LoopStats>>, [u64; 4], u64);
 /// *dispatched* longest-pair-first (see [`PreparedSuite::dispatch`]) but
 /// every result lands in its grid-order slot. Each worker recycles one
 /// [`CompileScratch`] across all the units it runs.
-pub(crate) fn run_pool(
-    prep: &PreparedSuite,
-    jobs: usize,
-) -> (Vec<CellResult>, Vec<u64>, Vec<[u64; 4]>) {
+pub(crate) fn run_pool(prep: &PreparedSuite, jobs: usize) -> PoolRun {
     let n_pairs = prep.pair_count();
 
     // Flat (pair, loop) units in dispatch order: the heaviest pair's loops
@@ -236,7 +245,7 @@ pub(crate) fn run_pool(
                     let (k, li) = units[u];
                     let (s, j) = (k / prep.n_programs, k % prep.n_programs);
                     let started = Instant::now();
-                    let (per_mode, stages, recycled) = compile_loop_all_modes(
+                    let (per_mode, stages, work, recycled) = compile_loop_all_modes(
                         &prep.programs[j].loops[li],
                         &prep.machines[s],
                         &pair_cells[k],
@@ -246,7 +255,7 @@ pub(crate) fn run_pool(
                     scratch = recycled;
                     let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     slots[u]
-                        .set((per_mode, stages, nanos))
+                        .set((per_mode, stages, work, nanos))
                         .expect("each unit index is claimed exactly once");
                 }
             });
@@ -259,8 +268,9 @@ pub(crate) fn run_pool(
     let mut results: Vec<CellResult> = prep.cells.iter().map(CellResult::empty).collect();
     let mut nanos = vec![0u64; n_pairs];
     let mut stages = vec![[0u64; 4]; n_pairs];
+    let mut work = WorkCounts::default();
     for (slot, &(k, li)) in slots.into_iter().zip(units.iter()) {
-        let (per_mode, unit_stages, unit_nanos) =
+        let (per_mode, unit_stages, unit_work, unit_nanos) =
             slot.into_inner().expect("pool completed every unit");
         let (s, j) = (k / prep.n_programs, k % prep.n_programs);
         // The pair's cells sit one program-stride apart (mode-major).
@@ -273,8 +283,14 @@ pub(crate) fn run_pool(
         for (total, stage) in stages[k].iter_mut().zip(unit_stages) {
             *total += stage;
         }
+        work.add(unit_work);
     }
-    (results, nanos, stages)
+    PoolRun {
+        results,
+        pair_nanos: nanos,
+        pair_stages: stages,
+        work,
+    }
 }
 
 /// Runs every cell of `grid` on a pool of `jobs` worker threads and
@@ -289,8 +305,8 @@ pub(crate) fn run_pool(
 /// or the grid is empty — all validated before any worker starts.
 pub fn run_suite(grid: &SuiteGrid, jobs: usize) -> Result<SuiteReport, SuiteError> {
     let prep = prepare(grid)?;
-    let (results, _timings, _stages) = run_pool(&prep, jobs);
-    Ok(SuiteReport::new(grid, results, &prep.programs))
+    let run = run_pool(&prep, jobs);
+    Ok(SuiteReport::new(grid, run.results, &prep.programs))
 }
 
 #[cfg(test)]

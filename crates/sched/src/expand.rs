@@ -97,9 +97,7 @@ impl Expansion {
 /// ```
 /// use cvliw_ddg::{Ddg, OpKind};
 /// use cvliw_machine::MachineConfig;
-/// use cvliw_sched::{
-///     expand, schedule, Assignment, LoopAnalysis, OrderStrategy, SchedScratch, ScheduleRequest,
-/// };
+/// use cvliw_sched::{expand, schedule, Assignment, LoopAnalysis, SchedScratch, ScheduleRequest};
 ///
 /// let mut b = Ddg::builder();
 /// let ld = b.add_node(OpKind::Load);
@@ -116,7 +114,6 @@ impl Expansion {
 ///         ii: 2,
 ///         zero_bus_dep_latency: false,
 ///     },
-///     OrderStrategy::Swing,
 ///     &LoopAnalysis::new(&ddg, &machine),
 ///     &mut SchedScratch::default(),
 /// )?;

@@ -27,9 +27,7 @@
 //! ```
 //! use cvliw_ddg::{Ddg, OpKind};
 //! use cvliw_machine::MachineConfig;
-//! use cvliw_sched::{
-//!     schedule, Assignment, LoopAnalysis, OrderStrategy, SchedScratch, ScheduleRequest,
-//! };
+//! use cvliw_sched::{schedule, Assignment, LoopAnalysis, SchedScratch, ScheduleRequest};
 //!
 //! let mut b = Ddg::builder();
 //! let ld = b.add_node(OpKind::Load);
@@ -47,7 +45,6 @@
 //!         ii: 2,
 //!         zero_bus_dep_latency: false,
 //!     },
-//!     OrderStrategy::Swing,
 //!     &LoopAnalysis::new(&ddg, &machine),
 //!     &mut SchedScratch::default(),
 //! )?;
@@ -84,6 +81,4 @@ pub use regalloc::{
 pub use regs::{
     lifetime_of, live_ranges, max_live, max_live_scratch, peak_pressure, Range, RegScratch,
 };
-pub use schedule::{
-    schedule, CopyPlacement, OrderStrategy, SchedOp, SchedScratch, Schedule, ScheduleRequest,
-};
+pub use schedule::{schedule, CopyPlacement, SchedOp, SchedScratch, Schedule, ScheduleRequest};

@@ -118,8 +118,7 @@ impl std::error::Error for OutOfRegisters {}
 /// use cvliw_ddg::{Ddg, OpKind};
 /// use cvliw_machine::MachineConfig;
 /// use cvliw_sched::{
-///     allocate_registers, schedule, Assignment, LoopAnalysis, OrderStrategy, SchedScratch,
-///     ScheduleRequest,
+///     allocate_registers, schedule, Assignment, LoopAnalysis, SchedScratch, ScheduleRequest,
 /// };
 ///
 /// let mut b = Ddg::builder();
@@ -137,7 +136,6 @@ impl std::error::Error for OutOfRegisters {}
 ///         ii: 1,
 ///         zero_bus_dep_latency: false,
 ///     },
-///     OrderStrategy::Swing,
 ///     &LoopAnalysis::new(&ddg, &machine),
 ///     &mut SchedScratch::default(),
 /// )?;

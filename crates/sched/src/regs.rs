@@ -37,11 +37,14 @@ impl Range {
 }
 
 /// Reusable buffers for [`max_live_scratch`]: the collected live ranges,
-/// the flat per-(cluster, slot) pressure table and the per-cluster peaks.
-/// One scratch serves every scheduling attempt of a compilation.
+/// the per-value copy-destination list, the flat per-(cluster, slot)
+/// pressure table and the per-cluster peaks. One scratch serves every
+/// scheduling attempt of a compilation.
 #[derive(Clone, Debug, Default)]
 pub struct RegScratch {
     ranges: Vec<Range>,
+    /// `(destination cluster, last use)` of the copy being collected.
+    dest_last: Vec<(u8, i64)>,
     /// `pressure[cluster·ii + slot]`.
     pressure: Vec<u32>,
     peaks: Vec<u32>,
@@ -51,9 +54,9 @@ pub struct RegScratch {
 /// the accounting rules).
 #[must_use]
 pub fn live_ranges(schedule: &Schedule, ddg: &Ddg, machine: &MachineConfig) -> Vec<Range> {
-    let mut ranges = Vec::new();
-    collect_ranges_into(schedule, ddg, machine, &mut ranges);
-    ranges
+    let mut scratch = RegScratch::default();
+    collect_ranges_into(schedule, ddg, machine, &mut scratch);
+    scratch.ranges
 }
 
 /// Computes the per-cluster MaxLive of a schedule.
@@ -81,7 +84,7 @@ pub fn max_live_scratch<'s>(
     machine: &MachineConfig,
     scratch: &'s mut RegScratch,
 ) -> &'s [u32] {
-    collect_ranges_into(schedule, ddg, machine, &mut scratch.ranges);
+    collect_ranges_into(schedule, ddg, machine, scratch);
     let ii = i64::from(schedule.ii());
     let clusters = machine.clusters() as usize;
     let slots = ii as usize;
@@ -112,13 +115,18 @@ pub fn max_live_scratch<'s>(
     &scratch.peaks
 }
 
+/// Collects every live range into `scratch.ranges`, using
+/// `scratch.dest_last` as the per-copy destination buffer.
 fn collect_ranges_into(
     schedule: &Schedule,
     ddg: &Ddg,
     machine: &MachineConfig,
-    ranges: &mut Vec<Range>,
+    scratch: &mut RegScratch,
 ) {
     let ii = i64::from(schedule.ii());
+    let RegScratch {
+        ranges, dest_last, ..
+    } = scratch;
     ranges.clear();
 
     for n in ddg.node_ids() {
@@ -155,7 +163,7 @@ fn collect_ranges_into(
 
         // Copy destinations.
         if let Some(cp) = copy {
-            let mut dest_last: Vec<(u8, i64)> = Vec::new();
+            dest_last.clear();
             for e in ddg.out_edges(n) {
                 if !e.is_data() {
                     continue;
@@ -172,7 +180,7 @@ fn collect_ranges_into(
                     }
                 }
             }
-            for (c, last_use) in dest_last {
+            for &(c, last_use) in dest_last.iter() {
                 ranges.push(Range {
                     value: n,
                     cluster: c,

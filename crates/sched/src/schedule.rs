@@ -396,40 +396,35 @@ impl Schedule {
     }
 }
 
-/// Which node ordering drives the backtracking-free placer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OrderStrategy {
-    /// Swing modulo scheduling ([`crate::LoopAnalysis::sms_order`]): best
-    /// schedule quality, but its alternating sweeps can sandwich a join
-    /// node between already placed neighbours whose distance-0 window
-    /// never opens, failing at every II.
-    #[default]
-    Swing,
-    /// Topological order: when placing a node only its predecessors (and
-    /// loop-carried successors, whose bound relaxes with the II) are
-    /// scheduled, so placement always succeeds at a large enough II. Used
-    /// as the driver's fallback.
-    Topological,
-}
-
 /// Chooses the cluster a value's copy reads from (the shared
 /// [`Assignment::copy_source`] rule).
 fn copy_source(assignment: &Assignment, n: NodeId) -> u8 {
     assignment.copy_source(n)
 }
 
-/// The per-attempt operation arena: every schedulable op gets a compact
-/// dense id (its index in `ops`), and all attempt-local state — dependence
+/// The per-call operation arena: every schedulable op gets a compact
+/// dense id (its index in `ops`), and all call-local state — dependence
 /// arcs, placements, bus choices — lives in plain `Vec`s indexed by that
 /// id instead of `BTreeMap<SchedOp, _>` lookups on the hot placement path.
+///
+/// Ids are node-major: node 0's instances (copy source first, then the
+/// other clusters ascending), then node 0's copy, then node 1's ops, and
+/// so on; `node_start[n]..node_start[n + 1]` are node `n`'s ids. The
+/// numbering depends on no node order, so one arena serves both the swing
+/// and the topological placement pass, each walking its own visit list
+/// (its node order expanded through `node_start`). Arc lists keep the
+/// DDG's edge order, so the numbering never changes a placement decision.
 ///
 /// The arena is a clear-and-reuse workspace: [`OpArena::reset`] empties it
 /// without releasing its buffers, so the driver's II loop re-populates the
 /// same allocations attempt after attempt (see [`SchedScratch`]).
 #[derive(Clone, Debug, Default)]
 struct OpArena {
-    /// Ops in placement order; the index is the op's id.
+    /// Ops in node-major order; the index is the op's id.
     ops: Vec<SchedOp>,
+    /// `node → id` of the node's first op; one trailing entry closes the
+    /// last node's range.
+    node_start: Vec<u32>,
     /// `node · clusters + cluster → id` (`u32::MAX` when absent).
     instance_id: Vec<u32>,
     /// `node → id` of the node's bus copy (`u32::MAX` when absent).
@@ -459,6 +454,7 @@ impl OpArena {
     /// keeping every buffer's capacity.
     fn reset(&mut self, nodes: usize, clusters: usize) {
         self.ops.clear();
+        self.node_start.clear();
         self.instance_id.clear();
         self.instance_id.resize(nodes * clusters, u32::MAX);
         self.copy_id.clear();
@@ -480,16 +476,27 @@ impl OpArena {
             self.succs.resize_with(n_ops, Vec::new);
         }
     }
+
+    /// Fills `visit` with the ids of every op in `node_order`, each node's
+    /// ops in arena order.
+    fn visit_list(&self, node_order: &[NodeId], visit: &mut Vec<u32>) {
+        visit.clear();
+        for &nd in node_order {
+            visit.extend(self.node_start[nd.index()]..self.node_start[nd.index() + 1]);
+        }
+    }
 }
 
 /// The scheduler's persistent per-compilation workspace: the operation
-/// arena, the modulo reservation table, the placement arrays, the
-/// communicated list and the MaxLive buffers. One `SchedScratch`, reset between
-/// attempts, replaces the per-II allocations the attempt loop used to make;
-/// results are bit-identical to the scratch-free entry points.
+/// arena, the visit list, the modulo reservation table, the placement
+/// arrays, the communicated list and the MaxLive buffers. One
+/// `SchedScratch`, reset between calls, replaces the per-II allocations the
+/// attempt loop used to make; results are bit-identical to a fresh scratch.
 #[derive(Clone, Debug)]
 pub struct SchedScratch {
     arena: OpArena,
+    /// The current placement pass's op ids, in visiting order.
+    visit: Vec<u32>,
     communicated: Vec<NodeId>,
     /// Per-node cluster ordering buffer (copy source first).
     cs: Vec<u8>,
@@ -503,21 +510,41 @@ impl Default for SchedScratch {
     fn default() -> Self {
         SchedScratch {
             arena: OpArena::default(),
+            visit: Vec::new(),
             communicated: Vec::new(),
             cs: Vec::new(),
             placed: Vec::new(),
             bus_of: Vec::new(),
-            // The scheduler resets the table for every attempt's machine
-            // and II before any query, so the unsized state never leaks.
+            // The scheduler resets the table for every pass's machine and
+            // II before any query, so the unsized state never leaks.
             mrt: Mrt::unset(),
             regs: RegScratch::default(),
         }
     }
 }
 
-/// Builds the arena in `scratch`: the operation list in the requested node
-/// order, the dense id maps and the dependence arcs.
-fn build_arena(req: &ScheduleRequest<'_>, node_order: &[NodeId], scratch: &mut SchedScratch) {
+/// Aggregate bandwidth check (IIpart ≤ II in the paper's driver): exact on
+/// shared buses; a sound necessary condition on point-to-point fabrics,
+/// where each copy books at least one link slot. Leaves the communicated
+/// values, sorted, in `scratch.communicated`.
+fn check_bandwidth(
+    req: &ScheduleRequest<'_>,
+    scratch: &mut SchedScratch,
+) -> Result<(), ScheduleError> {
+    req.assignment
+        .communicated_into(req.ddg, &mut scratch.communicated);
+    let needed = scratch.communicated.len() as u32;
+    let capacity = req.machine.coms_capacity_per_ii(req.ii);
+    if needed > capacity {
+        return Err(ScheduleError::Bus { needed, capacity });
+    }
+    Ok(())
+}
+
+/// Builds the node-major arena in `scratch`: the operation list, the dense
+/// id maps and the dependence arcs. Reads `scratch.communicated`, so
+/// [`check_bandwidth`] runs first.
+fn build_arena(req: &ScheduleRequest<'_>, scratch: &mut SchedScratch) {
     let ddg = req.ddg;
     let asg = req.assignment;
     let machine = req.machine;
@@ -528,7 +555,8 @@ fn build_arena(req: &ScheduleRequest<'_>, node_order: &[NodeId], scratch: &mut S
     let clusters = machine.clusters() as usize;
     let arena = &mut scratch.arena;
     arena.reset(n, clusters);
-    for &nd in node_order {
+    for nd in ddg.node_ids() {
+        arena.node_start.push(arena.ops.len() as u32);
         let cs = &mut scratch.cs;
         cs.clear();
         cs.extend(asg.instances(nd).iter());
@@ -543,6 +571,7 @@ fn build_arena(req: &ScheduleRequest<'_>, node_order: &[NodeId], scratch: &mut S
             arena.ops.push(SchedOp::Copy(nd));
         }
     }
+    arena.node_start.push(arena.ops.len() as u32);
     let n_ops = arena.ops.len();
     arena.reset_arcs(n_ops);
 
@@ -593,13 +622,22 @@ fn build_arena(req: &ScheduleRequest<'_>, node_order: &[NodeId], scratch: &mut S
 /// Modulo-schedules one loop at a fixed initiation interval.
 ///
 /// Follows the paper's base scheduler (§2.3.2): operations are visited in
-/// the `strategy` order read from the cached [`LoopAnalysis`] (swing by
-/// default, see [`OrderStrategy`]), and each is placed as close as possible
-/// to its already-scheduled neighbours without backtracking. Copies occupy
-/// buses; instances occupy functional units. Every attempt-local buffer —
-/// the arena, reservation table, placement arrays and MaxLive buffers — is
-/// drawn from `scratch`, which is fully reset first, so a scratch reused
-/// across attempts yields the same schedules as a fresh one.
+/// the swing order read from the cached [`LoopAnalysis`], and each is
+/// placed as close as possible to its already-scheduled neighbours without
+/// backtracking. Copies occupy buses; instances occupy functional units.
+///
+/// The swing order gives the best schedules, but its alternating sweeps
+/// can sandwich a node between placed neighbours whose window never opens.
+/// When swing placement fails that way (a recurrence or copy-slot window
+/// closed), the call retries in topological order, whose windows provably
+/// relax as the II grows; the topological failure then carries the honest
+/// cause. The bandwidth check and the dependence arena are built once and
+/// serve both passes.
+///
+/// Every call-local buffer — the arena, visit list, reservation table,
+/// placement arrays and MaxLive buffers — is drawn from `scratch`, which
+/// is fully reset first, so a scratch reused across calls yields the same
+/// schedules as a fresh one.
 ///
 /// # Errors
 ///
@@ -607,30 +645,47 @@ fn build_arena(req: &ScheduleRequest<'_>, node_order: &[NodeId], scratch: &mut S
 /// driver is expected to increase the II and retry (Figure 2 of the paper).
 pub fn schedule(
     req: &ScheduleRequest<'_>,
-    strategy: OrderStrategy,
     analysis: &LoopAnalysis,
     scratch: &mut SchedScratch,
 ) -> Result<Schedule, ScheduleError> {
-    let node_order = match strategy {
-        OrderStrategy::Swing => analysis.sms_order(),
-        OrderStrategy::Topological => analysis.topo_order(),
-    };
+    assert!(req.ii > 0, "initiation interval must be positive");
+    check_bandwidth(req, scratch)?;
+    build_arena(req, scratch);
+    place_in_order(req, analysis.sms_order(), scratch).or_else(|first| {
+        if matches!(
+            first,
+            ScheduleError::Recurrence { .. } | ScheduleError::CopySlots { .. }
+        ) {
+            place_in_order(req, analysis.topo_order(), scratch)
+        } else {
+            Err(first)
+        }
+    })
+}
+
+/// One placement pass over the arena already built in `scratch`, visiting
+/// the nodes in `node_order`.
+fn place_in_order(
+    req: &ScheduleRequest<'_>,
+    node_order: &[NodeId],
+    scratch: &mut SchedScratch,
+) -> Result<Schedule, ScheduleError> {
+    let mut visit = std::mem::take(&mut scratch.visit);
+    scratch.arena.visit_list(node_order, &mut visit);
+    let out = place(req, &visit, scratch);
+    scratch.visit = visit;
+    out
+}
+
+/// Places the arena's ops in `visit` order on a fresh reservation table,
+/// assembles the schedule and applies the register-pressure gate.
+fn place(
+    req: &ScheduleRequest<'_>,
+    visit: &[u32],
+    scratch: &mut SchedScratch,
+) -> Result<Schedule, ScheduleError> {
     let machine = req.machine;
     let ii = req.ii;
-    assert!(ii > 0, "initiation interval must be positive");
-
-    // Aggregate bandwidth check (IIpart ≤ II in the paper's driver):
-    // exact on shared buses; a sound necessary condition on point-to-point
-    // fabrics, where each copy books at least one link slot.
-    req.assignment
-        .communicated_into(req.ddg, &mut scratch.communicated);
-    let needed = scratch.communicated.len() as u32;
-    let capacity = machine.coms_capacity_per_ii(ii);
-    if needed > capacity {
-        return Err(ScheduleError::Bus { needed, capacity });
-    }
-
-    build_arena(req, node_order, scratch);
     let arena = &scratch.arena;
     let n_ops = arena.ops.len();
 
@@ -651,7 +706,8 @@ pub fn schedule(
     // pair-addressed.
     let pair_addressed = !machine.interconnect().is_shared_bus();
 
-    for id in 0..n_ops {
+    for &id in visit {
+        let id = id as usize;
         let op = arena.ops[id];
         // The copy's routing, resolved once per operation (not per slot).
         let (copy_src, copy_dests) = match op {
@@ -839,15 +895,10 @@ pub(crate) mod tests {
         (b.build().unwrap(), Assignment::from_partition(&[0, 0, 0]))
     }
 
-    /// One swing-ordered attempt on a fresh analysis and scratch.
+    /// One attempt on a fresh analysis and scratch.
     pub(crate) fn schedule_fresh(req: &ScheduleRequest<'_>) -> Result<Schedule, ScheduleError> {
         let analysis = LoopAnalysis::new(req.ddg, req.machine);
-        schedule(
-            req,
-            OrderStrategy::Swing,
-            &analysis,
-            &mut SchedScratch::default(),
-        )
+        schedule(req, &analysis, &mut SchedScratch::default())
     }
 
     fn request<'a>(
@@ -1141,6 +1192,285 @@ pub(crate) mod tests {
                     "{spec}: tampered schedule must fail with an oversubscribed link, got {:?}",
                     bad.verify(&ddg, &m)
                 );
+            }
+        }
+    }
+
+    /// The node-major arena against the order-major one it replaced: the
+    /// old arena numbered ops in placement order, so walking it by id was
+    /// the placement pass. Both must give the same schedule or error for
+    /// either node order, and [`schedule`] must equal the old driver's
+    /// swing-then-topological composition.
+    mod arena_oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The order-major arena, kept verbatim as the oracle: the
+        /// operation list in the requested node order, the dense id maps
+        /// and the dependence arcs.
+        fn build_arena_order_major(
+            req: &ScheduleRequest<'_>,
+            node_order: &[NodeId],
+            scratch: &mut SchedScratch,
+        ) {
+            let ddg = req.ddg;
+            let asg = req.assignment;
+            let machine = req.machine;
+            let communicated = &scratch.communicated;
+            let is_com = |n: NodeId| communicated.binary_search(&n).is_ok();
+
+            let n = ddg.node_count();
+            let clusters = machine.clusters() as usize;
+            let arena = &mut scratch.arena;
+            arena.reset(n, clusters);
+            for &nd in node_order {
+                let cs = &mut scratch.cs;
+                cs.clear();
+                cs.extend(asg.instances(nd).iter());
+                let src = copy_source(asg, nd);
+                cs.sort_by_key(|&c| (c != src, c));
+                for &c in cs.iter() {
+                    arena.instance_id[nd.index() * clusters + c as usize] = arena.ops.len() as u32;
+                    arena.ops.push(SchedOp::Instance(nd, c));
+                }
+                if is_com(nd) {
+                    arena.copy_id[nd.index()] = arena.ops.len() as u32;
+                    arena.ops.push(SchedOp::Copy(nd));
+                }
+            }
+            let n_ops = arena.ops.len();
+            arena.reset_arcs(n_ops);
+
+            for e in ddg.edges() {
+                let lat = i64::from(machine.latency(ddg.kind(e.src)));
+                let dist = i64::from(e.distance);
+                match e.kind {
+                    DepKind::Mem => {
+                        for cu in asg.instances(e.src).iter() {
+                            for cv in asg.instances(e.dst).iter() {
+                                let (from, to) =
+                                    (arena.instance(e.src, cu), arena.instance(e.dst, cv));
+                                arena.arc(from, to, lat, dist);
+                            }
+                        }
+                    }
+                    DepKind::Data => {
+                        let src_set = asg.instances(e.src);
+                        for c in asg.instances(e.dst).iter() {
+                            let to = arena.instance(e.dst, c);
+                            if src_set.contains(c) {
+                                let from = arena.instance(e.src, c);
+                                arena.arc(from, to, lat, dist);
+                            } else {
+                                debug_assert!(is_com(e.src), "missing value must be communicated");
+                                let from = arena.copy(e.src);
+                                // Delivery latency of the copy into this consumer's
+                                // cluster: pair-dependent on point-to-point
+                                // fabrics, the flat bus latency on shared buses.
+                                let dep_lat = if req.zero_bus_dep_latency {
+                                    0
+                                } else {
+                                    i64::from(machine.transfer_latency(copy_source(asg, e.src), c))
+                                };
+                                arena.arc(from, to, dep_lat, dist);
+                            }
+                        }
+                    }
+                }
+            }
+            for &nd in communicated {
+                let src = copy_source(asg, nd);
+                let lat = i64::from(machine.latency(ddg.kind(nd)));
+                let (from, to) = (arena.instance(nd, src), arena.copy(nd));
+                arena.arc(from, to, lat, 0);
+            }
+        }
+
+        /// One pass in `node_order` on the order-major arena, walked by id.
+        fn order_major(
+            req: &ScheduleRequest<'_>,
+            node_order: &[NodeId],
+            scratch: &mut SchedScratch,
+        ) -> Result<Schedule, ScheduleError> {
+            check_bandwidth(req, scratch)?;
+            build_arena_order_major(req, node_order, scratch);
+            let identity: Vec<u32> = (0..scratch.arena.ops.len() as u32).collect();
+            place(req, &identity, scratch)
+        }
+
+        /// One pass in `node_order` on the node-major arena.
+        fn node_major(
+            req: &ScheduleRequest<'_>,
+            node_order: &[NodeId],
+            scratch: &mut SchedScratch,
+        ) -> Result<Schedule, ScheduleError> {
+            check_bandwidth(req, scratch)?;
+            build_arena(req, scratch);
+            place_in_order(req, node_order, scratch)
+        }
+
+        /// An op with its incoming and outgoing arcs, named by op.
+        type VisitedOp = (SchedOp, Vec<(SchedOp, i64, i64)>, Vec<(SchedOp, i64, i64)>);
+
+        /// The arena in `scratch` as the placement pass sees it: every op
+        /// of `visit` in order, with its arcs in list order.
+        fn visited(scratch: &SchedScratch, visit: &[u32]) -> Vec<VisitedOp> {
+            let arena = &scratch.arena;
+            let named = |arcs: &[(u32, i64, i64)]| {
+                arcs.iter()
+                    .map(|&(id, lat, dist)| (arena.ops[id as usize], lat, dist))
+                    .collect()
+            };
+            visit
+                .iter()
+                .map(|&id| {
+                    let id = id as usize;
+                    (
+                        arena.ops[id],
+                        named(&arena.preds[id]),
+                        named(&arena.succs[id]),
+                    )
+                })
+                .collect()
+        }
+
+        /// SplitMix64: the generated loops are a pure function of the seed.
+        struct Rng(u64);
+
+        impl Rng {
+            fn next(&mut self) -> u64 {
+                self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            }
+
+            fn below(&mut self, n: u64) -> u64 {
+                self.next() % n
+            }
+
+            fn chance(&mut self, percent: u64) -> bool {
+                self.below(100) < percent
+            }
+        }
+
+        /// A random loop: forward data and memory edges, loop-carried back
+        /// edges and self-loops, never a data edge out of a store.
+        fn random_loop(rng: &mut Rng) -> Ddg {
+            let n = 3 + rng.below(14) as usize;
+            let kinds: Vec<OpKind> = (0..n)
+                .map(|_| OpKind::ALL[rng.below(OpKind::ALL.len() as u64) as usize])
+                .collect();
+            let mut b = Ddg::builder();
+            let nodes: Vec<NodeId> = kinds.iter().map(|&k| b.add_node(k)).collect();
+            for j in 1..n {
+                for _ in 0..1 + rng.below(3) {
+                    let i = rng.below(j as u64) as usize;
+                    if kinds[i] != OpKind::Store {
+                        b.data(nodes[i], nodes[j]);
+                    } else if kinds[j] == OpKind::Load {
+                        b.mem_dep(nodes[i], nodes[j], 0);
+                    }
+                }
+                if rng.chance(25) {
+                    let i = rng.below(j as u64 + 1) as usize;
+                    if kinds[j] != OpKind::Store {
+                        b.data_dist(nodes[j], nodes[i], 1 + rng.below(3) as u32);
+                    } else if kinds[i] == OpKind::Load {
+                        b.mem_dep(nodes[j], nodes[i], 1 + rng.below(2) as u32);
+                    }
+                }
+            }
+            b.build().expect("generated loops are valid")
+        }
+
+        /// A random partition with replicas: some non-store nodes gain
+        /// instances in other clusters, and some of those lose their home
+        /// instance, so the copy source is not always the lowest cluster.
+        fn random_assignment(rng: &mut Rng, ddg: &Ddg, clusters: u8) -> Assignment {
+            let part: Vec<u8> = ddg
+                .node_ids()
+                .map(|_| rng.below(u64::from(clusters)) as u8)
+                .collect();
+            let mut asg = Assignment::from_partition(&part);
+            for n in ddg.node_ids() {
+                if ddg.kind(n) == OpKind::Store || !rng.chance(40) {
+                    continue;
+                }
+                for _ in 0..1 + rng.below(2) {
+                    asg.add_instance(n, rng.below(u64::from(clusters)) as u8);
+                }
+                if asg.instances(n).len() > 1 && rng.chance(40) {
+                    asg.remove_instance(n, asg.home(n));
+                }
+            }
+            asg
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(200))]
+
+            #[test]
+            fn node_major_arena_matches_order_major_for_both_orders(
+                seed in 0u64..u64::MAX,
+                spec_idx in 0usize..7,
+                zero_bus_dep_latency in prop::bool::ANY,
+            ) {
+                let spec = [
+                    "2c1b2l64r",
+                    "4c1b2l64r",
+                    "4c2b4l64r",
+                    "4c1b1l16r",
+                    "4c-ring1l64r",
+                    "4c-xbar1l64r",
+                    "2c-xbar2l64r",
+                ][spec_idx];
+                let m = machine(spec);
+                let mut rng = Rng(seed);
+                let ddg = random_loop(&mut rng);
+                let asg = random_assignment(&mut rng, &ddg, m.clusters());
+                let analysis = LoopAnalysis::new(&ddg, &m);
+                let mut dirty = SchedScratch::default();
+                let lo = analysis.mii().saturating_sub(2).max(1);
+                for ii in lo..=analysis.mii() + 4 {
+                    let req = ScheduleRequest {
+                        ddg: &ddg,
+                        machine: &m,
+                        assignment: &asg,
+                        ii,
+                        zero_bus_dep_latency,
+                    };
+                    let mut outcomes = Vec::new();
+                    for order in [analysis.sms_order(), analysis.topo_order()] {
+                        // Same ops, arcs and arc order in visiting order.
+                        let mut fresh = SchedScratch::default();
+                        if check_bandwidth(&req, &mut fresh).is_ok() {
+                            build_arena_order_major(&req, order, &mut fresh);
+                            let identity: Vec<u32> = (0..fresh.arena.ops.len() as u32).collect();
+                            let old = visited(&fresh, &identity);
+                            check_bandwidth(&req, &mut dirty).expect("same check");
+                            build_arena(&req, &mut dirty);
+                            let mut visit = Vec::new();
+                            dirty.arena.visit_list(order, &mut visit);
+                            prop_assert_eq!(old, visited(&dirty, &visit), "{} ii {}", spec, ii);
+                        }
+                        let old = order_major(&req, order, &mut SchedScratch::default());
+                        let new = node_major(&req, order, &mut dirty);
+                        prop_assert_eq!(&old, &new, "{} ii {}", spec, ii);
+                        outcomes.push(old);
+                    }
+                    // The swing-then-topological composition the driver
+                    // used to run around two calls.
+                    let [swing, topo]: [_; 2] = outcomes.try_into().expect("two orders");
+                    let composed = match swing {
+                        Err(
+                            ScheduleError::Recurrence { .. } | ScheduleError::CopySlots { .. },
+                        ) => topo,
+                        other => other,
+                    };
+                    prop_assert_eq!(composed, schedule(&req, &analysis, &mut dirty));
+                }
             }
         }
     }

@@ -235,9 +235,7 @@ pub fn simulate(
 mod tests {
     use super::*;
     use cvliw_ddg::OpKind;
-    use cvliw_sched::{
-        schedule, Assignment, LoopAnalysis, OrderStrategy, SchedScratch, ScheduleRequest,
-    };
+    use cvliw_sched::{schedule, Assignment, LoopAnalysis, SchedScratch, ScheduleRequest};
 
     fn machine(spec: &str) -> MachineConfig {
         MachineConfig::from_spec(spec).unwrap()
@@ -245,12 +243,7 @@ mod tests {
 
     fn build_schedule(req: &ScheduleRequest<'_>) -> Result<Schedule, cvliw_sched::ScheduleError> {
         let analysis = LoopAnalysis::new(req.ddg, req.machine);
-        schedule(
-            req,
-            OrderStrategy::Swing,
-            &analysis,
-            &mut SchedScratch::default(),
-        )
+        schedule(req, &analysis, &mut SchedScratch::default())
     }
 
     fn compile(ddg: &Ddg, m: &MachineConfig, part: &[u8], ii: u32) -> Schedule {

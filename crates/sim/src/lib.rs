@@ -16,9 +16,7 @@
 //! ```
 //! use cvliw_ddg::{Ddg, OpKind};
 //! use cvliw_machine::MachineConfig;
-//! use cvliw_sched::{
-//!     schedule, Assignment, LoopAnalysis, OrderStrategy, SchedScratch, ScheduleRequest,
-//! };
+//! use cvliw_sched::{schedule, Assignment, LoopAnalysis, SchedScratch, ScheduleRequest};
 //! use cvliw_sim::simulate;
 //!
 //! let mut b = Ddg::builder();
@@ -33,7 +31,6 @@
 //!         ddg: &ddg, machine: &machine, assignment: &assignment,
 //!         ii: 2, zero_bus_dep_latency: false,
 //!     },
-//!     OrderStrategy::Swing,
 //!     &LoopAnalysis::new(&ddg, &machine),
 //!     &mut SchedScratch::default(),
 //! )?;

@@ -10,13 +10,12 @@
 //! emitter files stay byte-identical because every cell compiles to the
 //! same statistics no matter which entry point ran it.
 
-use cvliw::machine::{FuCounts, LatencyTable, MachineConfig};
+use cvliw::ddg::Ddg;
+use cvliw::machine::{paper_specs, FuCounts, LatencyTable, MachineConfig};
 use cvliw::prelude::*;
-use cvliw::replicate::{compile_loop_ctx, CompileContext};
-use cvliw::sched::{
-    schedule, Assignment, LoopAnalysis, OrderStrategy, SchedScratch, ScheduleRequest,
-};
-use cvliw::workloads::{generate_loop, GeneratorParams};
+use cvliw::replicate::{compile_loop_ctx, CompileContext, WorkCounts};
+use cvliw::sched::{schedule, Assignment, LoopAnalysis, SchedScratch, ScheduleRequest};
+use cvliw::workloads::{generate_loop, suite, GeneratorParams};
 use proptest::prelude::*;
 
 fn arb_params() -> impl Strategy<Value = GeneratorParams> {
@@ -63,8 +62,93 @@ fn arb_machine() -> impl Strategy<Value = MachineConfig> {
         })
 }
 
+/// Drives one `CompileContext` per mode order — `Mode::ALL` forward,
+/// reversed and rotated — and checks every compile against a fresh
+/// `compile_loop` of its mode: same schedule, assignment and statistics,
+/// or the same error. The schedule memo serves later modes the attempts
+/// earlier ones ran, so this is its soundness check whichever mode gets
+/// to an attempt first. Returns the contexts' work counts, which must not
+/// depend on the order.
+fn check_every_mode_order(ddg: &Ddg, machine: &MachineConfig) -> Result<WorkCounts, String> {
+    let opts = |mode| CompileOptions { mode, max_ii: None };
+    let fresh: Vec<_> = Mode::ALL
+        .iter()
+        .map(|&mode| compile_loop(ddg, machine, &opts(mode)))
+        .collect();
+    let forward: Vec<usize> = (0..Mode::ALL.len()).collect();
+    let reversed: Vec<usize> = forward.iter().rev().copied().collect();
+    let rotated: Vec<usize> = forward.iter().map(|&i| (i + 2) % forward.len()).collect();
+    let mut counts: Option<WorkCounts> = None;
+    for order in [forward, reversed, rotated] {
+        let ctx = CompileContext::new(ddg, machine);
+        for &i in &order {
+            let mode = Mode::ALL[i];
+            let shared = compile_loop_ctx(ddg, machine, &opts(mode), &ctx);
+            let agree = match (&fresh[i], &shared) {
+                (Ok(a), Ok(b)) => {
+                    a.schedule == b.schedule && a.assignment == b.assignment && a.stats == b.stats
+                }
+                (Err(a), Err(b)) => a == b,
+                _ => false,
+            };
+            if !agree {
+                return Err(format!(
+                    "mode {} in order {order:?} differs from a fresh compile",
+                    mode.name()
+                ));
+            }
+        }
+        let work = ctx.work();
+        match counts {
+            Some(c) if c != work => {
+                return Err(format!("order {order:?} counted {work:?}, not {c:?}"));
+            }
+            _ => counts = Some(work),
+        }
+    }
+    Ok(counts.expect("three orders ran"))
+}
+
+/// The mode-order check on a sample of suite loops under all six paper
+/// machines: the first two loops of each program with at most 32
+/// operations, which keeps this debug-build test to seconds (the
+/// generated-loop property above covers the larger shapes). The sample
+/// must reuse attempts, or the memo was never exercised.
+#[test]
+fn schedule_memo_matches_fresh_compiles_on_suite_loops() {
+    let mut total = WorkCounts::default();
+    for spec in paper_specs() {
+        let machine = MachineConfig::from_spec(spec).expect("paper spec parses");
+        for program in suite() {
+            let sample = program.loops.iter().filter(|l| l.ddg.node_count() <= 32);
+            for l in sample.take(2) {
+                let work = check_every_mode_order(&l.ddg, &machine)
+                    .unwrap_or_else(|e| panic!("{spec} {}: {e}", l.name));
+                total.add(work);
+            }
+        }
+    }
+    assert!(
+        total.schedule_attempts_reused > 0 && total.schedule_attempts_run > 0,
+        "the sample never reused a schedule attempt: {total:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The schedule memo is sound whichever mode reaches an attempt first:
+    /// the mode-order check on generated loops and machines.
+    #[test]
+    fn schedule_memo_is_independent_of_mode_order(
+        seed in 0u64..10_000,
+        params in arb_params(),
+        machine in arb_machine(),
+    ) {
+        let ddg = generate_loop(seed, &params).expect("generator is total").ddg;
+        let checked = check_every_mode_order(&ddg, &machine);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
 
     /// One shared `CompileContext` across all five modes versus a fresh
     /// self-contained `compile_loop` per mode: identical schedules,
@@ -227,9 +311,11 @@ proptest! {
     /// The cached analysis holds the topological order the graph analysis
     /// computes (the swing order is pinned against the set-based oracle in
     /// `swing_order_oracle.rs`), and a scheduler scratch left dirty by
-    /// attempts at other IIs and strategies yields the same schedules (or
-    /// errors) as a fresh one, for both strategies on a plain
-    /// partition-derived assignment.
+    /// attempts at another II and under the zero-bus relaxation yields the
+    /// same schedules (or errors) as a fresh one on a plain
+    /// partition-derived assignment. Each call runs the swing pass and,
+    /// when swing placement closes a window, the topological pass on the
+    /// same arena, so both orders see the dirty scratch.
     #[test]
     fn scheduler_arena_matches_for_both_strategies(
         seed in 0u64..10_000,
@@ -242,21 +328,20 @@ proptest! {
         let partition = cvliw::partition::partition_loop(&ddg, &machine, analysis.mii());
         let assignment: Assignment = partition.to_assignment();
         prop_assert_eq!(analysis.topo_order(), &cvliw::ddg::topo_order(&ddg)[..]);
-        let request = |ii| ScheduleRequest {
+        let request = |ii, zero_bus_dep_latency| ScheduleRequest {
             ddg: &ddg,
             machine: &machine,
             assignment: &assignment,
             ii,
-            zero_bus_dep_latency: false,
+            zero_bus_dep_latency,
         };
         let ii = analysis.mii() + ii_bump;
         let mut dirty = SchedScratch::default();
-        for strategy in [OrderStrategy::Swing, OrderStrategy::Topological] {
-            let _ = schedule(&request(ii + 1), strategy, &analysis, &mut dirty);
-        }
-        for strategy in [OrderStrategy::Swing, OrderStrategy::Topological] {
-            let fresh = schedule(&request(ii), strategy, &analysis, &mut SchedScratch::default());
-            let reused = schedule(&request(ii), strategy, &analysis, &mut dirty);
+        let _ = schedule(&request(ii + 1, false), &analysis, &mut dirty);
+        let _ = schedule(&request(ii, true), &analysis, &mut dirty);
+        for zero_bus in [false, true] {
+            let fresh = schedule(&request(ii, zero_bus), &analysis, &mut SchedScratch::default());
+            let reused = schedule(&request(ii, zero_bus), &analysis, &mut dirty);
             match (fresh, reused) {
                 (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
                 (Err(a), Err(b)) => prop_assert_eq!(a, b),
