@@ -435,14 +435,16 @@ impl CompileScratch {
     /// Readies a recycled scratch for a *different* loop: invalidates the
     /// graph-bound [`RefineCache`] (two graphs can share a node count, so
     /// its shape check alone cannot catch the swap), zeroes the stage
-    /// clocks, and replaces the [`CancelToken`] so a deadline armed
-    /// against the previous loop's context cannot leak into this one.
+    /// clocks and the refinement work counts, and replaces the
+    /// [`CancelToken`] so a deadline armed against the previous loop's
+    /// context cannot leak into this one.
     /// Everything else is graph-agnostic ([`RefineScratch`], the scheduler
     /// buffers) or refilled on every use (the engine's anchors, from the
     /// context's analysis) and keeps its allocations — which is the whole
     /// point.
     fn reset_for_new_loop(&mut self) {
         self.refine_cache.invalidate();
+        self.refine.reset_counts();
         self.stage_nanos = [0; 4];
         self.cancel = CancelToken::new();
     }
@@ -485,6 +487,11 @@ pub struct WorkCounts {
     pub schedule_attempts_run: u64,
     /// Schedule attempts served from the context's memo instead.
     pub schedule_attempts_reused: u64,
+    /// Candidate refinement moves scored by an incremental-ASAP
+    /// speculation (`cvliw_ddg::IncrementalAsap::speculate` calls).
+    pub asap_speculations: u64,
+    /// Worklist pops those speculations made.
+    pub asap_pops: u64,
 }
 
 impl WorkCounts {
@@ -492,6 +499,14 @@ impl WorkCounts {
     pub fn add(&mut self, other: WorkCounts) {
         self.schedule_attempts_run += other.schedule_attempts_run;
         self.schedule_attempts_reused += other.schedule_attempts_reused;
+        self.asap_speculations += other.asap_speculations;
+        self.asap_pops += other.asap_pops;
+    }
+
+    /// Adds the refinement work counted by `refine`.
+    fn add_refine(&mut self, refine: &RefineScratch) {
+        self.asap_speculations += refine.asap_speculations();
+        self.asap_pops += refine.asap_pops();
     }
 }
 
@@ -534,7 +549,9 @@ pub struct CompileContext {
     /// `sched_memo[k]` = every schedule attempt run at `ii = mii + k`, in
     /// the order some mode first ran it.
     sched_memo: RefCell<Vec<Vec<ScheduleAttempt>>>,
-    /// Schedule attempts run and reused through this context.
+    /// Schedule attempts run and reused through this context, plus the
+    /// refinement work of raced seed partitions (the rest of the
+    /// refinement work is counted in the scratch).
     work: Cell<WorkCounts>,
     /// Parallel refinement seeds to race for the MII seed partition
     /// (1 = racing disabled; see [`CompileContext::with_refine_seeds`]).
@@ -642,11 +659,15 @@ impl CompileContext {
     }
 
     /// How many schedule attempts every compilation run through this
-    /// context ran and reused. Deterministic: each mode's II climb is, so
-    /// the counts do not depend on the order the modes run in.
+    /// context ran and reused, and how much refinement scoring work it did.
+    /// Deterministic: each mode's II climb is, and the refinement chain is
+    /// shared, so the counts do not depend on the order the modes run in.
+    /// With seed racing, every raced seed's refinement is counted.
     #[must_use]
     pub fn work(&self) -> WorkCounts {
-        self.work.get()
+        let mut work = self.work.get();
+        work.add_refine(&self.scratch.borrow().refine);
+        work
     }
 
     /// The memoized `partition_loop` result at the loop's MII (racing
@@ -660,9 +681,12 @@ impl CompileContext {
         self.initial_partition.get_or_init(|| {
             let mii = self.analysis.mii();
             if self.refine_seeds > 1 {
-                let (seed, raced_nanos) =
+                let (seed, raced_nanos, raced_work) =
                     race_seed_partitions(ddg, machine, mii, &self.analysis, self.refine_seeds);
                 scratch.stage_nanos[Stage::Partition as usize] += raced_nanos;
+                let mut work = self.work.get();
+                work.add(raced_work);
+                self.work.set(work);
                 return seed;
             }
             let started = Instant::now();
@@ -809,17 +833,17 @@ impl CompileContext {
 /// the MII on scoped threads and picks the winner by `(score, seed-index)`
 /// — the smallest score wins, ties resolve to the lowest index, so seed 0
 /// (the canonical, unperturbed pipeline) wins unless a perturbation is
-/// strictly better. Returns the winning partition and the **summed**
-/// wall-clock nanoseconds of every raced seed (losers included), which the
-/// caller charges to the partition stage.
+/// strictly better. Returns the winning partition plus the **summed**
+/// wall-clock nanoseconds and refinement work of every raced seed (losers
+/// included), which the caller charges to the partition stage.
 fn race_seed_partitions(
     ddg: &Ddg,
     machine: &MachineConfig,
     mii: u32,
     analysis: &LoopAnalysis,
     seeds: u32,
-) -> (Partition, u64) {
-    let mut lanes: Vec<Option<(PartitionScore, Partition, u64)>> =
+) -> (Partition, u64, WorkCounts) {
+    let mut lanes: Vec<Option<(PartitionScore, Partition, u64, WorkCounts)>> =
         (0..seeds).map(|_| None).collect();
     std::thread::scope(|scope| {
         for (variant, lane) in lanes.iter_mut().enumerate() {
@@ -835,23 +859,28 @@ fn race_seed_partitions(
                     variant as u32,
                 );
                 let score = score_partition(ddg, &part, machine, mii, analysis, &mut scratch);
-                *lane = Some((score, part, elapsed_nanos(started)));
+                let mut work = WorkCounts::default();
+                work.add_refine(&scratch);
+                *lane = Some((score, part, elapsed_nanos(started), work));
             });
         }
     });
-    let raced_nanos = lanes
-        .iter()
-        .map(|l| l.as_ref().expect("every lane ran").2)
-        .sum();
+    let mut raced_nanos = 0;
+    let mut raced_work = WorkCounts::default();
+    for lane in &lanes {
+        let (_, _, nanos, work) = lane.as_ref().expect("every lane ran");
+        raced_nanos += nanos;
+        raced_work.add(*work);
+    }
     let winner = lanes
         .into_iter()
         .map(|l| l.expect("every lane ran"))
         .enumerate()
-        .min_by(|(i, (a, _, _)), (j, (b, _, _))| a.cmp(b).then(i.cmp(j)))
+        .min_by(|(i, (a, ..)), (j, (b, ..))| a.cmp(b).then(i.cmp(j)))
         .expect("at least one seed")
         .1
          .1;
-    (winner, raced_nanos)
+    (winner, raced_nanos, raced_work)
 }
 
 fn elapsed_nanos(started: Instant) -> u64 {

@@ -91,9 +91,10 @@ pub fn sccs(ddg: &Ddg) -> Vec<Vec<NodeId>> {
                     low[parent] = low[parent].min(low[v]);
                 }
                 if low[v] == index[v] {
+                    // `v` is still on the stack: everything above it is
+                    // its component.
                     let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("scc stack");
+                    while let Some(w) = stack.pop() {
                         on_stack[w] = false;
                         comp.push(NodeId::new(w as u32));
                         if w == v {

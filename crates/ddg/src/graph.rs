@@ -466,9 +466,7 @@ fn check_zero_distance_acyclic(ddg: &Ddg) -> Result<(), DdgError> {
         }
     }
     let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut seen = 0;
     while let Some(i) = ready.pop() {
-        seen += 1;
         for e in ddg.out_edges(NodeId(i as u32)) {
             if e.distance == 0 {
                 let d = e.dst.index();
@@ -479,15 +477,13 @@ fn check_zero_distance_acyclic(ddg: &Ddg) -> Result<(), DdgError> {
             }
         }
     }
-    if seen == n {
-        Ok(())
-    } else {
-        let witness = (0..n)
-            .find(|&i| indeg[i] > 0)
-            .expect("cycle witness exists");
-        Err(DdgError::ZeroDistanceCycle {
+    // Every node whose in-degree drained was visited; any left over sits
+    // on or behind a distance-0 cycle.
+    match (0..n).find(|&i| indeg[i] > 0) {
+        None => Ok(()),
+        Some(witness) => Err(DdgError::ZeroDistanceCycle {
             witness: NodeId(witness as u32),
-        })
+        }),
     }
 }
 

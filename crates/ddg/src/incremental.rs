@@ -9,6 +9,15 @@
 //! from the changed edges' destinations, and restores the previous state
 //! via an undo log when the speculation is rolled back.
 //!
+//! The worklist pops in **topological rank** order of the distance-0
+//! subgraph (the caller hands the order to [`IncrementalAsap::rebuild`]):
+//! it is a bitset over ranks whose lowest set bit is popped next. Along
+//! intra-iteration edges a node is therefore recomputed only after every
+//! dirty predecessor has settled, so a chain cone of `k` nodes costs `k`
+//! pops; a loop-carried edge that dirties a lower rank moves the sweep
+//! back. Any other order can recompute a node once per dirty predecessor:
+//! a LIFO stack over a breadth-first chain cone pops `O(k²)` times.
+//!
 //! # Exactness
 //!
 //! The ASAP system `t(v) = max(0, max over in-edges e of t(src(e)) +
@@ -32,13 +41,19 @@
 //!   fixpoint.
 //!
 //! Divergence (the new system is infeasible because `ii` < RecMII, so no
-//! finite fixpoint exists) can never drain the worklist; a pop budget
-//! bounds the incremental attempt and falls back to the full
-//! [`asap_times_into`] sweep, whose pass-counting detection is the
-//! definition of infeasibility here. The fallback is also taken when the
-//! base state itself is infeasible. Either way the result is **exactly**
-//! what the full recompute would produce; debug assertions in the caller
-//! (partition refinement) verify that per candidate.
+//! finite fixpoint exists) can never drain the worklist. It is caught by a
+//! **ceiling**: when the new system is feasible, every node's least
+//! fixpoint value is the weight of some simple path, and a simple path
+//! gains at most the summed raise `Δ` of all raised edges over its base
+//! weight, which the base length bounds. So no value of a feasible
+//! candidate exceeds `length + Δ`, and since the iterates stay at or below
+//! the least fixpoint, an iterate above that ceiling proves the candidate
+//! infeasible — exactly when [`asap_times_into`] reports it. A pop budget
+//! still bounds the incremental attempt and falls back to the full sweep,
+//! and so does a speculation on an infeasible base state. Either way the
+//! result is **exactly** what the full recompute would produce; debug
+//! assertions in the caller (partition refinement) verify that per
+//! candidate.
 
 use crate::analysis::asap_times_into;
 use crate::graph::{Ddg, NodeId};
@@ -46,8 +61,8 @@ use crate::graph::{Ddg, NodeId};
 /// Pop budget multiplier: speculations that have not converged after
 /// `SPEC_BUDGET_PER_NODE · (n + 8)` worklist pops fall back to the full
 /// sweep. Generous enough that feasible updates essentially never hit it;
-/// infeasible ones (which cannot converge) hit it quickly because the
-/// budget is linear while Bellman-Ford's divergence check is quadratic.
+/// infeasible ones are normally cut earlier by the ceiling (see the module
+/// docs), and the budget bounds the rest.
 const SPEC_BUDGET_PER_NODE: usize = 8;
 
 /// The incrementally maintained ASAP fixpoint of one (graph, II, edge
@@ -59,32 +74,49 @@ pub struct IncrementalAsap {
     asap: Vec<i64>,
     length: i64,
     /// How many nodes sit at `length` in the base state — lets a
-    /// speculation derive its new maximum from the undo log alone unless
-    /// every holder of the old maximum was touched.
+    /// speculation derive its new maximum from its changed nodes alone
+    /// unless every holder of the old maximum changed.
     max_count: usize,
     feasible: bool,
     /// Successor-closed set of nodes reset for a lowered-edge speculation.
     cone: Vec<u32>,
     in_cone: Vec<bool>,
-    /// Dirty-node worklist (LIFO; the fixpoint is order-independent).
-    queue: Vec<u32>,
-    in_queue: Vec<bool>,
-    /// `(node, previous value)` log of the active speculation, replayed in
-    /// reverse by [`IncrementalAsap::rollback`].
+    /// Topological rank of each node in the distance-0 subgraph, and the
+    /// node at each rank.
+    rank: Vec<u32>,
+    by_rank: Vec<u32>,
+    /// Dirty-node worklist: a bitset over ranks, popped lowest rank first
+    /// (the fixpoint is order-independent; the order only saves pops).
+    pending: Vec<u64>,
+    /// The lowest word of `pending` that may be non-zero;
+    /// `pending.len()` when the worklist is empty.
+    lo: usize,
+    /// `(node, previous value)` log of the active speculation, one record
+    /// per written node; once the speculation converges, only the nodes
+    /// whose value changed (see [`IncrementalAsap::spec_changed`]).
     undo: Vec<(u32, i64)>,
+    /// Whether a node already has its record in `undo`.
+    saved: Vec<bool>,
     /// Whether the active speculation fell back to a full sweep (the
     /// pre-speculation state then lives in `full_tmp`).
     swapped_full: bool,
     full_tmp: Vec<i64>,
+    /// Calls to [`IncrementalAsap::speculate`] and worklist pops since
+    /// construction or the last [`IncrementalAsap::reset_counts`].
+    speculations: u64,
+    pops: u64,
 }
 
 impl IncrementalAsap {
     /// Rebuilds the fixpoint from scratch for the given edge-latency
     /// vector (aligned with `ddg.edges()` order) — the non-incremental
-    /// baseline every speculation is measured against.
-    pub fn rebuild(&mut self, ddg: &Ddg, ii: u32, edge_lat: &[u32]) {
+    /// baseline every speculation is measured against. `topo` is a
+    /// topological order of the distance-0 subgraph (every node once, as
+    /// [`topo_order`](crate::topo_order) returns it); the worklist pops by its ranks.
+    pub fn rebuild(&mut self, ddg: &Ddg, ii: u32, edge_lat: &[u32], topo: &[NodeId]) {
         debug_assert!(self.undo.is_empty() && !self.swapped_full);
         let n = ddg.node_count();
+        debug_assert_eq!(topo.len(), n, "one rank per node");
         match asap_times_into(ddg, ii, edge_lat, &mut self.asap) {
             Some(length) => {
                 self.feasible = true;
@@ -99,10 +131,19 @@ impl IncrementalAsap {
         }
         self.in_cone.clear();
         self.in_cone.resize(n, false);
-        self.in_queue.clear();
-        self.in_queue.resize(n, false);
+        self.saved.clear();
+        self.saved.resize(n, false);
+        self.rank.clear();
+        self.rank.resize(n, 0);
+        self.by_rank.clear();
+        for (r, &v) in topo.iter().enumerate() {
+            self.rank[v.index()] = r as u32;
+            self.by_rank.push(v.index() as u32);
+        }
+        self.pending.clear();
+        self.pending.resize(n.div_ceil(64), 0);
+        self.lo = self.pending.len();
         self.cone.clear();
-        self.queue.clear();
     }
 
     /// Whether the maintained base state satisfies all recurrences.
@@ -126,10 +167,11 @@ impl IncrementalAsap {
         &self.asap
     }
 
-    /// The nodes whose ASAP value the active speculation changed, as undo
-    /// records `(node index, previous value)` — possibly with duplicates,
-    /// possibly including nodes whose value netted out unchanged. `None`
-    /// when the speculation ran the full-sweep fallback (every node may
+    /// The nodes whose ASAP value the active speculation changed, each
+    /// exactly once as `(node index, value before the speculation)`, in no
+    /// particular order. A node the speculation recomputed to its old
+    /// value is not listed. Meaningful only when the speculation returned
+    /// `Some`; `None` when it ran the full-sweep fallback (every node may
     /// have changed).
     #[must_use]
     pub fn spec_changed(&self) -> Option<&[(u32, i64)]> {
@@ -140,13 +182,36 @@ impl IncrementalAsap {
         }
     }
 
+    /// Calls to [`IncrementalAsap::speculate`] since construction or the
+    /// last [`IncrementalAsap::reset_counts`].
+    #[must_use]
+    pub fn speculations(&self) -> u64 {
+        self.speculations
+    }
+
+    /// Worklist pops of the incremental speculations counted by
+    /// [`IncrementalAsap::speculations`]: the host-independent measure of
+    /// their work.
+    #[must_use]
+    pub fn pops(&self) -> u64 {
+        self.pops
+    }
+
+    /// Zeroes [`IncrementalAsap::speculations`] and
+    /// [`IncrementalAsap::pops`].
+    pub fn reset_counts(&mut self) {
+        self.speculations = 0;
+        self.pops = 0;
+    }
+
     /// Speculatively re-solves the fixpoint after an edge-latency change.
     ///
     /// `edge_lat` must already contain the *candidate* latencies;
-    /// `raised_dsts` / `lowered_dsts` are the destination nodes of the
-    /// edges whose latency increased / decreased (duplicates allowed).
-    /// Returns the new `max(asap)` or `None` when the candidate system is
-    /// infeasible, exactly as [`asap_times_into`] would. The caller must
+    /// `changes` lists `(edge id, base latency)` for every edge whose
+    /// latency differs from the state of the last
+    /// [`IncrementalAsap::rebuild`], each edge once. Returns the new
+    /// `max(asap)` or `None` when the candidate system is infeasible,
+    /// exactly as [`asap_times_into`] would. The caller must
     /// end every speculation with [`IncrementalAsap::rollback`] — there is
     /// deliberately no commit: accepted moves are rare, and a fresh
     /// [`IncrementalAsap::rebuild`] is both cheap and obviously exact.
@@ -155,22 +220,29 @@ impl IncrementalAsap {
         ddg: &Ddg,
         ii: u32,
         edge_lat: &[u32],
-        raised_dsts: &[NodeId],
-        lowered_dsts: &[NodeId],
+        changes: &[(u32, u32)],
     ) -> Option<i64> {
-        debug_assert!(self.undo.is_empty() && !self.swapped_full && self.queue.is_empty());
+        debug_assert!(self.undo.is_empty() && !self.swapped_full && self.lo == self.pending.len());
+        self.speculations += 1;
         if !self.feasible {
             return self.speculate_full(ddg, ii, edge_lat);
         }
         let n = ddg.node_count();
 
-        // Reset the lowered cone (successor-closed) to the unsupported
-        // floor; everything in it gets recomputed from its predecessors.
-        for &d in lowered_dsts {
-            let i = d.index();
-            if !self.in_cone[i] {
-                self.in_cone[i] = true;
-                self.cone.push(i as u32);
+        // Raised edges dirty their destinations and lift the ceiling;
+        // lowered ones seed the cone that is reset to the unsupported
+        // floor (successor-closed; everything in it gets recomputed from
+        // its predecessors).
+        let mut ceiling = self.length;
+        for &(eid, old) in changes {
+            let new = edge_lat[eid as usize];
+            let d = ddg.edge(eid).dst.index();
+            if new > old {
+                ceiling += i64::from(new - old);
+                self.push(d as u32);
+            } else if new < old && !self.in_cone[d] {
+                self.in_cone[d] = true;
+                self.cone.push(d as u32);
             }
         }
         let mut head = 0;
@@ -187,15 +259,10 @@ impl IncrementalAsap {
         }
         for i in 0..self.cone.len() {
             let v = self.cone[i];
-            self.undo.push((v, self.asap[v as usize]));
+            self.in_cone[v as usize] = false;
+            self.save(v);
             self.asap[v as usize] = 0;
             self.push(v);
-        }
-        for &d in raised_dsts {
-            self.push(d.index() as u32);
-        }
-        for &v in &self.cone {
-            self.in_cone[v as usize] = false;
         }
         self.cone.clear();
 
@@ -204,15 +271,9 @@ impl IncrementalAsap {
         while let Some(v) = self.pop() {
             pops += 1;
             if pops > budget {
-                // Either infeasible (can never converge) or pathologically
-                // slow; the full sweep settles both exactly.
-                while let Some(w) = self.queue.pop() {
-                    self.in_queue[w as usize] = false;
-                }
-                for &(w, old) in self.undo.iter().rev() {
-                    self.asap[w as usize] = old;
-                }
-                self.undo.clear();
+                // Pathologically slow; the full sweep settles it exactly.
+                self.pops += pops as u64;
+                self.abandon();
                 return self.speculate_full(ddg, ii, edge_lat);
             }
             let node = NodeId::new(v);
@@ -223,38 +284,48 @@ impl IncrementalAsap {
                     - i64::from(ii) * i64::from(e.distance);
                 val = val.max(t);
             }
+            if val > ceiling {
+                // Diverging: the candidate is infeasible.
+                self.pops += pops as u64;
+                self.abandon();
+                return None;
+            }
             if val != self.asap[v as usize] {
-                self.undo.push((v, self.asap[v as usize]));
+                self.save(v);
                 self.asap[v as usize] = val;
                 for &eid in ddg.out_edge_ids(node) {
                     self.push(ddg.edge(eid).dst.index() as u32);
                 }
             }
         }
-        // Derive the new maximum from the undo log: untouched nodes kept
-        // their base values, whose maximum is `length` iff some holder of
-        // the base maximum was left untouched. Only when the speculation
-        // touched *every* holder is a full scan needed (`cone`/`in_cone`
-        // are idle here and double as the distinct-node filter — a node's
-        // first undo record carries its true pre-speculation value).
+        // Keep only the nodes whose value changed, and derive the new
+        // maximum from them: unchanged nodes keep their base values, whose
+        // maximum is `length` iff some holder of the base maximum is among
+        // them. Only when the speculation changed *every* holder is a full
+        // scan needed.
+        let IncrementalAsap {
+            asap,
+            length,
+            undo,
+            saved,
+            ..
+        } = self;
         let mut max_new = i64::MIN;
-        let mut holders_touched = 0usize;
-        for k in 0..self.undo.len() {
-            let (v, old) = self.undo[k];
-            if !self.in_cone[v as usize] {
-                self.in_cone[v as usize] = true;
-                self.cone.push(v);
-                if old == self.length {
-                    holders_touched += 1;
-                }
-                max_new = max_new.max(self.asap[v as usize]);
+        let mut holders_changed = 0usize;
+        undo.retain(|&(v, old)| {
+            saved[v as usize] = false;
+            let now = asap[v as usize];
+            if now == old {
+                return false;
             }
-        }
-        for &v in &self.cone {
-            self.in_cone[v as usize] = false;
-        }
-        self.cone.clear();
-        Some(if holders_touched < self.max_count {
+            if old == *length {
+                holders_changed += 1;
+            }
+            max_new = max_new.max(now);
+            true
+        });
+        self.pops += pops as u64;
+        Some(if holders_changed < self.max_count {
             self.length.max(max_new)
         } else {
             self.asap.iter().copied().max().unwrap_or(0)
@@ -267,9 +338,10 @@ impl IncrementalAsap {
             std::mem::swap(&mut self.asap, &mut self.full_tmp);
             self.swapped_full = false;
         } else {
-            while let Some((v, old)) = self.undo.pop() {
+            for &(v, old) in &self.undo {
                 self.asap[v as usize] = old;
             }
+            self.undo.clear();
         }
     }
 
@@ -280,23 +352,50 @@ impl IncrementalAsap {
         res
     }
 
-    fn push(&mut self, v: u32) {
-        if !self.in_queue[v as usize] {
-            self.in_queue[v as usize] = true;
-            self.queue.push(v);
+    /// Drops the worklist and restores the base state of an unfinished
+    /// speculation.
+    fn abandon(&mut self) {
+        self.pending[self.lo..].fill(0);
+        self.lo = self.pending.len();
+        for &(v, old) in &self.undo {
+            self.asap[v as usize] = old;
+            self.saved[v as usize] = false;
+        }
+        self.undo.clear();
+    }
+
+    /// Records `v`'s pre-speculation value, once per speculation.
+    fn save(&mut self, v: u32) {
+        if !self.saved[v as usize] {
+            self.saved[v as usize] = true;
+            self.undo.push((v, self.asap[v as usize]));
         }
     }
 
+    fn push(&mut self, v: u32) {
+        let r = self.rank[v as usize] as usize;
+        self.pending[r / 64] |= 1 << (r % 64);
+        self.lo = self.lo.min(r / 64);
+    }
+
+    /// Pops the dirty node of lowest topological rank.
     fn pop(&mut self) -> Option<u32> {
-        let v = self.queue.pop()?;
-        self.in_queue[v as usize] = false;
-        Some(v)
+        while let Some(&word) = self.pending.get(self.lo) {
+            if word != 0 {
+                self.pending[self.lo] = word & (word - 1);
+                let r = self.lo * 64 + word.trailing_zeros() as usize;
+                return Some(self.by_rank[r]);
+            }
+            self.lo += 1;
+        }
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::topo_order;
     use crate::op::OpKind;
 
     /// Chain a→b→c plus the recurrence c→a (distance 1).
@@ -320,16 +419,17 @@ mod tests {
         let ddg = ring();
         let base = vec![3u32, 3, 3];
         let mut inc = IncrementalAsap::default();
-        inc.rebuild(&ddg, 10, &base);
+        inc.rebuild(&ddg, 12, &base, &topo_order(&ddg));
         assert!(inc.is_feasible());
 
         let raised = vec![5u32, 3, 3]; // edge 0 (a→b) got a bus penalty
-        let got = inc.speculate(&ddg, 10, &raised, &[NodeId::new(1)], &[]);
-        let (want, want_asap) = full(&ddg, 10, &raised);
+        let got = inc.speculate(&ddg, 12, &raised, &[(0, 3)]);
+        let (want, want_asap) = full(&ddg, 12, &raised);
+        assert_eq!(got, Some(8));
         assert_eq!(got, want);
         assert_eq!(inc.asap(), &want_asap[..]);
         inc.rollback();
-        let (_, base_asap) = full(&ddg, 10, &base);
+        let (_, base_asap) = full(&ddg, 12, &base);
         assert_eq!(inc.asap(), &base_asap[..]);
     }
 
@@ -341,11 +441,11 @@ mod tests {
         let ddg = ring();
         let with_bus = vec![5u32, 3, 3];
         let mut inc = IncrementalAsap::default();
-        inc.rebuild(&ddg, 11, &with_bus); // RecMII of the raised system
+        inc.rebuild(&ddg, 11, &with_bus, &topo_order(&ddg)); // RecMII of the raised system
         assert!(inc.is_feasible());
 
         let without = vec![3u32, 3, 3];
-        let got = inc.speculate(&ddg, 11, &without, &[], &[NodeId::new(1)]);
+        let got = inc.speculate(&ddg, 11, &without, &[(0, 5)]);
         let (want, want_asap) = full(&ddg, 11, &without);
         assert_eq!(got, want);
         assert_eq!(inc.asap(), &want_asap[..]);
@@ -357,14 +457,11 @@ mod tests {
         let ddg = ring();
         let base = vec![3u32, 3, 3]; // RecMII 9
         let mut inc = IncrementalAsap::default();
-        inc.rebuild(&ddg, 9, &base);
+        inc.rebuild(&ddg, 9, &base, &topo_order(&ddg));
         assert!(inc.is_feasible());
 
         let raised = vec![9u32, 3, 3]; // cycle weight 15 > 9: infeasible
-        assert_eq!(
-            inc.speculate(&ddg, 9, &raised, &[NodeId::new(1)], &[]),
-            None
-        );
+        assert_eq!(inc.speculate(&ddg, 9, &raised, &[(0, 3)]), None);
         inc.rollback();
         let (_, base_asap) = full(&ddg, 9, &base);
         assert_eq!(inc.asap(), &base_asap[..]);
@@ -376,12 +473,12 @@ mod tests {
         let ddg = ring();
         let heavy = vec![9u32, 9, 9];
         let mut inc = IncrementalAsap::default();
-        inc.rebuild(&ddg, 3, &heavy);
+        inc.rebuild(&ddg, 3, &heavy, &topo_order(&ddg));
         assert!(!inc.is_feasible());
         assert_eq!(inc.length(), i64::MAX);
 
         let light = vec![1u32, 1, 1];
-        let got = inc.speculate(&ddg, 3, &light, &[], &[NodeId::new(1), NodeId::new(2)]);
+        let got = inc.speculate(&ddg, 3, &light, &[(0, 9), (1, 9), (2, 9)]);
         let (want, want_asap) = full(&ddg, 3, &light);
         assert_eq!(got, want);
         assert_eq!(inc.asap(), &want_asap[..]);
@@ -397,11 +494,11 @@ mod tests {
         let ddg = ring();
         let base = vec![3u32, 3, 3];
         let mut inc = IncrementalAsap::default();
-        inc.rebuild(&ddg, 20, &base);
+        inc.rebuild(&ddg, 20, &base, &topo_order(&ddg));
         assert_eq!(inc.length(), 6);
 
         let lowered = vec![3u32, 1, 3];
-        let got = inc.speculate(&ddg, 20, &lowered, &[], &[NodeId::new(2)]);
+        let got = inc.speculate(&ddg, 20, &lowered, &[(1, 3)]);
         let (want, want_asap) = full(&ddg, 20, &lowered);
         assert_eq!(got, want);
         assert_eq!(inc.asap(), &want_asap[..]);
@@ -409,16 +506,49 @@ mod tests {
     }
 
     #[test]
-    fn spec_changed_reports_the_touched_cone() {
+    fn spec_changed_lists_each_changed_node_once() {
         let ddg = ring();
         let base = vec![3u32, 3, 3];
         let mut inc = IncrementalAsap::default();
-        inc.rebuild(&ddg, 20, &base);
-        let raised = vec![6u32, 3, 3];
-        inc.speculate(&ddg, 20, &raised, &[NodeId::new(1)], &[]);
-        let changed = inc.spec_changed().expect("incremental path");
-        assert!(changed.iter().any(|&(v, _)| v == 1));
+        inc.rebuild(&ddg, 20, &base, &topo_order(&ddg));
+        let base_asap = inc.asap().to_vec();
+        // Raising a→b moves b and, through it, c. Lowering c→a resets the
+        // whole ring; a recomputes to its old value and must not be listed.
+        let moved = vec![6u32, 3, 2];
+        inc.speculate(&ddg, 20, &moved, &[(0, 3), (2, 3)]);
+        let mut changed = inc.spec_changed().expect("incremental path").to_vec();
+        changed.sort_unstable();
+        assert_eq!(changed, vec![(1, base_asap[1]), (2, base_asap[2])]);
         inc.rollback();
         assert!(inc.spec_changed().expect("no active spec").is_empty());
+        assert_eq!(inc.asap(), &base_asap[..]);
+    }
+
+    /// Lowering the head edge of a chain resets the whole tail; popped in
+    /// topological order each tail node is recomputed once.
+    #[test]
+    fn chain_cone_costs_one_pop_per_node() {
+        const N: usize = 64;
+        let mut b = Ddg::builder();
+        let nodes: Vec<_> = (0..N).map(|_| b.add_node(OpKind::FpAdd)).collect();
+        for w in nodes.windows(2) {
+            b.data(w[0], w[1]);
+        }
+        let ddg = b.build().unwrap();
+        let base = vec![3u32; N - 1];
+        let mut inc = IncrementalAsap::default();
+        inc.rebuild(&ddg, 1, &base, &topo_order(&ddg));
+        let mut lowered = base.clone();
+        lowered[0] = 1;
+        let got = inc.speculate(&ddg, 1, &lowered, &[(0, 3)]);
+        let (want, want_asap) = full(&ddg, 1, &lowered);
+        assert_eq!(got, want);
+        assert_eq!(inc.asap(), &want_asap[..]);
+        assert_eq!(inc.spec_changed().map(<[_]>::len), Some(N - 1));
+        inc.rollback();
+        assert_eq!(inc.speculations(), 1);
+        assert!(inc.pops() <= 2 * N as u64, "{} pops", inc.pops());
+        inc.reset_counts();
+        assert_eq!((inc.speculations(), inc.pops()), (0, 0));
     }
 }

@@ -248,9 +248,15 @@ pub fn emit_bench_json(report: &BenchReport) -> String {
     );
     let _ = writeln!(
         o,
-        "    \"schedule_attempts_reused\": {}",
+        "    \"schedule_attempts_reused\": {},",
         report.work.schedule_attempts_reused
     );
+    let _ = writeln!(
+        o,
+        "    \"asap_speculations\": {},",
+        report.work.asap_speculations
+    );
+    let _ = writeln!(o, "    \"asap_pops\": {}", report.work.asap_pops);
     // Per-stage share of the median total wall clock. On one worker the
     // shares nearly sum to 1; with more workers (or seed racing) the
     // buckets are CPU time against an elapsed total, so the sum exceeds it.
@@ -419,6 +425,10 @@ mod tests {
             first.schedule_attempts_reused > 0,
             "all five modes share each context, so some attempt repeats: {first:?}"
         );
+        assert!(
+            first.asap_speculations > 0 && first.asap_pops > 0,
+            "refinement scored no move incrementally: {first:?}"
+        );
     }
 
     #[test]
@@ -435,6 +445,11 @@ mod tests {
             report.work.schedule_attempts_run
         )));
         assert!(section.contains("\"schedule_attempts_reused\""));
+        assert!(section.contains(&format!(
+            "\"asap_speculations\": {}",
+            report.work.asap_speculations
+        )));
+        assert!(section.contains(&format!("\"asap_pops\": {}", report.work.asap_pops)));
         for stage in Stage::ALL {
             assert!(!section.contains(&format!("\"{}\":", stage.name())));
         }

@@ -1,7 +1,5 @@
 //! Multilevel coarsening: heavy-edge matching into macro-nodes.
 
-use std::collections::BTreeMap;
-
 use cvliw_ddg::{Ddg, OpClass};
 use cvliw_machine::MachineConfig;
 use cvliw_sched::LoopAnalysis;
@@ -46,9 +44,8 @@ impl Hierarchy {
     /// The coarsest level.
     #[must_use]
     pub fn coarsest(&self) -> &CoarseLevel {
-        self.levels
-            .last()
-            .expect("hierarchy has at least the identity level")
+        // `coarsen` always records the identity level first.
+        &self.levels[self.levels.len() - 1]
     }
 
     /// The preliminary partition induced by the coarsest level: macro `i`
@@ -57,13 +54,8 @@ impl Hierarchy {
     pub fn initial_partition(&self) -> Partition {
         let coarsest = self.coarsest();
         debug_assert!(coarsest.n_macros <= self.clusters as usize);
-        Partition::from_vec(
-            coarsest
-                .macro_of
-                .iter()
-                .map(|&m| u8::try_from(m).expect("few clusters"))
-                .collect(),
-        )
+        // At most `clusters` (a `u8`) macros remain, so every index fits.
+        Partition::from_vec(coarsest.macro_of.iter().map(|&m| m as u8).collect())
     }
 }
 
@@ -74,6 +66,34 @@ fn macro_class_counts(ddg: &Ddg, macro_of: &[usize], n_macros: usize) -> Vec<[u3
         counts[macro_of[n.index()]][ddg.kind(n).class().index()] += 1;
     }
     counts
+}
+
+/// Fills `agg` with one `(a, b, w)` per connected macro pair `a < b`,
+/// ascending: `w` sums `weight + 1` over the edges between the two macros
+/// (the +1 lets plain connectivity count even for weight-0 memory edges).
+/// Sorts the per-edge terms by pair and merges each run of equal pairs.
+fn aggregate_weights(
+    ddg: &Ddg,
+    weights: &[u64],
+    macro_of: &[usize],
+    agg: &mut Vec<(usize, usize, u64)>,
+) {
+    agg.clear();
+    for (e, &w) in ddg.edges().zip(weights) {
+        let a = macro_of[e.src.index()];
+        let b = macro_of[e.dst.index()];
+        if a != b {
+            agg.push((a.min(b), a.max(b), w + 1));
+        }
+    }
+    agg.sort_unstable_by_key(|&(a, b, _)| (a, b));
+    agg.dedup_by(|next, kept| {
+        let same = (next.0, next.1) == (kept.0, kept.1);
+        if same {
+            kept.2 += next.2;
+        }
+        same
+    });
 }
 
 /// Coarsens the DDG until at most `machine.clusters()` macro-nodes remain.
@@ -101,30 +121,21 @@ pub fn coarsen(ddg: &Ddg, machine: &MachineConfig, ii: u32, analysis: &LoopAnaly
     // (exact per-cluster fit is enforced later by refinement/scheduling).
     let cap = |class: OpClass| u32::from(machine.max_fu_count(class)) * ii.max(1);
 
+    // Inter-macro weights of one round, `(a, b, w)` with `a < b`; reused.
+    let mut agg: Vec<(usize, usize, u64)> = Vec::new();
     while n_macros > clusters {
         let counts = macro_class_counts(ddg, &macro_of, n_macros);
-        // Aggregate inter-macro weights (+1 per edge so plain connectivity
-        // counts even for weight-0 memory edges).
-        let mut agg: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-        for (e, &w) in ddg.edges().zip(weights.iter()) {
-            let a = macro_of[e.src.index()];
-            let b = macro_of[e.dst.index()];
-            if a != b {
-                *agg.entry((a.min(b), a.max(b))).or_insert(0) += w + 1;
-            }
-        }
+        aggregate_weights(ddg, &weights, &macro_of, &mut agg);
         let fits = |a: usize, b: usize| {
             OpClass::ALL
                 .iter()
                 .all(|&class| counts[a][class.index()] + counts[b][class.index()] <= cap(class))
         };
-        let candidates: Vec<(usize, usize, u64)> = agg
-            .iter()
-            .filter(|(&(a, b), _)| fits(a, b))
-            .map(|(&(a, b), &w)| (a, b, w))
-            .collect();
+        agg.retain(|&(a, b, _)| fits(a, b));
 
-        let mut pairs = greedy_matching(n_macros, &candidates);
+        // `greedy_matching` orders pairs totally by `(w, a, b)`, so the
+        // matching does not depend on the order of `agg`.
+        let mut pairs = greedy_matching(n_macros, &agg);
         // Never overshoot below the cluster count.
         pairs.truncate(n_macros - clusters);
 
@@ -173,6 +184,7 @@ pub fn coarsen(ddg: &Ddg, machine: &MachineConfig, ii: u32, analysis: &LoopAnaly
 mod tests {
     use super::*;
     use cvliw_ddg::OpKind;
+    use std::collections::BTreeMap;
 
     fn machine(spec: &str) -> MachineConfig {
         MachineConfig::from_spec(spec).unwrap()
@@ -222,6 +234,39 @@ mod tests {
             let total: usize = groups.iter().map(Vec::len).sum();
             assert_eq!(total, 7);
             assert!(groups.iter().all(|g| !g.is_empty()));
+        }
+    }
+
+    /// The sorted aggregation equals a per-pair map sum on every level of
+    /// a graph with parallel, reversed and memory edges between macros.
+    #[test]
+    fn aggregated_weights_match_a_pair_map() {
+        let mut b = Ddg::builder();
+        let n: Vec<_> = (0..8).map(|_| b.add_node(OpKind::FpAdd)).collect();
+        b.data(n[0], n[1]).data(n[1], n[2]).data(n[2], n[3]);
+        b.data(n[0], n[4]).data(n[4], n[5]).data(n[5], n[3]);
+        b.data(n[3], n[6]).data(n[6], n[7]).data_dist(n[7], n[0], 1);
+        b.data(n[1], n[5])
+            .mem_dep(n[6], n[2], 1)
+            .data_dist(n[5], n[1], 2);
+        let ddg = b.build().unwrap();
+        let m = machine("2c1b2l64r");
+        let analysis = LoopAnalysis::new(&ddg, &m);
+        let weights = edge_weights(&ddg, &m, 3, &analysis);
+        let h = coarsen(&ddg, &m, 3, &analysis);
+        assert!(h.levels.len() > 2);
+        let mut agg = Vec::new();
+        for level in &h.levels {
+            let mut want: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+            for (e, &w) in ddg.edges().zip(&weights) {
+                let (a, b) = (level.macro_of[e.src.index()], level.macro_of[e.dst.index()]);
+                if a != b {
+                    *want.entry((a.min(b), a.max(b))).or_insert(0) += w + 1;
+                }
+            }
+            aggregate_weights(&ddg, &weights, &level.macro_of, &mut agg);
+            let want: Vec<_> = want.into_iter().map(|((a, b), w)| (a, b, w)).collect();
+            assert_eq!(agg, want, "level with {} macros", level.n_macros);
         }
     }
 

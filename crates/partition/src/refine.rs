@@ -33,7 +33,7 @@ use cvliw_ddg::{Ddg, IncrementalAsap, NodeId, OpClass};
 use cvliw_machine::MachineConfig;
 use cvliw_sched::{pseudo_schedule, Assignment, LoopAnalysis, PseudoScratch};
 
-use crate::coarsen::{CoarseLevel, Hierarchy};
+use crate::coarsen::Hierarchy;
 use crate::partition::Partition;
 
 /// Comparable quality of a partition at a given II; **lower is better**.
@@ -70,9 +70,10 @@ impl PartitionScore {
 }
 
 /// Reusable state for refinement and scoring: the pseudo-schedule buffers,
-/// a reusable [`Assignment`], the delta-evaluation worklists (group
-/// membership stamps, affected-producer lists, usage censuses) and the
-/// incremental-ASAP move-speculation state.
+/// a reusable [`Assignment`], the move groups of the level being refined,
+/// the delta-evaluation worklists (group membership stamps,
+/// affected-producer lists, usage censuses) and the incremental-ASAP
+/// move-speculation state.
 ///
 /// One `RefineScratch` serves a whole compilation — every II of every mode
 /// — via `cvliw_replicate::CompileContext`'s compile scratch. All
@@ -82,6 +83,11 @@ impl PartitionScore {
 pub struct RefineScratch {
     pseudo: PseudoScratch,
     assignment: Assignment,
+    /// The move groups of the level being refined, CSR-style: group `g`
+    /// is `group_nodes[group_start[g]..group_start[g + 1]]`, its members
+    /// in ascending node order.
+    group_start: Vec<usize>,
+    group_nodes: Vec<usize>,
     /// Current-partition instance census per cluster and class.
     usage: Vec<[u32; 3]>,
     /// Node stamps marking membership of the group being scanned.
@@ -98,9 +104,6 @@ pub struct RefineScratch {
     cur_edge_lat: Vec<u32>,
     /// `(edge id, previous latency)` log of the speculated candidate.
     edge_changes: Vec<(u32, u32)>,
-    /// Destinations of edges whose latency the candidate raised / lowered.
-    raised: Vec<NodeId>,
-    lowered: Vec<NodeId>,
     /// Per-producer register cost under the current partition's ASAP.
     node_regs: Vec<u64>,
     /// Per-cluster register estimate of the current partition.
@@ -120,6 +123,8 @@ impl Default for RefineScratch {
         RefineScratch {
             pseudo: PseudoScratch::default(),
             assignment: Assignment::from_partition(&[]),
+            group_start: Vec::new(),
+            group_nodes: Vec::new(),
             usage: Vec::new(),
             in_group: Vec::new(),
             affected: Vec::new(),
@@ -128,8 +133,6 @@ impl Default for RefineScratch {
             inc: IncrementalAsap::default(),
             cur_edge_lat: Vec::new(),
             edge_changes: Vec::new(),
-            raised: Vec::new(),
-            lowered: Vec::new(),
             node_regs: Vec::new(),
             est_base: Vec::new(),
             est_tmp: Vec::new(),
@@ -147,6 +150,59 @@ impl RefineScratch {
     #[must_use]
     pub fn moves(&self) -> &[RefineMove] {
         &self.moves
+    }
+
+    /// Incremental-ASAP move speculations run on this scratch since it was
+    /// created or its counts were last reset.
+    #[must_use]
+    pub fn asap_speculations(&self) -> u64 {
+        self.inc.speculations()
+    }
+
+    /// Worklist pops of those speculations: a host-independent measure of
+    /// refinement's scoring work.
+    #[must_use]
+    pub fn asap_pops(&self) -> u64 {
+        self.inc.pops()
+    }
+
+    /// Zeroes [`RefineScratch::asap_speculations`] and
+    /// [`RefineScratch::asap_pops`].
+    pub fn reset_counts(&mut self) {
+        self.inc.reset_counts();
+    }
+
+    /// Fills the group lists with one group per macro of `macro_of` (a
+    /// node → macro map over `n_macros` macros) by counting sort: macros in
+    /// index order, members in node order.
+    fn set_groups(&mut self, macro_of: &[usize], n_macros: usize) {
+        // Counts land at `m + 2`, so after the prefix sum `group_start[m +
+        // 1]` is macro `m`'s start; placing each node advances that cursor
+        // to macro `m + 1`'s start, which leaves `group_start[m]` = start
+        // of `m` for every macro.
+        self.group_start.clear();
+        self.group_start.resize(n_macros + 2, 0);
+        for &m in macro_of {
+            self.group_start[m + 2] += 1;
+        }
+        for m in 2..self.group_start.len() {
+            self.group_start[m] += self.group_start[m - 1];
+        }
+        self.group_nodes.clear();
+        self.group_nodes.resize(macro_of.len(), 0);
+        for (node, &m) in macro_of.iter().enumerate() {
+            self.group_nodes[self.group_start[m + 1]] = node;
+            self.group_start[m + 1] += 1;
+        }
+        self.group_start.pop();
+    }
+
+    /// Fills the group lists with one singleton group per node.
+    fn set_singleton_groups(&mut self, nodes: usize) {
+        self.group_start.clear();
+        self.group_start.extend(0..=nodes);
+        self.group_nodes.clear();
+        self.group_nodes.extend(0..nodes);
     }
 
     /// Rebuilds the incremental move-speculation base state — the current
@@ -177,7 +233,8 @@ impl RefineScratch {
                     lat + uniform.unwrap_or_else(|| machine.transfer_latency(cs, cd))
                 }
             }));
-        self.inc.rebuild(ddg, ii, &self.cur_edge_lat);
+        self.inc
+            .rebuild(ddg, ii, &self.cur_edge_lat, analysis.topo_order());
         self.node_regs.clear();
         self.node_regs.resize(ddg.node_count(), 0);
         self.est_base.clear();
@@ -208,7 +265,7 @@ fn node_reg_cost(ddg: &Ddg, ii: u32, analysis: &LoopAnalysis, asap: &[i64], n: N
             last = last.max(asap[e.dst.index()] + i64::from(ii) * i64::from(e.distance));
         }
     }
-    let span = u64::try_from((last - def).max(1)).expect("non-negative");
+    let span = (last - def).max(1) as u64;
     span.div_ceil(u64::from(ii))
 }
 
@@ -429,7 +486,8 @@ pub(crate) fn refine_hierarchy(
             cache: None,
             reuse_base,
         };
-        part = refine_level(ddg, machine, ii, level, part, analysis, scratch, &mut opts);
+        scratch.set_groups(&level.macro_of, level.n_macros);
+        part = refine_level(ddg, machine, ii, part, analysis, scratch, &mut opts);
         reuse_base = true;
     }
     part
@@ -460,10 +518,7 @@ pub fn refine_existing(
     if let Some(cache) = &cache {
         debug_assert!(!cache.primed || cache.nodes == ddg.node_count() || cache.nodes == 0);
     }
-    let identity = CoarseLevel {
-        macro_of: (0..ddg.node_count()).collect(),
-        n_macros: ddg.node_count(),
-    };
+    scratch.set_singleton_groups(ddg.node_count());
     let mut opts = LevelOpts {
         variant: 0,
         cache,
@@ -472,9 +527,7 @@ pub fn refine_existing(
     if let Some(cache) = opts.cache.as_deref_mut() {
         cache.prepare(part.as_slice(), machine.clusters());
     }
-    refine_level(
-        ddg, machine, ii, &identity, part, analysis, scratch, &mut opts,
-    )
+    refine_level(ddg, machine, ii, part, analysis, scratch, &mut opts)
 }
 
 /// A from-scratch reference implementation of [`refine_existing`]:
@@ -585,18 +638,19 @@ struct LevelOpts<'a> {
     reuse_base: bool,
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One greedy refinement walk over the groups in the scratch's group
+/// lists.
 fn refine_level(
     ddg: &Ddg,
     machine: &MachineConfig,
     ii: u32,
-    level: &CoarseLevel,
     mut part: Partition,
     analysis: &LoopAnalysis,
     scratch: &mut RefineScratch,
     opts: &mut LevelOpts,
 ) -> Partition {
-    let groups = level.groups();
+    let group_start = std::mem::take(&mut scratch.group_start);
+    let group_nodes = std::mem::take(&mut scratch.group_nodes);
     let bus_cap = machine.coms_capacity_per_ii(ii);
     // The cheap-delta base state of the *current* partition: instance
     // census, communication count and the incremental ASAP fixpoint,
@@ -653,7 +707,8 @@ fn refine_level(
         // infeasible one (e.g. fp work stranded in a cluster without fp
         // units on a heterogeneous machine) may need interior moves.
         let consider_all = !best_score.feasible();
-        for group in &groups {
+        for bounds in group_start.windows(2) {
+            let group = &group_nodes[bounds[0]..bounds[1]];
             if group.is_empty() || (!consider_all && !is_boundary(&part, group)) {
                 continue;
             }
@@ -878,6 +933,8 @@ fn refine_level(
         }
     }
     scratch.usage = usage;
+    scratch.group_start = group_start;
+    scratch.group_nodes = group_nodes;
     part
 }
 
@@ -928,7 +985,7 @@ fn debug_check_rejection(
 /// edge-latency changes, speculates the ASAP fixpoint through the affected
 /// cone, re-derives the register estimate over only the producers whose
 /// lifetime or home could have changed, and rolls everything back. The
-/// returned score is byte-identical to [`score_partition_scratch`] of the
+/// returned score is byte-identical to [`score_partition`] of the
 /// moved partition (asserted per candidate in debug builds).
 #[allow(clippy::too_many_arguments)]
 fn speculate_move_score(
@@ -956,8 +1013,6 @@ fn speculate_move_score(
         inc,
         cur_edge_lat,
         edge_changes,
-        raised,
-        lowered,
         node_regs,
         est_base,
         est_tmp,
@@ -968,10 +1023,9 @@ fn speculate_move_score(
     // to the group can change, and each is visited exactly once (in-edges
     // whose source is also in the group were already seen as out-edges).
     edge_changes.clear();
-    raised.clear();
-    lowered.clear();
     let base = analysis.edge_lat();
     let uniform = machine.uniform_transfer_latency();
+    let mut lowers = false;
     {
         let eff = |n: NodeId| {
             if in_group[n.index()] {
@@ -997,11 +1051,7 @@ fn speculate_move_score(
             if lat != old {
                 edge_changes.push((eid, old));
                 cur_edge_lat[eid as usize] = lat;
-                if lat > old {
-                    raised.push(e.dst);
-                } else {
-                    lowered.push(e.dst);
-                }
+                lowers |= lat < old;
             }
         };
         for &i in group {
@@ -1026,7 +1076,7 @@ fn speculate_move_score(
     // candidate can therefore only win on imbalance, and only when the
     // incumbent's length already equals the base length. Everything here
     // is exact; no speculation is needed to reject.
-    if lowered.is_empty()
+    if !lowers
         && cap == thresh.key.0
         && bus == thresh.key.1
         && thresh.key.2 == 0
@@ -1049,13 +1099,14 @@ fn speculate_move_score(
     }
 
     // 3. Speculate the ASAP fixpoint through the affected cone.
-    let (rec, est, reg) = match inc.speculate(ddg, ii, cur_edge_lat, raised, lowered) {
+    let (rec, est, reg) = match inc.speculate(ddg, ii, cur_edge_lat, edge_changes) {
         // Infeasible candidate: the full score reports reg 0 and max est.
         None => (1u8, i64::MAX, 0u32),
         Some(len) => {
             // 4. Register estimate. A producer's cost changes only if its
             // own ASAP or a data successor's ASAP moved, or it is in the
-            // group (its home cluster changes); update exactly that set.
+            // group (its home cluster changes); update exactly that set,
+            // walking each changed node once.
             let reg = match inc.spec_changed() {
                 Some(changed) => {
                     est_tmp.clone_from(est_base);
@@ -1154,7 +1205,7 @@ fn imbalance_of(
     hi - lo.min(hi)
 }
 
-/// [`score_partition_scratch`] of the *current* partition assembled from
+/// [`score_partition`] of the *current* partition assembled from
 /// the already-maintained base state (usage census, communication count,
 /// incremental ASAP fixpoint, per-cluster register estimate) — byte-equal
 /// by construction, asserted at every `refine_level` entry in debug builds.
@@ -1244,6 +1295,34 @@ mod tests {
         let refined =
             refine_hierarchy(&ddg, &m, 2, &h, &analysis, &mut RefineScratch::default(), 0);
         assert!(score(&ddg, &refined, &m, 2) <= initial_score);
+    }
+
+    /// The flat group lists hold every level's groups in `groups()` order.
+    #[test]
+    fn flat_groups_match_level_groups() {
+        let mut b = Ddg::builder();
+        let n: Vec<_> = (0..9).map(|_| b.add_node(OpKind::FpAdd)).collect();
+        for w in n.windows(2) {
+            b.data(w[0], w[1]);
+        }
+        b.data(n[0], n[5]).data(n[2], n[7]).data_dist(n[8], n[3], 1);
+        let ddg = b.build().unwrap();
+        let m = machine("2c1b2l64r");
+        let h = crate::coarsen(&ddg, &m, 2, &LoopAnalysis::new(&ddg, &m));
+        assert!(h.levels.len() > 2);
+        let mut scratch = RefineScratch::default();
+        for level in &h.levels {
+            scratch.set_groups(&level.macro_of, level.n_macros);
+            let flat: Vec<Vec<usize>> = scratch
+                .group_start
+                .windows(2)
+                .map(|g| scratch.group_nodes[g[0]..g[1]].to_vec())
+                .collect();
+            assert_eq!(flat, level.groups());
+        }
+        scratch.set_singleton_groups(3);
+        assert_eq!(scratch.group_start, [0, 1, 2, 3]);
+        assert_eq!(scratch.group_nodes, [0, 1, 2]);
     }
 
     #[test]

@@ -34,14 +34,16 @@ pub(crate) fn edge_weights(
 ) -> Vec<u64> {
     let lat = analysis.lat();
     let feasible_ii = ii.max(analysis.rec_mii());
-    let bounds =
-        time_bounds(ddg, feasible_ii, &lat).expect("II at or above RecMII always has time bounds");
+    // An II at or above RecMII always has time bounds; without them no
+    // edge would have a measurable slack, so none would pay a shortfall.
+    let bounds = time_bounds(ddg, feasible_ii, &lat);
     let of = analysis.scc_of();
     let on_cycle = analysis.on_cycle();
     // The conservative scalar communication cost: the worst transfer
     // latency any cluster pair can pay (= the bus latency on shared-bus
     // machines, so the paper configurations score identically).
-    let bus = u64::from(machine.max_transfer_latency());
+    let bus_lat = machine.max_transfer_latency();
+    let bus = u64::from(bus_lat);
     ddg.edges()
         .map(|e| {
             if !e.is_data() {
@@ -52,9 +54,11 @@ pub(crate) fn edge_weights(
             if same_scc && on_cycle[e.src.index()] {
                 w += RECURRENCE_PENALTY * bus;
             }
-            let slack = bounds.alap[e.dst.index()] - bounds.asap[e.src.index()] - i64::from(lat(e))
-                + i64::from(feasible_ii) * i64::from(e.distance);
-            let shortfall = (i64::try_from(bus).expect("small") - slack).max(0) as u64;
+            let shortfall = bounds.as_ref().map_or(0, |b| {
+                let slack = b.alap[e.dst.index()] - b.asap[e.src.index()] - i64::from(lat(e))
+                    + i64::from(feasible_ii) * i64::from(e.distance);
+                (i64::from(bus_lat) - slack).max(0) as u64
+            });
             w + SLACK_PENALTY * shortfall
         })
         .collect()
