@@ -492,6 +492,9 @@ pub struct WorkCounts {
     pub asap_speculations: u64,
     /// Worklist pops those speculations made.
     pub asap_pops: u64,
+    /// Candidate refinement moves the critical-path witness bound rejected
+    /// without a speculation.
+    pub refine_bound_rejections: u64,
 }
 
 impl WorkCounts {
@@ -501,12 +504,14 @@ impl WorkCounts {
         self.schedule_attempts_reused += other.schedule_attempts_reused;
         self.asap_speculations += other.asap_speculations;
         self.asap_pops += other.asap_pops;
+        self.refine_bound_rejections += other.refine_bound_rejections;
     }
 
     /// Adds the refinement work counted by `refine`.
     fn add_refine(&mut self, refine: &RefineScratch) {
         self.asap_speculations += refine.asap_speculations();
         self.asap_pops += refine.asap_pops();
+        self.refine_bound_rejections += refine.bound_rejections();
     }
 }
 

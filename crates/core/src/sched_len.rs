@@ -74,8 +74,10 @@ pub fn extend_for_length(
 ) -> Assignment {
     let node_lat = analysis.node_lat();
     let n = ddg.node_count();
-    // Buffers reused across rounds and candidates: the Figure-4 walk, the
-    // Figure-5 liveness query, the censuses and the span estimate.
+    // Buffers reused across rounds and candidates: the round's edge
+    // latencies, the Figure-4 walk, the Figure-5 liveness query, the
+    // censuses and the span estimate.
+    let mut edge_lat: Vec<u32> = Vec::new();
     let mut cand_lat: Vec<u32> = Vec::new();
     let mut asap: Vec<i64> = Vec::new();
     let mut coms: Vec<NodeId> = Vec::new();
@@ -108,16 +110,13 @@ pub fn extend_for_length(
         }
         assignment.class_usage_into(ddg, machine.clusters(), &mut usage);
 
-        // Zero-slack cross edges: slacks are materialized up front so the
-        // assignment can be mutated while iterating.
-        let edge_lat: Vec<u32> = {
-            let lat = comm_lat(machine, &assignment, node_lat);
-            ddg.edges().map(&lat).collect()
-        };
+        // Zero-slack cross edges: the round's latencies are materialized up
+        // front so the assignment can be mutated while iterating.
+        edge_lat.clear();
+        edge_lat.extend(ddg.edges().map(comm_lat(machine, &assignment, node_lat)));
 
-        let edges: Vec<cvliw_ddg::Edge> = ddg.edges().copied().collect();
         let mut committed = false;
-        'edges: for (idx, e) in edges.iter().enumerate() {
+        'edges: for (idx, e) in ddg.edges().enumerate() {
             if !e.is_data() {
                 continue;
             }

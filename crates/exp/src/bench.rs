@@ -256,7 +256,12 @@ pub fn emit_bench_json(report: &BenchReport) -> String {
         "    \"asap_speculations\": {},",
         report.work.asap_speculations
     );
-    let _ = writeln!(o, "    \"asap_pops\": {}", report.work.asap_pops);
+    let _ = writeln!(o, "    \"asap_pops\": {},", report.work.asap_pops);
+    let _ = writeln!(
+        o,
+        "    \"refine_bound_rejections\": {}",
+        report.work.refine_bound_rejections
+    );
     // Per-stage share of the median total wall clock. On one worker the
     // shares nearly sum to 1; with more workers (or seed racing) the
     // buckets are CPU time against an elapsed total, so the sum exceeds it.
@@ -449,7 +454,11 @@ mod tests {
             "\"asap_speculations\": {}",
             report.work.asap_speculations
         )));
-        assert!(section.contains(&format!("\"asap_pops\": {}", report.work.asap_pops)));
+        assert!(section.contains(&format!("\"asap_pops\": {},", report.work.asap_pops)));
+        assert!(section.contains(&format!(
+            "\"refine_bound_rejections\": {}",
+            report.work.refine_bound_rejections
+        )));
         for stage in Stage::ALL {
             assert!(!section.contains(&format!("\"{}\":", stage.name())));
         }

@@ -1,7 +1,7 @@
 //! Pseudo-schedule-guided refinement of a partition (reference [2]).
 //!
 //! Refinement is the compilation driver's hottest loop: every II bump
-//! re-scores hundreds of candidate single-node moves. Three layers keep
+//! re-scores hundreds of candidate single-node moves. Four layers keep
 //! that cheap without changing a single accepted move:
 //!
 //! * **Lazy lexicographic rejection**: a candidate dies as soon as a cheap
@@ -9,6 +9,17 @@
 //!   computed exactly from O(degree) deltas — already compares worse than
 //!   the incumbent. The lexicographic comparison is decided by the first
 //!   differing component, so the verdict equals the full score's.
+//! * **A critical-path witness bound**: every move base records one
+//!   *witness path* of its ASAP fixpoint — a chain of tight edges from a
+//!   node at time 0 to a node at the base length `L`, so the path's
+//!   weight is exactly `L`. A candidate's fixpoint still contains that
+//!   path, with only the latency changes the move makes on it, so its
+//!   length is at least `L + Σ(new − old)` over the witness edges it
+//!   changes (or it is infeasible, which is worse still). When the
+//!   candidate ties the incumbent on everything before the length, that
+//!   lower bound alone can prove it loses, and it is rejected without
+//!   speculating. The bound is a proof, not an estimate, so the verdict
+//!   equals the full score's.
 //! * **Incremental scoring** for the survivors: a move only changes the
 //!   latencies of the data edges incident to the moved group, so the
 //!   recurrence check, the estimated length and the register pressure are
@@ -25,7 +36,7 @@
 //!   hence II-independent: entries filled at one II keep hitting across
 //!   the whole II climb.
 //!
-//! All three layers are observationally pure: [`refine_existing`] accepts
+//! All four layers are observationally pure: [`refine_existing`] accepts
 //! the same moves with or without a cache, pinned by debug assertions and
 //! the differential oracle in `tests/refine_incremental_props.rs`.
 
@@ -110,6 +121,16 @@ pub struct RefineScratch {
     est_base: Vec<u64>,
     /// Per-cluster register estimate of the speculated candidate.
     est_tmp: Vec<u64>,
+    /// The base fixpoint's witness path, one in-edge id per node on it
+    /// (`NO_EDGE` elsewhere): edge `e` is on the path iff
+    /// `witness_in[dst(e)] == e`.
+    witness_in: Vec<u32>,
+    /// Whether `witness_in` holds a witness path: off on an infeasible base
+    /// and when the walk met a tight zero-weight cycle.
+    witness_on: bool,
+    /// Candidates the witness bound rejected without speculating, since
+    /// creation or the last [`RefineScratch::reset_counts`].
+    bound_rejections: u64,
     /// Communication count of the partition the move base describes, so a
     /// follow-up `refine_level` on the *same* (graph, II, partition) state
     /// can skip the entry recount (see [`LevelOpts::reuse_base`]).
@@ -136,6 +157,9 @@ impl Default for RefineScratch {
             node_regs: Vec::new(),
             est_base: Vec::new(),
             est_tmp: Vec::new(),
+            witness_in: Vec::new(),
+            witness_on: false,
+            bound_rejections: 0,
             base_ncoms: 0,
             moves: Vec::new(),
         }
@@ -166,10 +190,19 @@ impl RefineScratch {
         self.inc.pops()
     }
 
-    /// Zeroes [`RefineScratch::asap_speculations`] and
-    /// [`RefineScratch::asap_pops`].
+    /// Candidate moves the critical-path witness bound rejected without an
+    /// incremental-ASAP speculation (see the module docs).
+    #[must_use]
+    pub fn bound_rejections(&self) -> u64 {
+        self.bound_rejections
+    }
+
+    /// Zeroes [`RefineScratch::asap_speculations`],
+    /// [`RefineScratch::asap_pops`] and
+    /// [`RefineScratch::bound_rejections`].
     pub fn reset_counts(&mut self) {
         self.inc.reset_counts();
+        self.bound_rejections = 0;
     }
 
     /// Fills the group lists with one group per macro of `macro_of` (a
@@ -206,9 +239,10 @@ impl RefineScratch {
     }
 
     /// Rebuilds the incremental move-speculation base state — the current
-    /// partition's comm-adjusted latencies, ASAP fixpoint and per-producer
-    /// register costs. Called at `refine_level` entry and after every
-    /// accepted move (accepts are rare; candidates are speculative).
+    /// partition's comm-adjusted latencies, ASAP fixpoint, its witness path
+    /// and per-producer register costs. Called at `refine_level` entry and
+    /// after every accepted move (accepts are rare; candidates are
+    /// speculative).
     fn rebuild_move_base(
         &mut self,
         ddg: &Ddg,
@@ -235,6 +269,7 @@ impl RefineScratch {
             }));
         self.inc
             .rebuild(ddg, ii, &self.cur_edge_lat, analysis.topo_order());
+        self.rebuild_witness(ddg, ii);
         self.node_regs.clear();
         self.node_regs.resize(ddg.node_count(), 0);
         self.est_base.clear();
@@ -251,7 +286,47 @@ impl RefineScratch {
             }
         }
     }
+
+    /// Records the base fixpoint's witness path: from the lowest-index node
+    /// at the base length `L`, walk back along tight in-edges (`asap[u] +
+    /// lat(e) − II·dist(e) == asap[v]`, the first in edge-id order) until a
+    /// node at time 0. Tight edges telescope, so the path weighs exactly
+    /// `L`. A node with a positive time always has a tight in-edge (it is a
+    /// least fixpoint), but the walk may close a tight cycle — a zero-weight
+    /// recurrence at II = RecMII — and then the bound is off for this base.
+    fn rebuild_witness(&mut self, ddg: &Ddg, ii: u32) {
+        self.witness_in.clear();
+        self.witness_in.resize(ddg.node_count(), NO_EDGE);
+        self.witness_on = false;
+        if !self.inc.is_feasible() {
+            return;
+        }
+        let asap = self.inc.asap();
+        let Some(mut v) = asap.iter().position(|&t| t == self.inc.length()) else {
+            return;
+        };
+        while asap[v] != 0 {
+            if self.witness_in[v] != NO_EDGE {
+                return;
+            }
+            let tight = ddg.in_edge_ids(NodeId::new(v as u32)).iter().find(|&&eid| {
+                let e = ddg.edge(eid);
+                asap[e.src.index()] + i64::from(self.cur_edge_lat[eid as usize])
+                    - i64::from(ii) * i64::from(e.distance)
+                    == asap[v]
+            });
+            let Some(&eid) = tight else {
+                return;
+            };
+            self.witness_in[v] = eid;
+            v = ddg.edge(eid).src.index();
+        }
+        self.witness_on = true;
+    }
 }
+
+/// `witness_in` marker for a node off the witness path.
+const NO_EDGE: u32 = u32::MAX;
 
 /// Register cost of producer `n` under `asap`: its value lives from
 /// definition to its furthest consumer (plus iteration distance), and an
@@ -875,7 +950,7 @@ fn refine_level(
                 // Still in the race: derive the expensive key components
                 // (recurrences, registers, length, imbalance) from a
                 // speculative incremental-ASAP update instead of a full
-                // pseudo-schedule. `None` is a proven raise-only rejection.
+                // pseudo-schedule. `None` is a witness-bound rejection.
                 let score = speculate_move_score(
                     ddg, machine, ii, &part, analysis, scratch, group, target, cap, bus, q_ncoms,
                     &usage, current, &src_usage, &dst_usage, thresh,
@@ -896,7 +971,7 @@ fn refine_level(
                         ),
                         None => debug_assert!(
                             full >= *best_move.as_ref().map_or(&best_score, |(_, s)| s),
-                            "monotonicity rejection dropped an improving move"
+                            "witness bound rejected an improving move"
                         ),
                     }
                 }
@@ -987,6 +1062,15 @@ fn debug_check_rejection(
 /// lifetime or home could have changed, and rolls everything back. The
 /// returned score is byte-identical to [`score_partition`] of the
 /// moved partition (asserted per candidate in debug builds).
+///
+/// Returns `None` without speculating when the witness bound proves the
+/// candidate cannot beat `thresh`: it ties `thresh` on capacity, bus and
+/// communications, `thresh` is recurrence- and register-feasible, and the
+/// candidate's length, at least `L + Σ(new − old)` over the witness edges
+/// it changes (see [`RefineScratch::rebuild_witness`]), already exceeds
+/// `thresh`'s — or equals it with no better imbalance. A candidate that is
+/// infeasible instead loses on the recurrence component, so the rejection
+/// is exact either way.
 #[allow(clippy::too_many_arguments)]
 fn speculate_move_score(
     ddg: &Ddg,
@@ -1016,16 +1100,21 @@ fn speculate_move_score(
         node_regs,
         est_base,
         est_tmp,
+        witness_in,
+        witness_on,
+        bound_rejections,
         ..
     } = scratch;
 
     // 1. Collect the move's edge-latency changes: only data edges incident
     // to the group can change, and each is visited exactly once (in-edges
     // whose source is also in the group were already seen as out-edges).
+    // Sum the changes on the witness path on the way.
     edge_changes.clear();
     let base = analysis.edge_lat();
     let uniform = machine.uniform_transfer_latency();
     let mut lowers = false;
+    let mut witness_delta = 0i64;
     {
         let eff = |n: NodeId| {
             if in_group[n.index()] {
@@ -1052,6 +1141,9 @@ fn speculate_move_score(
                 edge_changes.push((eid, old));
                 cur_edge_lat[eid as usize] = lat;
                 lowers |= lat < old;
+                if witness_in[e.dst.index()] == eid {
+                    witness_delta += i64::from(lat) - i64::from(old);
+                }
             }
         };
         for &i in group {
@@ -1066,44 +1158,42 @@ fn speculate_move_score(
             }
         }
     }
+    let imbalance = imbalance_of(machine, usage, current, target, src_usage, dst_usage);
 
-    // 2. Monotonicity rejection: a move that only *raises* latencies (it
-    // pulls the group away from every neighbour; nothing gets closer) can
-    // only grow the least fixpoint, so its length is at least the base
-    // length — and an infeasible base or candidate stays / becomes
-    // infeasible, which is worse still. Against a recurrence- and
-    // register-feasible incumbent that ties the whole cheap prefix, the
-    // candidate can therefore only win on imbalance, and only when the
-    // incumbent's length already equals the base length. Everything here
-    // is exact; no speculation is needed to reject.
-    if !lowers
+    // 2. The witness bound: a candidate that ties the whole prefix can only
+    // still win on length and imbalance.
+    let bound_rejects = *witness_on
         && cap == thresh.key.0
         && bus == thresh.key.1
         && thresh.key.2 == 0
         && thresh.key.3 == 0
         && q_ncoms == thresh.key.4
-    {
-        let beaten = if thresh.key.5 < inc.length() {
-            true
-        } else if thresh.key.5 == inc.length() {
-            imbalance_of(machine, usage, current, target, src_usage, dst_usage) >= thresh.key.6
-        } else {
-            false
+        && {
+            let bound = inc.length() + witness_delta;
+            bound > thresh.key.5 || (bound == thresh.key.5 && imbalance >= thresh.key.6)
         };
-        if beaten {
-            for &(eid, old) in edge_changes.iter() {
-                cur_edge_lat[eid as usize] = old;
-            }
-            return None;
-        }
+    if bound_rejects {
+        *bound_rejections += 1;
+        restore_edge_lat(cur_edge_lat, edge_changes);
+        return None;
     }
 
-    // 3. Speculate the ASAP fixpoint through the affected cone.
+    // 3. Raising latencies keeps every positive cycle positive, so a
+    // candidate on an infeasible base that lowers nothing stays infeasible:
+    // the full score reports reg 0 and max est, and no sweep is needed.
+    if !inc.is_feasible() && !lowers {
+        restore_edge_lat(cur_edge_lat, edge_changes);
+        return Some(PartitionScore {
+            key: (cap, bus, 1, 0, q_ncoms, i64::MAX, imbalance),
+        });
+    }
+
+    // 4. Speculate the ASAP fixpoint through the affected cone.
     let (rec, est, reg) = match inc.speculate(ddg, ii, cur_edge_lat, edge_changes) {
         // Infeasible candidate: the full score reports reg 0 and max est.
         None => (1u8, i64::MAX, 0u32),
         Some(len) => {
-            // 4. Register estimate. A producer's cost changes only if its
+            // 5. Register estimate. A producer's cost changes only if its
             // own ASAP or a data successor's ASAP moved, or it is in the
             // group (its home cluster changes); update exactly that set,
             // walking each changed node once.
@@ -1165,18 +1255,21 @@ fn speculate_move_score(
         }
     };
 
-    // 5. Load imbalance from the substituted usage census — O(clusters).
-    let imbalance = imbalance_of(machine, usage, current, target, src_usage, dst_usage);
-
     // 6. Roll the speculation back; the base state is untouched.
     inc.rollback();
-    for &(eid, old) in edge_changes.iter() {
-        cur_edge_lat[eid as usize] = old;
-    }
+    restore_edge_lat(cur_edge_lat, edge_changes);
 
     Some(PartitionScore {
         key: (cap, bus, rec, reg, q_ncoms, est, imbalance),
     })
+}
+
+/// Undoes a candidate's in-place edge-latency overrides from its
+/// `(edge id, base latency)` log.
+fn restore_edge_lat(cur_edge_lat: &mut [u32], edge_changes: &[(u32, u32)]) {
+    for &(eid, old) in edge_changes {
+        cur_edge_lat[eid as usize] = old;
+    }
 }
 
 /// Load imbalance of the candidate partition, from the base census with
@@ -1416,6 +1509,174 @@ mod tests {
             );
             assert_eq!(plain, part, "ii={ii}");
         }
+    }
+
+    /// Scores moving `node` to `target` the way `refine_level` scores a
+    /// singleton candidate that survived the cheap prefix, against the
+    /// base score of `part`. Returns `(base score, full score of the moved
+    /// partition, incremental verdict)`.
+    fn score_one_move(
+        ddg: &Ddg,
+        m: &MachineConfig,
+        ii: u32,
+        part: &Partition,
+        scratch: &mut RefineScratch,
+        node: usize,
+        target: u8,
+    ) -> (PartitionScore, PartitionScore, Option<PartitionScore>) {
+        let analysis = LoopAnalysis::new(ddg, m);
+        let n = NodeId::new(node as u32);
+        let current = part.cluster_of(n);
+        let mut moved = part.clone();
+        moved.set_cluster(n, target);
+        let full = score_partition(ddg, &moved, m, ii, &analysis, scratch);
+
+        let mut usage = Vec::new();
+        scratch.assignment.set_from_partition(part.as_slice());
+        scratch
+            .assignment
+            .class_usage_into(ddg, m.clusters(), &mut usage);
+        let ncoms = scratch.assignment.comm_count(ddg);
+        scratch.rebuild_move_base(ddg, m, ii, part, &analysis);
+        let base = base_score(
+            m,
+            ii,
+            m.coms_capacity_per_ii(ii),
+            &usage,
+            ncoms,
+            &scratch.inc,
+            &scratch.est_base,
+        );
+        let class = ddg.kind(n).class().index();
+        let mut src = usage[current as usize];
+        src[class] -= 1;
+        let mut dst = usage[target as usize];
+        dst[class] += 1;
+        scratch.in_group.clear();
+        scratch.in_group.resize(ddg.node_count(), false);
+        scratch.in_group[node] = true;
+        scratch.seen.clear();
+        scratch.seen.resize(ddg.node_count(), 0);
+        let (cap, bus, _, _, q_ncoms, ..) = full.key;
+        let got = speculate_move_score(
+            ddg,
+            m,
+            ii,
+            part,
+            &analysis,
+            scratch,
+            &[node],
+            target,
+            cap,
+            bus,
+            q_ncoms,
+            &usage,
+            current,
+            &src,
+            &dst,
+            &base,
+        );
+        scratch.in_group[node] = false;
+        (base, full, got)
+    }
+
+    /// `x → p → n` in cluster 0 with `p` already sending a loop-carried
+    /// value to `r` in cluster 1: moving the store `n` next to `r` keeps the
+    /// communication count and evens out the load, but raises the witness
+    /// edge `p → n` and lowers nothing, so the bound rejects it unscored.
+    /// Against a register-infeasible incumbent the same move could still
+    /// win on registers, so there it is speculated.
+    #[test]
+    fn witness_bound_rejects_a_raise_on_the_critical_path_unspeculated() {
+        let mut b = Ddg::builder();
+        let x = b.add_node(OpKind::Load);
+        let p = b.add_node(OpKind::FpMul);
+        let n = b.add_node(OpKind::Store);
+        let r = b.add_node(OpKind::Store);
+        b.data(x, p).data(p, n).data_dist(p, r, 1);
+        let ddg = b.build().unwrap();
+        let m = machine("2c1b2l64r");
+        let part = Partition::from_vec(vec![0, 0, 0, 1]);
+        let mut scratch = RefineScratch::default();
+        let (base, full, got) = score_one_move(&ddg, &m, 4, &part, &mut scratch, n.index(), 1);
+        assert!(scratch.witness_on);
+        let pn = ddg.in_edge_ids(n)[0];
+        assert_eq!(scratch.witness_in[n.index()], pn, "p → n is the witness");
+        assert_eq!(full.comms(), base.comms());
+        assert!(full.est_length() > base.est_length());
+        assert_eq!(got, None);
+        assert!(full >= base, "the rejection is exact");
+        assert_eq!(scratch.asap_speculations(), 0);
+        assert_eq!(scratch.bound_rejections(), 1);
+
+        let m = machine("2c1b2l1r");
+        let mut scratch = RefineScratch::default();
+        let (base, full, got) = score_one_move(&ddg, &m, 4, &part, &mut scratch, n.index(), 1);
+        assert!(
+            base.key.3 > 0,
+            "one register per cluster overflows: {base:?}"
+        );
+        assert_eq!(got, Some(full));
+        assert_eq!(scratch.asap_speculations(), 1);
+        assert_eq!(scratch.bound_rejections(), 0);
+    }
+
+    /// `p` feeds `n` across the bus on the critical path; moving `n` home
+    /// lowers that witness edge, so the bound drops below the base length
+    /// and the move is speculated — and accepted, for its shorter length.
+    #[test]
+    fn lowering_a_critical_edge_is_speculated_and_accepted() {
+        let mut b = Ddg::builder();
+        let p = b.add_node(OpKind::FpAdd);
+        let n = b.add_node(OpKind::Store);
+        let u = b.add_node(OpKind::Store);
+        let v = b.add_node(OpKind::Store);
+        b.data(p, n).data_dist(p, u, 1).data(p, v);
+        let ddg = b.build().unwrap();
+        let m = machine("2c1b2l64r");
+        let analysis = LoopAnalysis::new(&ddg, &m);
+        let part = Partition::from_vec(vec![0, 1, 1, 0]);
+        let mut scratch = RefineScratch::default();
+        let got = refine_existing(&ddg, &m, 4, part.clone(), &analysis, &mut scratch, None);
+        let (want, want_moves) = refine_existing_oracle(&ddg, &m, 4, part, &analysis);
+        assert_eq!(got, want);
+        assert_eq!(scratch.moves(), want_moves);
+        assert_eq!(scratch.moves()[0], (n.index() as u32, 1, 0));
+        assert!(scratch.asap_speculations() >= 2, "p's and n's moves");
+    }
+
+    /// `x → a` feeding the ring `a → b → c → a` at II = RecMII: the ring is
+    /// a tight zero-weight cycle, and `a`'s first tight in-edge closes it,
+    /// so the witness walk revisits `c` and turns the bound off. Refinement
+    /// then speculates as before and still retraces the oracle.
+    #[test]
+    fn tight_zero_weight_cycle_turns_the_bound_off() {
+        let mut b = Ddg::builder();
+        let a = b.add_node(OpKind::FpAdd);
+        let bb = b.add_node(OpKind::FpAdd);
+        let c = b.add_node(OpKind::FpAdd);
+        let x = b.add_node(OpKind::Load);
+        let y = b.add_node(OpKind::Store);
+        b.data(a, bb)
+            .data(bb, c)
+            .data_dist(c, a, 1)
+            .data(x, a)
+            .data(c, y);
+        let ddg = b.build().unwrap();
+        let m = machine("2c1b2l64r");
+        let analysis = LoopAnalysis::new(&ddg, &m);
+        let ii = analysis.rec_mii();
+        assert!(ii >= analysis.mii());
+        let part = Partition::from_vec(vec![0, 0, 0, 1, 1]);
+        let mut scratch = RefineScratch::default();
+        let got = refine_existing(&ddg, &m, ii, part.clone(), &analysis, &mut scratch, None);
+        let (want, want_moves) = refine_existing_oracle(&ddg, &m, ii, part.clone(), &analysis);
+        assert_eq!(got, want);
+        assert_eq!(scratch.moves(), want_moves);
+        scratch.rebuild_move_base(&ddg, &m, ii, &part, &analysis);
+        assert!(scratch.inc.is_feasible());
+        assert!(!scratch.witness_on, "the walk must close the ring");
+        assert_eq!(scratch.bound_rejections(), 0);
     }
 
     /// The oracle and the production path accept the same move sequence.

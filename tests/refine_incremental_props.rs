@@ -16,15 +16,18 @@
 //! previous II's result, with one `RefineScratch` and one `RefineCache`
 //! carried across the whole chain, exactly as
 //! `cvliw_replicate::CompileContext` does — so cache entries filled at
-//! one II are re-validated at the next.
+//! one II are re-validated at the next. The same climb also runs over
+//! suite loops on the paper's six machines, up to the II the baseline
+//! compile settles at.
 
-use cvliw::machine::MachineConfig;
+use cvliw::machine::{paper_specs, MachineConfig};
 use cvliw::partition::{
     partition_loop_scratch, refine_existing, refine_existing_oracle, RefineCache, RefineMove,
     RefineScratch,
 };
+use cvliw::prelude::{compile_loop, CompileOptions};
 use cvliw::sched::LoopAnalysis;
-use cvliw::workloads::{generate_loop, GeneratorParams};
+use cvliw::workloads::{generate_loop, program, program_names, GeneratorParams};
 use proptest::prelude::*;
 
 /// Every interconnect fabric the machine model supports, on the cluster
@@ -157,4 +160,70 @@ proptest! {
             }
         }
     }
+}
+
+/// Suite loops per program in the suite differential, and their size cap
+/// (the oracle re-scores every candidate with a full pseudo-schedule).
+const SUITE_LOOPS_PER_PROGRAM: usize = 2;
+const SUITE_MAX_OPS: usize = 32;
+
+/// The climb above on suite loops: the first two loops of at most 32 ops of
+/// every program, on the six paper machines, from the MII seed partition
+/// up to the II the baseline compile settles at (at least `II_STEPS`
+/// steps). Every chain step must retrace the oracle, and the witness bound
+/// must have rejected some candidate, or this pins nothing about it.
+#[test]
+fn suite_chain_matches_full_recompute_oracle() {
+    let mut bound_rejections = 0;
+    for name in program_names() {
+        let prog = program(name).expect("suite program");
+        let loops = prog
+            .loops
+            .iter()
+            .filter(|l| l.ddg.node_count() <= SUITE_MAX_OPS)
+            .take(SUITE_LOOPS_PER_PROGRAM);
+        for l in loops {
+            for spec in paper_specs() {
+                let machine = MachineConfig::from_spec(spec).expect("preset parses");
+                let analysis = LoopAnalysis::new(&l.ddg, &machine);
+                let mii = analysis.mii();
+                let top = compile_loop(&l.ddg, &machine, &CompileOptions::baseline())
+                    .expect("suite loops compile")
+                    .stats
+                    .ii
+                    .max(mii + II_STEPS - 1);
+                let mut scratch = RefineScratch::default();
+                let mut cache = RefineCache::default();
+                let mut part =
+                    partition_loop_scratch(&l.ddg, &machine, mii, &analysis, &mut scratch, 0);
+                scratch.reset_counts();
+                for ii in mii..=top {
+                    let (oracle_part, oracle_moves) =
+                        refine_existing_oracle(&l.ddg, &machine, ii, part.clone(), &analysis);
+                    part = refine_existing(
+                        &l.ddg,
+                        &machine,
+                        ii,
+                        part,
+                        &analysis,
+                        &mut scratch,
+                        Some(&mut cache),
+                    );
+                    assert_eq!(
+                        scratch.moves(),
+                        &oracle_moves[..],
+                        "{} on {spec} at ii {ii}: accepted-move sequences diverged",
+                        l.name
+                    );
+                    assert_eq!(
+                        part, oracle_part,
+                        "{} on {spec} at ii {ii}: refined partitions diverged",
+                        l.name
+                    );
+                }
+                bound_rejections += scratch.bound_rejections();
+            }
+        }
+    }
+    assert!(bound_rejections > 0, "the witness bound never fired");
 }
