@@ -97,6 +97,12 @@ pub enum AcyclicError {
         /// The value that cannot travel.
         value: NodeId,
     },
+    /// A data producer has no instance in any cluster, so its value exists
+    /// nowhere (an assignment that dropped every instance of a node).
+    Unplaced {
+        /// The producer without an instance.
+        value: NodeId,
+    },
 }
 
 impl std::fmt::Display for AcyclicError {
@@ -114,6 +120,9 @@ impl std::fmt::Display for AcyclicError {
                     "value {value} crosses clusters but the machine has no links"
                 )
             }
+            AcyclicError::Unplaced { value } => {
+                write!(f, "value {value} has no instance in any cluster")
+            }
         }
     }
 }
@@ -130,7 +139,8 @@ impl std::error::Error for AcyclicError {}
 ///
 /// [`AcyclicError::LoopCarriedEdge`] if any edge has distance > 0,
 /// [`AcyclicError::NoBus`] if communication is needed on a bus-less
-/// machine.
+/// machine, [`AcyclicError::Unplaced`] if a consumer reads a producer
+/// with no instance.
 pub fn schedule_acyclic(
     ddg: &Ddg,
     machine: &MachineConfig,
@@ -227,13 +237,17 @@ pub fn schedule_acyclic(
         if machine.links() == 0 {
             return Err(AcyclicError::NoBus { value: n });
         }
-        let (src_done, source) = out
+        // Topological order schedules every instance of the producer before
+        // its consumers, so only a producer without instances has none.
+        let Some((src_done, source)) = out
             .instances
             .iter()
             .filter(|&(&(m, _), _)| m == n)
             .map(|(&(_, mc), &t)| (t + machine.latency(ddg.kind(n)), mc))
             .min()
-            .expect("producer scheduled before consumers (topological order)");
+        else {
+            return Err(AcyclicError::Unplaced { value: n });
+        };
         if shared {
             // Earliest bus able to carry the broadcast.
             let lat = machine.bus_latency() as usize;
@@ -365,7 +379,9 @@ fn critical_bus_hop(
                 continue;
             }
             if assignment.instances(p).contains(c) {
-                let t_p = sched.instance_cycle(p, c).expect("instance scheduled");
+                let Some(t_p) = sched.instance_cycle(p, c) else {
+                    continue; // every instance is scheduled; none binds otherwise
+                };
                 if t_p + machine.latency(ddg.kind(p)) == t_n {
                     stack.push((p, c, t_p)); // binding local operand
                 }

@@ -617,10 +617,10 @@ impl CompileContext {
     /// the canonical seed 0 (the unperturbed pipeline) always wins, which
     /// is what keeps reports byte-identical whether racing is enabled or
     /// not as long as no perturbation finds a strictly better partition.
-    /// `seeds` is clamped to at least 1.
+    /// `seeds` is clamped to `1..=`[`MAX_REFINE_SEEDS`].
     #[must_use]
     pub fn with_refine_seeds(mut self, seeds: u32) -> Self {
-        self.refine_seeds = seeds.max(1);
+        self.refine_seeds = seeds.clamp(1, MAX_REFINE_SEEDS);
         self
     }
 
@@ -834,13 +834,19 @@ impl CompileContext {
     }
 }
 
+/// The most refinement seeds one compile may race. Every seed beyond the
+/// first runs on its own scoped thread, so the count is bounded before any
+/// thread is spawned; the daemon protocol and the CLI reject larger values.
+pub const MAX_REFINE_SEEDS: u32 = 64;
+
 /// Races `seeds` perturbed multilevel partitionings of `(ddg, machine)` at
-/// the MII on scoped threads and picks the winner by `(score, seed-index)`
-/// — the smallest score wins, ties resolve to the lowest index, so seed 0
-/// (the canonical, unperturbed pipeline) wins unless a perturbation is
-/// strictly better. Returns the winning partition plus the **summed**
-/// wall-clock nanoseconds and refinement work of every raced seed (losers
-/// included), which the caller charges to the partition stage.
+/// the MII — seed 0 on the calling thread, the others on scoped threads —
+/// and picks the winner by `(score, seed-index)`: the smallest score wins,
+/// ties resolve to the lowest index, so seed 0 (the canonical, unperturbed
+/// pipeline) wins unless a perturbation is strictly better. Returns the
+/// winning partition plus the **summed** wall-clock nanoseconds and
+/// refinement work of every raced seed (losers included), which the caller
+/// charges to the partition stage.
 fn race_seed_partitions(
     ddg: &Ddg,
     machine: &MachineConfig,
@@ -848,43 +854,33 @@ fn race_seed_partitions(
     analysis: &LoopAnalysis,
     seeds: u32,
 ) -> (Partition, u64, WorkCounts) {
+    let run = |variant: u32| {
+        let started = Instant::now();
+        let mut scratch = RefineScratch::default();
+        let part = partition_loop_scratch(ddg, machine, mii, analysis, &mut scratch, variant);
+        let score = score_partition(ddg, &part, machine, mii, analysis, &mut scratch);
+        let mut work = WorkCounts::default();
+        work.add_refine(&scratch);
+        (score, part, elapsed_nanos(started), work)
+    };
     let mut lanes: Vec<Option<(PartitionScore, Partition, u64, WorkCounts)>> =
-        (0..seeds).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (variant, lane) in lanes.iter_mut().enumerate() {
-            scope.spawn(move || {
-                let started = Instant::now();
-                let mut scratch = RefineScratch::default();
-                let part = partition_loop_scratch(
-                    ddg,
-                    machine,
-                    mii,
-                    analysis,
-                    &mut scratch,
-                    variant as u32,
-                );
-                let score = score_partition(ddg, &part, machine, mii, analysis, &mut scratch);
-                let mut work = WorkCounts::default();
-                work.add_refine(&scratch);
-                *lane = Some((score, part, elapsed_nanos(started), work));
-            });
+        (1..seeds).map(|_| None).collect();
+    let (mut best, mut winner, mut raced_nanos, mut raced_work) = std::thread::scope(|scope| {
+        for (lane, variant) in lanes.iter_mut().zip(1..) {
+            scope.spawn(move || *lane = Some(run(variant)));
         }
+        run(0)
     });
-    let mut raced_nanos = 0;
-    let mut raced_work = WorkCounts::default();
-    for lane in &lanes {
-        let (_, _, nanos, work) = lane.as_ref().expect("every lane ran");
+    // The scope joined every thread, so every lane is filled; ascending
+    // order with a strict `<` keeps the lowest index among equal scores.
+    for (score, part, nanos, work) in lanes.into_iter().flatten() {
         raced_nanos += nanos;
-        raced_work.add(*work);
+        raced_work.add(work);
+        if score < best {
+            best = score;
+            winner = part;
+        }
     }
-    let winner = lanes
-        .into_iter()
-        .map(|l| l.expect("every lane ran"))
-        .enumerate()
-        .min_by(|(i, (a, ..)), (j, (b, ..))| a.cmp(b).then(i.cmp(j)))
-        .expect("at least one seed")
-        .1
-         .1;
     (winner, raced_nanos, raced_work)
 }
 

@@ -9,12 +9,13 @@
 //! **selectively recomputing values where they are needed**:
 //!
 //! 1. For every communicated value, compute its **replication subgraph**
-//!    ([`replication_plan`], Figure 4): the minimum set of instructions to
-//!    copy into the consuming clusters, stopping at other communicated
-//!    values (already available everywhere) and at existing replicas.
-//! 2. Anticipate the **removable instructions** ([`dead_instances`],
-//!    Figure 5): instances that become useless once a communication
-//!    disappears.
+//!    (Figure 4, one [`PlanRef`] per value in the engine's [`PlanArena`]):
+//!    the minimum set of instructions to copy into the consuming clusters,
+//!    stopping at other communicated values (already available everywhere)
+//!    and at existing replicas.
+//! 2. Anticipate the **removable instructions** (Figure 5,
+//!    [`PlanRef::removable`]): instances that become useless once a
+//!    communication disappears.
 //! 3. **Weigh** each subgraph by the resource pressure it adds, shared
 //!    replicas discounted, removable instructions credited
 //!    ([`ReplicationEngine::weights`], §3.3).
@@ -60,6 +61,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// The daemon compiles untrusted loops through this crate, so no
+// `unwrap`/`expect` may be reachable outside test code.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 mod acyclic;
@@ -71,6 +75,8 @@ mod macro_rep;
 pub mod paper_example;
 mod plan;
 mod sched_len;
+#[cfg(any(test, feature = "testing"))]
+pub mod testing;
 mod value_clone;
 
 pub use acyclic::{replicate_for_acyclic_length, schedule_acyclic, AcyclicError, AcyclicSchedule};
@@ -78,15 +84,11 @@ pub use cvliw_sched::LoopAnalysis;
 pub use driver::{
     compile_loop, compile_loop_ctx, compile_stats, compile_stats_ctx, CancelToken, CauseCounts,
     CompileContext, CompileError, CompileOptions, CompileScratch, CompiledLoop, LoopStats, Mode,
-    Stage, WorkCounts,
+    Stage, WorkCounts, MAX_REFINE_SEEDS,
 };
 pub use engine::{EngineScratch, ReplicationEngine, ReplicationOutcome, ReplicationStats};
 pub use fingerprint::{fnv1a_64, loop_fingerprint};
-pub use liveness::{dead_instances, live_instances, InstanceView};
 pub use macro_rep::macro_replicate;
-pub use plan::{
-    plan_weight, replication_plan, replication_plan_into, share_counts, PlanArena, PlanRef,
-    ReplicationPlan,
-};
+pub use plan::{PlanArena, PlanRef, ReplicationPlan};
 pub use sched_len::extend_for_length;
 pub use value_clone::{is_cloneable_value, uncloneable_coms, value_clone};

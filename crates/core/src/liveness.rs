@@ -17,67 +17,8 @@
 //! * instructions that were removable can stop being removable when new
 //!   replicas appear in their cluster, and vice versa (§3.4).
 
-use std::collections::BTreeSet;
-
 use cvliw_ddg::{Ddg, NodeId};
-use cvliw_sched::{Assignment, ClusterSet};
-
-/// A hypothetical instance configuration to run liveness over.
-#[derive(Clone, Debug)]
-pub struct InstanceView {
-    /// Clusters holding an instance of each node (indexed by node).
-    pub instances: Vec<ClusterSet>,
-    /// Values still communicated over a bus.
-    pub coms: BTreeSet<NodeId>,
-    /// Source cluster each communicated value is read from.
-    pub com_source: Vec<u8>,
-}
-
-impl InstanceView {
-    /// Captures the current state of an assignment.
-    #[must_use]
-    pub fn from_assignment(ddg: &Ddg, assignment: &Assignment, coms: &BTreeSet<NodeId>) -> Self {
-        InstanceView {
-            instances: ddg.node_ids().map(|n| assignment.instances(n)).collect(),
-            coms: coms.clone(),
-            com_source: ddg.node_ids().map(|n| assignment.copy_source(n)).collect(),
-        }
-    }
-}
-
-/// Marks every node sitting on a dependence cycle (a recurrent SCC) — the
-/// recurrence anchors of the Figure-5 liveness rule — straight from the
-/// graph. The map-based reference [`live_instances`] is the only caller;
-/// every pipeline stage reads the same flags from its cached
-/// `LoopAnalysis::on_cycle`.
-fn on_cycle_into(ddg: &Ddg, on_cycle: &mut Vec<bool>) {
-    on_cycle.clear();
-    on_cycle.resize(ddg.node_count(), false);
-    for comp in &cvliw_ddg::sccs(ddg) {
-        // Only membership matters: under zero latencies every recurrence
-        // is satisfied at II 1, so the RecMII search stops at its first
-        // probe.
-        if cvliw_ddg::scc_rec_mii(ddg, comp, |_| 0).is_some() {
-            for &node in comp {
-                on_cycle[node.index()] = true;
-            }
-        }
-    }
-}
-
-/// The borrowed ingredients of a liveness query: instance sets, the sorted
-/// communicated list and each communicated value's copy-source cluster.
-/// [`InstanceView`] owns the same data; the scratch paths borrow it
-/// straight from an [`Assignment`] instead of copying.
-#[derive(Clone, Copy)]
-pub(crate) struct ViewRef<'a> {
-    /// Clusters holding an instance of each node (indexed by node).
-    pub instances: &'a [ClusterSet],
-    /// Values still communicated, sorted by node id.
-    pub coms: &'a [NodeId],
-    /// Source cluster each communicated value is read from.
-    pub com_source: &'a [u8],
-}
+use cvliw_sched::ClusterSet;
 
 /// Marks every node the Figure-5 anchor rule fires for unconditionally —
 /// stores, leaves (no data successors) and recurrence members (`on_cycle`,
@@ -92,9 +33,11 @@ pub(crate) fn always_anchor_into(ddg: &Ddg, on_cycle: &[bool], anchor: &mut Vec<
     }));
 }
 
-/// The dense twin of [`ViewRef`]: the copy-source slice is aligned with
-/// `coms` (one entry per communicated value) instead of indexed by node,
-/// so callers fill `O(|coms|)` bytes per query instead of `O(V)`.
+/// The borrowed ingredients of a liveness query: instance sets, the
+/// communicated values and their copy-source clusters. The copy-source
+/// slice is aligned with `coms` (one entry per communicated value) instead
+/// of indexed by node, so callers fill `O(|coms|)` bytes per query instead
+/// of `O(V)`.
 #[derive(Clone, Copy)]
 pub(crate) struct DenseViewRef<'a> {
     /// Clusters holding an instance of each node (indexed by node).
@@ -105,13 +48,26 @@ pub(crate) struct DenseViewRef<'a> {
     pub com_src: &'a [u8],
 }
 
-/// [`dead_instances_into`] over a [`DenseViewRef`] and a precomputed
-/// always-anchor slice. The anchor pass reads one bool per node and then
-/// walks the (short) communicated list directly — no per-node binary
-/// search. The worklist propagation reaches the same fixpoint whatever
-/// order the anchors were seeded in, and the dead list is generated by
-/// the same ascending node scan, so the result is bit-identical to the
-/// [`ViewRef`] path.
+/// The Figure-5 query: the live instances of a configuration into `live`,
+/// and every existing instance not marked live into `dead`, ascending by
+/// node then cluster.
+///
+/// Anchors (always live): store instances, the source instance of every
+/// communicated value, the instances of any producer without data
+/// consumers (a live-out value), and the instances of every node on a
+/// dependence cycle (recurrence values — accumulators — are observable
+/// after the loop; the paper's Figure-5 rule likewise never removes them).
+/// The unconditional anchors — stores, leaves and recurrence members —
+/// come precomputed in `always_anchor` ([`always_anchor_into`]), so the
+/// anchor pass reads one bool per node and then walks the (short)
+/// communicated list. Liveness then propagates backwards along
+/// same-cluster data dependences: the producer instance a live consumer
+/// reads locally is live.
+///
+/// These anchors guarantee every node keeps at least one live instance:
+/// walking any dependence chain downwards ends at a store, a leaf or a
+/// recurrence, all anchored; a node whose live consumer sits in another
+/// cluster is communicated and anchored at its source.
 pub(crate) fn dead_instances_dense(
     ddg: &Ddg,
     view: DenseViewRef<'_>,
@@ -275,116 +231,46 @@ pub(crate) fn dead_after_decommunicating(
     dead.sort_unstable();
 }
 
-/// [`live_instances`] over borrowed state and caller-owned buffers; `live`
-/// receives the result. Bit-identical to the owning entry point.
-pub(crate) fn live_instances_into(
-    ddg: &Ddg,
-    view: ViewRef<'_>,
-    on_cycle: &[bool],
-    live: &mut Vec<ClusterSet>,
-    worklist: &mut Vec<(NodeId, u8)>,
-) {
-    let n = ddg.node_count();
-    live.clear();
-    live.resize(n, ClusterSet::empty());
-    worklist.clear();
-
-    let anchor = |node: NodeId,
-                  cluster: u8,
-                  live: &mut Vec<ClusterSet>,
-                  worklist: &mut Vec<(NodeId, u8)>| {
-        if view.instances[node.index()].contains(cluster) && !live[node.index()].contains(cluster) {
-            live[node.index()].insert(cluster);
-            worklist.push((node, cluster));
-        }
-    };
-
-    for node in ddg.node_ids() {
-        let kind = ddg.kind(node);
-        if kind == cvliw_ddg::OpKind::Store || !ddg.has_data_succs(node) || on_cycle[node.index()] {
-            for c in view.instances[node.index()].iter() {
-                anchor(node, c, live, worklist);
-            }
-        } else if view.coms.binary_search(&node).is_ok() {
-            anchor(node, view.com_source[node.index()], live, worklist);
-        }
-    }
-
-    while let Some((node, cluster)) = worklist.pop() {
-        for e in ddg.in_edges(node) {
-            if !e.is_data() {
-                continue;
-            }
-            let p = e.src;
-            if view.instances[p.index()].contains(cluster) && !live[p.index()].contains(cluster) {
-                live[p.index()].insert(cluster);
-                worklist.push((p, cluster));
-            }
-        }
-    }
-}
-
-/// Computes the live instances of a configuration.
-///
-/// Anchors (always live): store instances, the source instance of every
-/// communicated value, the instances of any producer without data
-/// consumers (a live-out value), and the instances of every node on a
-/// dependence cycle (recurrence values — accumulators — are observable
-/// after the loop; the paper's Figure-5 rule likewise never removes them).
-/// Liveness then propagates backwards along same-cluster data dependences:
-/// the producer instance a live consumer reads locally is live.
-///
-/// These anchors guarantee every node keeps at least one live instance:
-/// walking any dependence chain downwards ends at a store, a leaf or a
-/// recurrence, all anchored; a node whose live consumer sits in another
-/// cluster is communicated and anchored at its source.
-#[must_use]
-pub fn live_instances(ddg: &Ddg, view: &InstanceView) -> Vec<ClusterSet> {
-    let mut on_cycle = Vec::new();
-    on_cycle_into(ddg, &mut on_cycle);
-    let coms: Vec<NodeId> = view.coms.iter().copied().collect();
-    let mut live = Vec::new();
-    let mut worklist = Vec::new();
-    live_instances_into(
-        ddg,
-        ViewRef {
-            instances: &view.instances,
-            coms: &coms,
-            com_source: &view.com_source,
-        },
-        &on_cycle,
-        &mut live,
-        &mut worklist,
-    );
-    live
-}
-
-/// The dead (removable) instances of a configuration: every existing
-/// instance that [`live_instances`] does not mark live.
-#[must_use]
-pub fn dead_instances(ddg: &Ddg, view: &InstanceView) -> Vec<(NodeId, u8)> {
-    let live = live_instances(ddg, view);
-    let mut dead = Vec::new();
-    for node in ddg.node_ids() {
-        for c in view.instances[node.index()]
-            .difference(live[node.index()])
-            .iter()
-        {
-            dead.push((node, c));
-        }
-    }
-    dead
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cvliw_ddg::OpKind;
+    use cvliw_machine::MachineConfig;
+    use cvliw_sched::{Assignment, LoopAnalysis};
 
-    fn view(ddg: &Ddg, parts: &[u8], coms: &[u32]) -> InstanceView {
-        let asg = Assignment::from_partition(parts);
-        let coms: BTreeSet<NodeId> = coms.iter().map(|&i| NodeId::new(i)).collect();
-        InstanceView::from_assignment(ddg, &asg, &coms)
+    /// The production query over `asg` with `coms` communicated from their
+    /// copy sources, anchored as the pipeline anchors it (recurrence
+    /// membership from the loop's `LoopAnalysis`): `(live, dead)`.
+    fn query(ddg: &Ddg, asg: &Assignment, coms: &[NodeId]) -> (Vec<ClusterSet>, Vec<(NodeId, u8)>) {
+        let machine = MachineConfig::from_spec("4c1b2l64r").unwrap();
+        let analysis = LoopAnalysis::new(ddg, &machine);
+        let mut anchor = Vec::new();
+        always_anchor_into(ddg, analysis.on_cycle(), &mut anchor);
+        let com_src: Vec<u8> = coms.iter().map(|&v| asg.copy_source(v)).collect();
+        let (mut live, mut worklist, mut dead) = (Vec::new(), Vec::new(), Vec::new());
+        dead_instances_dense(
+            ddg,
+            DenseViewRef {
+                instances: asg.instance_sets(),
+                coms,
+                com_src: &com_src,
+            },
+            &anchor,
+            &mut live,
+            &mut worklist,
+            &mut dead,
+        );
+        (live, dead)
+    }
+
+    fn dead(ddg: &Ddg, asg: &Assignment, coms: &[NodeId]) -> Vec<(NodeId, u8)> {
+        query(ddg, asg, coms).1
+    }
+
+    /// [`dead`] over a plain partition, `coms` given by node index.
+    fn dead_in(ddg: &Ddg, parts: &[u8], coms: &[u32]) -> Vec<(NodeId, u8)> {
+        let coms: Vec<NodeId> = coms.iter().map(|&i| NodeId::new(i)).collect();
+        dead(ddg, &Assignment::from_partition(parts), &coms)
     }
 
     #[test]
@@ -395,8 +281,7 @@ mod tests {
         let st = b.add_node(OpKind::Store);
         b.data(ld, m).data(m, st);
         let ddg = b.build().unwrap();
-        let v = view(&ddg, &[0, 0, 0], &[]);
-        assert!(dead_instances(&ddg, &v).is_empty());
+        assert!(dead_in(&ddg, &[0, 0, 0], &[]).is_empty());
     }
 
     #[test]
@@ -405,8 +290,7 @@ mod tests {
         let a = b.add_node(OpKind::FpAdd);
         let _ = a;
         let ddg = b.build().unwrap();
-        let v = view(&ddg, &[0], &[]);
-        assert!(dead_instances(&ddg, &v).is_empty());
+        assert!(dead_in(&ddg, &[0], &[]).is_empty());
     }
 
     #[test]
@@ -417,8 +301,7 @@ mod tests {
         let c = b.add_node(OpKind::FpAdd);
         b.data(p, c);
         let ddg = b.build().unwrap();
-        let v = view(&ddg, &[0, 1], &[0]);
-        assert!(dead_instances(&ddg, &v).is_empty());
+        assert!(dead_in(&ddg, &[0, 1], &[0]).is_empty());
     }
 
     #[test]
@@ -437,9 +320,7 @@ mod tests {
             a.add_instance(e, 3);
             a
         };
-        let v = InstanceView::from_assignment(&ddg, &asg, &BTreeSet::new());
-        let dead = dead_instances(&ddg, &v);
-        assert_eq!(dead, vec![(e, 2)]);
+        assert_eq!(dead(&ddg, &asg, &[]), vec![(e, 2)]);
     }
 
     #[test]
@@ -456,9 +337,7 @@ mod tests {
         let mut asg = Assignment::from_partition(&[2, 1, 3, 0]);
         asg.add_instance(e, 1);
         asg.add_instance(e, 3);
-        let coms: BTreeSet<NodeId> = [e].into_iter().collect();
-        let v = InstanceView::from_assignment(&ddg, &asg, &coms);
-        assert!(dead_instances(&ddg, &v).is_empty());
+        assert!(dead(&ddg, &asg, &[e]).is_empty());
     }
 
     #[test]
@@ -476,9 +355,7 @@ mod tests {
         let mut asg = Assignment::from_partition(&[0, 0, 1]);
         asg.add_instance(a, 1);
         asg.add_instance(b, 1);
-        let v = InstanceView::from_assignment(&ddg, &asg, &BTreeSet::new());
-        let dead = dead_instances(&ddg, &v);
-        assert_eq!(dead, vec![(a, 0), (b, 0)]);
+        assert_eq!(dead(&ddg, &asg, &[]), vec![(a, 0), (b, 0)]);
     }
 
     #[test]
@@ -492,8 +369,7 @@ mod tests {
         let z = b.add_node(OpKind::FpAdd);
         b.data(x, y).data(y, z).data_dist(z, x, 1);
         let ddg = b.build().unwrap();
-        let v = view(&ddg, &[0, 0, 0], &[]);
-        assert!(dead_instances(&ddg, &v).is_empty());
+        assert!(dead_in(&ddg, &[0, 0, 0], &[]).is_empty());
     }
 
     #[test]
@@ -510,8 +386,7 @@ mod tests {
         let mut asg = Assignment::from_partition(&[0, 1, 2]);
         asg.add_instance(p, 2);
         asg.add_instance(p, 0);
-        let v = InstanceView::from_assignment(&ddg, &asg, &BTreeSet::new());
-        let live = live_instances(&ddg, &v);
+        let (live, _) = query(&ddg, &asg, &[]);
         for n in ddg.node_ids() {
             assert!(!live[n.index()].is_empty(), "{n} lost all instances");
         }
@@ -531,7 +406,6 @@ mod tests {
         let mut asg = Assignment::from_partition(&[0, 0, 0, 1]);
         asg.add_instance(a, 1);
         asg.add_instance(b, 1);
-        let v = InstanceView::from_assignment(&ddg, &asg, &BTreeSet::new());
-        assert!(dead_instances(&ddg, &v).is_empty());
+        assert!(dead(&ddg, &asg, &[]).is_empty());
     }
 }

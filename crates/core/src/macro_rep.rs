@@ -6,15 +6,13 @@
 //! This module implements that alternative so the ablation benchmark can
 //! reproduce the comparison.
 
-use std::collections::BTreeSet;
-
 use cvliw_ddg::{Ddg, NodeId, OpClass, OpKind};
 use cvliw_machine::MachineConfig;
 use cvliw_partition::{coarsen, Partition};
 use cvliw_sched::{Assignment, ClusterSet, LoopAnalysis};
 
 use crate::engine::ReplicationStats;
-use crate::liveness::{dead_instances, InstanceView};
+use crate::liveness::{always_anchor_into, dead_instances_dense, DenseViewRef};
 
 /// Replicates coarsening macro-nodes instead of per-communication
 /// subgraphs: for each macro containing communicated values, copy the whole
@@ -30,14 +28,19 @@ pub fn macro_replicate(
     partition: &Partition,
 ) -> (Assignment, ReplicationStats) {
     let mut assignment = partition.to_assignment();
-    let mut coms: BTreeSet<NodeId> = assignment.communicated(ddg).into_iter().collect();
+    // Ascending node order, as `Assignment::communicated` emits it.
+    let mut coms: Vec<NodeId> = assignment.communicated(ddg);
     let mut stats = ReplicationStats {
         initial_coms: coms.len() as u32,
         final_coms: coms.len() as u32,
         ..ReplicationStats::default()
     };
 
-    let hierarchy = coarsen(ddg, machine, ii, &LoopAnalysis::new(ddg, machine));
+    let analysis = LoopAnalysis::new(ddg, machine);
+    let hierarchy = coarsen(ddg, machine, ii, &analysis);
+    let mut always_anchor = Vec::new();
+    always_anchor_into(ddg, analysis.on_cycle(), &mut always_anchor);
+    let (mut live, mut worklist, mut dead) = (Vec::new(), Vec::new(), Vec::new());
     // Work at a mid level: coarse enough that macros bundle several
     // operations, fine enough that they are not whole clusters.
     let level = &hierarchy.levels[hierarchy.levels.len() / 2];
@@ -51,7 +54,7 @@ pub fn macro_replicate(
         let mut targets = ClusterSet::empty();
         let mut macro_coms = 0u32;
         for &n in &members {
-            if coms.contains(&n) {
+            if coms.binary_search(&n).is_ok() {
                 macro_coms += 1;
                 targets = targets.union(assignment.missing_consumer_clusters(ddg, n));
             }
@@ -98,7 +101,7 @@ pub fn macro_replicate(
         for &(n, c) in &adds {
             candidate.add_instance(n, c);
         }
-        let new_coms: BTreeSet<NodeId> = candidate.communicated(ddg).into_iter().collect();
+        let new_coms = candidate.communicated(ddg);
         if new_coms.len() >= coms.len() {
             continue;
         }
@@ -107,14 +110,28 @@ pub fn macro_replicate(
         }
         stats.subgraphs_replicated += 1;
         assignment = candidate;
-        coms = new_coms;
-        let view = InstanceView::from_assignment(ddg, &assignment, &coms);
-        for (n, c) in dead_instances(ddg, &view) {
+        let com_src: Vec<u8> = new_coms
+            .iter()
+            .map(|&v| assignment.copy_source(v))
+            .collect();
+        dead_instances_dense(
+            ddg,
+            DenseViewRef {
+                instances: assignment.instance_sets(),
+                coms: &new_coms,
+                com_src: &com_src,
+            },
+            &always_anchor,
+            &mut live,
+            &mut worklist,
+            &mut dead,
+        );
+        for &(n, c) in &dead {
             assignment.remove_instance(n, c);
             stats.removed_instances += 1;
             stats.removed_by_class[ddg.kind(n).class().index()] += 1;
         }
-        coms = assignment.communicated(ddg).into_iter().collect();
+        coms = assignment.communicated(ddg);
     }
 
     stats.final_coms = coms.len() as u32;

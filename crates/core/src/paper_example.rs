@@ -22,7 +22,8 @@
 //! under our reading `weight(S_E) = 33/16` instead of the printed `31/16`,
 //! preserving the selection order.
 
-use cvliw_ddg::{Ddg, NodeId, OpKind};
+use cvliw_ddg::{Ddg, DdgError, NodeId, OpKind};
+use cvliw_machine::{MachineConfig, SpecError};
 use cvliw_sched::Assignment;
 
 /// The node ids of the example, by letter.
@@ -49,8 +50,12 @@ pub struct Fig3Nodes {
 ///
 /// All operations are integer adds so that, as in the paper's example,
 /// "every FU can execute all types of instructions".
-#[must_use]
-pub fn fig3_example() -> (Ddg, Assignment, Fig3Nodes) {
+///
+/// # Errors
+///
+/// None in practice: the graph is a fixed, valid DAG. The builder's error
+/// is passed on rather than unwrapped.
+pub fn fig3_example() -> Result<(Ddg, Assignment, Fig3Nodes), DdgError> {
     let mut bld = Ddg::builder();
     let mut node = |name: &str| bld.add_labeled(OpKind::IntAdd, name);
     let a = node("A");
@@ -86,7 +91,7 @@ pub fn fig3_example() -> (Ddg, Assignment, Fig3Nodes) {
     // Cluster 4 internals.
     bld.data(f, h).data(g, h);
 
-    let ddg = bld.build().expect("figure-3 graph is valid");
+    let ddg = bld.build()?;
 
     // Paper clusters are 1-based; ours 0-based: cluster1→0 … cluster4→3.
     let mut part = vec![0u8; 14];
@@ -101,7 +106,7 @@ pub fn fig3_example() -> (Ddg, Assignment, Fig3Nodes) {
         }
     }
     let assignment = Assignment::from_partition(&part);
-    (
+    Ok((
         ddg,
         assignment,
         Fig3Nodes {
@@ -120,7 +125,7 @@ pub fn fig3_example() -> (Ddg, Assignment, Fig3Nodes) {
             m,
             n,
         },
-    )
+    ))
 }
 
 /// The machine of the worked example: four clusters of four universal FUs
@@ -128,9 +133,13 @@ pub fn fig3_example() -> (Ddg, Assignment, Fig3Nodes) {
 /// node the same class (integer) and four integer units per cluster, which
 /// is exactly how the paper's arithmetic uses them (`available = 4`,
 /// `II = 2`).
-#[must_use]
-pub fn fig3_machine() -> cvliw_machine::MachineConfig {
-    cvliw_machine::MachineConfig::new(
+///
+/// # Errors
+///
+/// None in practice: every field is a fixed, valid value. The
+/// constructor's error is passed on rather than unwrapped.
+pub fn fig3_machine() -> Result<MachineConfig, SpecError> {
+    MachineConfig::new(
         4,
         1,
         1,
@@ -142,7 +151,6 @@ pub fn fig3_machine() -> cvliw_machine::MachineConfig {
         },
         cvliw_machine::LatencyTable::UNIT,
     )
-    .expect("valid example machine")
 }
 
 /// The example's initiation interval.
@@ -161,15 +169,15 @@ mod tests {
 
     #[test]
     fn three_values_are_communicated() {
-        let (ddg, asg, nd) = fig3_example();
+        let (ddg, asg, nd) = fig3_example().unwrap();
         let coms = asg.communicated(&ddg);
         assert_eq!(coms, vec![nd.d, nd.e, nd.j]);
     }
 
     #[test]
     fn extra_coms_is_one() {
-        let (ddg, asg, _) = fig3_example();
-        let machine = fig3_machine();
+        let (ddg, asg, _) = fig3_example().unwrap();
+        let machine = fig3_machine().unwrap();
         let analysis = LoopAnalysis::new(&ddg, &machine);
         let engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, asg, &analysis);
         assert_eq!(engine.extra_coms(), 1);
@@ -177,9 +185,9 @@ mod tests {
 
     #[test]
     fn subgraphs_match_the_paper() {
-        let (ddg, asg, nd) = fig3_example();
+        let (ddg, asg, nd) = fig3_example().unwrap();
         let coms: BTreeSet<_> = asg.communicated(&ddg).into_iter().collect();
-        let s_d = crate::plan::replication_plan(&ddg, &asg, &coms, nd.d);
+        let s_d = crate::testing::replication_plan(&ddg, &asg, &coms, nd.d);
         assert_eq!(s_d.subgraph(), vec![nd.a, nd.b, nd.c, nd.d]);
         assert_eq!(s_d.targets, set(&[3]), "S_D goes to cluster 4 only");
         assert!(
@@ -187,7 +195,7 @@ mod tests {
             "D's copy child keeps the chain alive"
         );
 
-        let s_e = crate::plan::replication_plan(&ddg, &asg, &coms, nd.e);
+        let s_e = crate::testing::replication_plan(&ddg, &asg, &coms, nd.e);
         assert_eq!(s_e.subgraph(), vec![nd.a, nd.e], "D is excluded from S_E");
         assert_eq!(s_e.targets, set(&[1, 3]));
         assert_eq!(
@@ -196,7 +204,7 @@ mod tests {
             "only E itself dies in cluster 3"
         );
 
-        let s_j = crate::plan::replication_plan(&ddg, &asg, &coms, nd.j);
+        let s_j = crate::testing::replication_plan(&ddg, &asg, &coms, nd.j);
         assert_eq!(s_j.subgraph(), vec![nd.i, nd.j]);
         assert_eq!(s_j.targets, set(&[0, 3]));
         assert!(s_j.removable.is_empty(), "K keeps J's home instance alive");
@@ -204,8 +212,8 @@ mod tests {
 
     #[test]
     fn weights_match_figure_3() {
-        let (ddg, asg, nd) = fig3_example();
-        let machine = fig3_machine();
+        let (ddg, asg, nd) = fig3_example().unwrap();
+        let machine = fig3_machine().unwrap();
         let analysis = LoopAnalysis::new(&ddg, &machine);
         let mut engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, asg, &analysis);
         let w_d = engine.weight_of(nd.d).unwrap();
@@ -222,8 +230,8 @@ mod tests {
 
     #[test]
     fn engine_replicates_s_e_first() {
-        let (ddg, asg, nd) = fig3_example();
-        let machine = fig3_machine();
+        let (ddg, asg, nd) = fig3_example().unwrap();
+        let machine = fig3_machine().unwrap();
         let analysis = LoopAnalysis::new(&ddg, &machine);
         let mut engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, asg, &analysis);
         let outcome = engine.run(&mut EngineScratch::default());
@@ -247,8 +255,8 @@ mod tests {
 
     #[test]
     fn figure_6_updates_hold_after_replicating_s_e() {
-        let (ddg, asg, nd) = fig3_example();
-        let machine = fig3_machine();
+        let (ddg, asg, nd) = fig3_example().unwrap();
+        let machine = fig3_machine().unwrap();
         let analysis = LoopAnalysis::new(&ddg, &machine);
         let mut engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, asg, &analysis);
         let plan_e = engine.plan_of(nd.e).unwrap().to_plan();
@@ -285,8 +293,8 @@ mod tests {
 
     #[test]
     fn full_pipeline_schedules_the_example() {
-        let (ddg, asg, _) = fig3_example();
-        let machine = fig3_machine();
+        let (ddg, asg, _) = fig3_example().unwrap();
+        let machine = fig3_machine().unwrap();
         let analysis = LoopAnalysis::new(&ddg, &machine);
         let mut engine = ReplicationEngine::new(&ddg, &machine, FIG3_II, asg, &analysis);
         engine.run(&mut EngineScratch::default());

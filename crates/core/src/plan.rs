@@ -1,14 +1,13 @@
 //! Replication subgraphs (Figure 4) and their weights (§3.3).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use cvliw_ddg::{Ddg, NodeId, OpClass};
 use cvliw_machine::MachineConfig;
 use cvliw_sched::{Assignment, ClusterSet};
 
 use crate::liveness::{
-    dead_after_decommunicating, dead_instances, dead_instances_dense, DenseViewRef, InstanceView,
-    RegionScratch,
+    dead_after_decommunicating, dead_instances_dense, DenseViewRef, RegionScratch,
 };
 
 /// One round's replication plans in dense, clear-and-reuse storage.
@@ -19,9 +18,8 @@ use crate::liveness::{
 /// the liveness query all run on compact-id buffers the arena keeps warm
 /// across rounds, engine runs and (via `CompileScratch`) whole loops.
 ///
-/// `PlanArena::build` produces exactly the plans [`replication_plan`]
-/// would, in ascending communicated-value order — the map-based functions
-/// stay as the differential oracle.
+/// Plans come in ascending communicated-value order. The crate's `testing`
+/// module holds their map-based differential oracle.
 #[derive(Clone, Debug)]
 pub struct PlanArena {
     metas: Vec<PlanMeta>,
@@ -209,7 +207,7 @@ impl PlanArena {
                 }
             }
             // Ascending node order keeps every downstream fold (weights,
-            // censuses, commits) in the exact order the map oracle uses.
+            // censuses, commits) in ascending node order.
             self.touched.sort_unstable();
             let adds_start = self.adds.len() as u32;
             for &u in &self.touched {
@@ -415,9 +413,11 @@ impl<'a> PlanRef<'a> {
     }
 }
 
-/// [`share_counts`] over an arena, into a dense `node × cluster` table
-/// (clear-and-reuse; `counts[n · clusters + c]`). Every add entry holds a
-/// count ≥ 1, matching the map oracle's `unwrap_or(1)` convention.
+/// How many plans of the arena would reuse each `(node, cluster)` replica —
+/// the sharing divisor of §3.3 ("if a node belongs to more than one
+/// subgraph, it can be replicated once and used more times") — into a
+/// dense `node × cluster` table (clear-and-reuse; `counts[n · clusters +
+/// c]`). Every add entry holds a count ≥ 1.
 pub(crate) fn share_counts_dense(
     arena: &PlanArena,
     nodes: usize,
@@ -433,10 +433,18 @@ pub(crate) fn share_counts_dense(
     }
 }
 
-/// [`plan_weight`] over a [`PlanRef`] with the (plan-invariant) usage
-/// census hoisted out, the per-plan `extra` census in a reusable buffer
-/// and the sharing divisors in the dense table of [`share_counts_dense`].
-/// Identical arithmetic in identical order — bit-identical weights.
+/// The §3.3 weight of a plan: for every instance to create,
+/// `(usage + extra_ops) / (available · II)` — how loaded the target
+/// cluster's units become — divided by the number of plans sharing that
+/// replica; minus one freed slot `1 / (available · II)` per removable
+/// instance.
+///
+/// This reproduces every worked number of the paper's Figures 3 and 6
+/// (`weight(S_D) = 49/16`, `weight(S_J) = 40/16`, and after replicating
+/// `S_E`: `44/8` and `42/8`); see `DESIGN.md` for the one constant the
+/// paper leaves ambiguous (the removal credit). The plan-invariant usage
+/// census is hoisted out, the per-plan `extra` census lives in a reusable
+/// buffer and the sharing divisors in the table of [`share_counts_dense`].
 pub(crate) fn plan_weight_dense(
     ddg: &Ddg,
     machine: &MachineConfig,
@@ -548,172 +556,17 @@ impl ReplicationPlan {
         }
         counts
     }
-}
 
-/// Computes the replication plan of `com` (Figure 4, applied per target
-/// cluster): walk upwards from `com`; parents whose values are themselves
-/// communicated are available everywhere and stop the walk, as do parents
-/// that already have an instance in the target cluster.
-#[must_use]
-pub fn replication_plan(
-    ddg: &Ddg,
-    assignment: &Assignment,
-    coms: &BTreeSet<NodeId>,
-    com: NodeId,
-) -> ReplicationPlan {
-    let targets = assignment.missing_consumer_clusters(ddg, com);
-    replication_plan_into(ddg, assignment, coms, com, targets)
-}
-
-/// Like [`replication_plan`] but replicating only into the given clusters.
-///
-/// Used by the §5.1 schedule-length extension, which copies a producer next
-/// to one critical consumer without necessarily removing the communication
-/// (Figure 11 of the paper).
-#[must_use]
-pub fn replication_plan_into(
-    ddg: &Ddg,
-    assignment: &Assignment,
-    coms: &BTreeSet<NodeId>,
-    com: NodeId,
-    targets: ClusterSet,
-) -> ReplicationPlan {
-    let mut adds: BTreeMap<NodeId, ClusterSet> = BTreeMap::new();
-
-    for target in targets.iter() {
-        let mut stack = vec![com];
-        let mut visited: BTreeSet<NodeId> = BTreeSet::new();
-        while let Some(u) = stack.pop() {
-            if !visited.insert(u) {
-                continue;
-            }
-            if assignment.instances(u).contains(target) {
-                continue; // already available locally
-            }
-            adds.entry(u).or_default().insert(target);
-            for &p in ddg.data_preds(u) {
-                if coms.contains(&p) && p != com {
-                    continue; // broadcast value: available in every cluster
-                }
-                stack.push(p);
-            }
-        }
-    }
-
-    // Anticipate removable instances: liveness over the hypothetical state,
-    // with the communication set recomputed for the hypothetical instances
-    // (a partial replication may leave `com` communicated).
-    let mut hypothetical = assignment.clone();
-    for (&n, &set) in &adds {
-        for c in set.iter() {
-            hypothetical.add_instance(n, c);
-        }
-    }
-    let hyp_coms: BTreeSet<NodeId> = hypothetical.communicated(ddg).into_iter().collect();
-    let view = InstanceView::from_assignment(ddg, &hypothetical, &hyp_coms);
-    let removable: Vec<(NodeId, u8)> = dead_instances(ddg, &view)
-        .into_iter()
-        // only instances that exist today count as removals
-        .filter(|&(n, c)| assignment.instances(n).contains(c))
-        .collect();
-
-    ReplicationPlan {
-        com,
-        targets,
-        adds,
-        removable,
-    }
-}
-
-/// How many plans would reuse each `(node, cluster)` replica: the sharing
-/// divisor of §3.3 ("if a node belongs to more than one subgraph, it can be
-/// replicated once and used more times"). The map-based differential
-/// oracle of the engine's dense share table.
-#[doc(hidden)]
-#[must_use]
-pub fn share_counts(plans: &BTreeMap<NodeId, ReplicationPlan>) -> BTreeMap<(NodeId, u8), u32> {
-    let mut counts: BTreeMap<(NodeId, u8), u32> = BTreeMap::new();
-    for plan in plans.values() {
-        share_counts_one(plan, &mut counts);
-    }
-    counts
-}
-
-fn share_counts_one(plan: &ReplicationPlan, counts: &mut BTreeMap<(NodeId, u8), u32>) {
-    for (&n, &set) in &plan.adds {
-        for c in set.iter() {
-            *counts.entry((n, c)).or_insert(0) += 1;
-        }
-    }
-}
-
-/// The §3.3 weight of a plan: for every instance to create,
-/// `(usage + extra_ops) / (available · II)` — how loaded the target
-/// cluster's units become — divided by the number of plans sharing that
-/// replica; minus one freed slot `1 / (available · II)` per removable
-/// instance.
-///
-/// This reproduces every worked number of the paper's Figures 3 and 6
-/// (`weight(S_D) = 49/16`, `weight(S_J) = 40/16`, and after replicating
-/// `S_E`: `44/8` and `42/8`); see `DESIGN.md` for the one constant the
-/// paper leaves ambiguous (the removal credit). The map-based
-/// differential oracle of the engine's dense weights
-/// ([`ReplicationEngine::weights`](crate::ReplicationEngine::weights)).
-#[doc(hidden)]
-#[must_use]
-pub fn plan_weight(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    assignment: &Assignment,
-    shares: &BTreeMap<(NodeId, u8), u32>,
-    plan: &ReplicationPlan,
-) -> f64 {
-    let usage = assignment.class_usage(ddg, machine.clusters());
-    let extra = plan.added_by_class_per_cluster(ddg, machine.clusters());
-    let mut weight = 0.0;
-    for (&n, &set) in &plan.adds {
-        let class = ddg.kind(n).class();
-        for c in set.iter() {
-            let denom = f64::from(u32::from(machine.fu_count_in(c, class)) * ii);
-            let load =
-                f64::from(usage[c as usize][class.index()] + extra[c as usize][class.index()]);
-            let share = f64::from(*shares.get(&(n, c)).unwrap_or(&1));
-            weight += load / denom / share;
-        }
-    }
-    for &(n, c) in &plan.removable {
-        let class = ddg.kind(n).class();
-        let denom = f64::from(u32::from(machine.fu_count_in(c, class)) * ii);
-        weight -= 1.0 / denom;
-    }
-    weight
-}
-
-impl ReplicationPlan {
     /// Instances created per cluster and class: `extra_ops(res, c, S)`.
     #[must_use]
     pub fn added_by_class_per_cluster(&self, ddg: &Ddg, clusters: u8) -> Vec<[u32; 3]> {
-        let mut counts = Vec::new();
-        self.added_by_class_per_cluster_into(ddg, clusters, &mut counts);
-        counts
-    }
-
-    /// [`ReplicationPlan::added_by_class_per_cluster`] into a caller-owned
-    /// buffer (cleared first).
-    pub(crate) fn added_by_class_per_cluster_into(
-        &self,
-        ddg: &Ddg,
-        clusters: u8,
-        counts: &mut Vec<[u32; 3]>,
-    ) {
-        counts.clear();
-        counts.resize(clusters as usize, [0u32; 3]);
+        let mut counts = vec![[0u32; 3]; clusters as usize];
         for (&n, &set) in &self.adds {
             for c in set.iter() {
                 counts[c as usize][ddg.kind(n).class().index()] += 1;
             }
         }
+        counts
     }
 
     /// Whether the target clusters can absorb the new instances without
@@ -750,7 +603,9 @@ impl ReplicationPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{replication_plan, share_counts};
     use cvliw_ddg::OpKind;
+    use std::collections::BTreeSet;
 
     /// producer → two remote consumers in different clusters.
     fn fan() -> (Ddg, Assignment, BTreeSet<NodeId>) {

@@ -43,22 +43,6 @@ fn comm_lat<'a>(
     }
 }
 
-/// Estimated critical-path length of one iteration (issue span) with bus
-/// latency charged on cross-cluster data edges; `None` below RecMII.
-/// `extend_for_length` inlines this (one `time_bounds` per round shares slacks
-/// with the zero-slack filter); the tests keep it as the oracle.
-#[cfg_attr(not(test), allow(dead_code))]
-fn estimated_length(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    assignment: &Assignment,
-    node_lat: &[u32],
-) -> Option<i64> {
-    let lat = comm_lat(machine, assignment, node_lat);
-    time_bounds(ddg, ii, lat).map(|tb| tb.length)
-}
-
 /// Applies the §5.1 extension: repeatedly pick a zero-slack cross-cluster
 /// data edge, replicate the producer into that one consumer cluster, and
 /// keep the change only if the estimated schedule length shrinks. Producer
@@ -99,7 +83,7 @@ pub fn extend_for_length(
 
     for _ in 0..MAX_ROUNDS {
         // One full ASAP/ALAP pass per round gives both the current length
-        // and the slacks (`estimated_length` is `time_bounds(..).length`).
+        // and the slacks.
         let Some(tb) = time_bounds(ddg, ii, comm_lat(machine, &assignment, node_lat)) else {
             return assignment;
         };
@@ -216,14 +200,14 @@ pub fn extend_for_length(
                     }
                     ok
                 };
-                #[cfg(debug_assertions)]
+                #[cfg(all(debug_assertions, feature = "testing"))]
                 {
                     // Differential guard against the map-based oracle.
                     for &u in &adds {
                         assignment.remove_instance(u, target);
                     }
                     let oracle_coms = assignment.communicated(ddg).into_iter().collect();
-                    let oracle = crate::plan::replication_plan_into(
+                    let oracle = crate::testing::replication_plan_into(
                         ddg,
                         &assignment,
                         &oracle_coms,
@@ -279,6 +263,21 @@ mod tests {
     use super::*;
     use cvliw_ddg::OpKind;
 
+    /// Estimated critical-path length of one iteration (issue span) with bus
+    /// latency charged on cross-cluster data edges; `None` below RecMII.
+    /// `extend_for_length` inlines this (one `time_bounds` per round shares
+    /// slacks with the zero-slack filter).
+    fn estimated_length(
+        ddg: &Ddg,
+        machine: &MachineConfig,
+        ii: u32,
+        assignment: &Assignment,
+        node_lat: &[u32],
+    ) -> Option<i64> {
+        let lat = comm_lat(machine, assignment, node_lat);
+        time_bounds(ddg, ii, lat).map(|tb| tb.length)
+    }
+
     /// The Figure-11 situation: A feeds B (local), D (cluster 1) and F
     /// (cluster 3); the A→D edge is on the critical path.
     fn fig11() -> (Ddg, Assignment) {
@@ -330,6 +329,38 @@ mod tests {
         assert!(extended.instances(a).contains(0));
         // …but the communication of A itself may remain for F's cluster.
         assert!(extended.instances(a).len() >= 2);
+    }
+
+    /// `z` (cluster 1) → `x` (cluster 0) → `d` (cluster 1) is the critical
+    /// path, and `x` also reads `a`, which is communicated to `f` in
+    /// cluster 2. Copying `x` next to `d` shortens the loop; the walk from
+    /// `x` stops at `z`, already in cluster 1, and at `a`, whose value the
+    /// bus already broadcasts, so `a` is never copied.
+    #[test]
+    fn communicated_parents_stop_the_walk() {
+        let mut bld = Ddg::builder();
+        let z = bld.add_node(OpKind::IntAdd);
+        let a = bld.add_node(OpKind::IntAdd);
+        let x = bld.add_node(OpKind::IntAdd);
+        let d = bld.add_node(OpKind::Store);
+        let f = bld.add_node(OpKind::Store);
+        bld.data(x, d).data(z, x).data(a, x).data(a, f);
+        let ddg = bld.build().unwrap();
+        let asg = Assignment::from_partition(&[1, 0, 0, 1, 2]);
+        let m = machine();
+        let ii = 3;
+        let analysis = LoopAnalysis::new(&ddg, &m);
+        let lat = analysis.node_lat();
+        let before = estimated_length(&ddg, &m, ii, &asg, lat).unwrap();
+        let extended = extend_for_length(&ddg, &m, ii, asg, &analysis);
+        let after = estimated_length(&ddg, &m, ii, &extended, lat).unwrap();
+        assert!(after < before, "length must shrink: {after} vs {before}");
+        assert!(extended.instances(x).contains(1));
+        assert_eq!(
+            extended.instances(a),
+            ClusterSet::single(0),
+            "a is broadcast"
+        );
     }
 
     #[test]

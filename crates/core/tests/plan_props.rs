@@ -3,16 +3,19 @@
 //! arena-backed plans and weights must equal the map-based oracle
 //! ([`replication_plan`] / [`share_counts`] / [`plan_weight`]) — including
 //! across commits, which is exactly where the incremental settledness /
-//! region-liveness fast path takes over from the full Figure-5 query.
+//! region-liveness fast path takes over from the full Figure-5 query. The
+//! production Figure-5 query itself must equal the map-based
+//! [`dead_instances`] on arbitrary instance configurations.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use cvliw_ddg::{Ddg, DepKind, NodeId, OpKind};
 use cvliw_machine::MachineConfig;
-use cvliw_replicate::{
-    plan_weight, replication_plan, share_counts, ReplicationEngine, ReplicationPlan,
+use cvliw_replicate::testing::{
+    dead_instances, dense_dead_instances, plan_weight, replication_plan, share_counts, InstanceView,
 };
-use cvliw_sched::{Assignment, LoopAnalysis};
+use cvliw_replicate::{ReplicationEngine, ReplicationPlan};
+use cvliw_sched::{Assignment, ClusterSet, LoopAnalysis};
 use proptest::prelude::*;
 
 fn arb_kind() -> impl Strategy<Value = OpKind> {
@@ -64,8 +67,57 @@ fn oracle_plans(ddg: &Ddg, engine: &ReplicationEngine) -> BTreeMap<NodeId, Repli
         .collect()
 }
 
+/// xorshift64 stream for the per-case pseudo-random choices.
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// Deterministic pseudo-random partition over the machine's clusters.
+fn random_partition(ddg: &Ddg, machine: &MachineConfig, seed: u64) -> Vec<u8> {
+    let mut state = seed | 1;
+    (0..ddg.node_count())
+        .map(|_| (xorshift(&mut state) % u64::from(machine.clusters())) as u8)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The production Figure-5 query (recurrence anchors from the loop's
+    /// `LoopAnalysis`, dense worklist) equals the map-based oracle with its
+    /// own SCC pass, on a random partition plus random extra replicas and
+    /// a random communicated set whose copy sources are random clusters —
+    /// held or not.
+    #[test]
+    fn dense_liveness_equals_oracle(
+        ddg in arb_ddg(),
+        machine in arb_machine(),
+        seed in any::<u64>(),
+    ) {
+        let part = random_partition(&ddg, &machine, seed);
+        let clusters = u64::from(machine.clusters());
+        let mut state = seed.rotate_left(17) | 1;
+        let mut instances: Vec<ClusterSet> =
+            part.iter().map(|&c| ClusterSet::single(c)).collect();
+        let mut coms = BTreeSet::new();
+        let mut com_source = vec![0u8; ddg.node_count()];
+        for (i, set) in instances.iter_mut().enumerate() {
+            let r = xorshift(&mut state);
+            if r % 3 == 0 {
+                set.insert(((r >> 8) % clusters) as u8);
+            }
+            if (r >> 16) % 3 == 0 {
+                coms.insert(NodeId::new(i as u32));
+                com_source[i] = ((r >> 24) % clusters) as u8;
+            }
+        }
+        let view = InstanceView { instances, coms, com_source };
+        let analysis = LoopAnalysis::new(&ddg, &machine);
+        prop_assert_eq!(dense_dead_instances(&ddg, &analysis, &view), dead_instances(&ddg, &view));
+    }
 
     /// The dense arena path — subgraph walk, anticipated removals, and
     /// weights — is plan-for-plan identical to the oracle, before any
@@ -77,16 +129,7 @@ proptest! {
         ii in 1u32..6,
         seed in any::<u64>(),
     ) {
-        // Deterministic pseudo-random partition over the machine's clusters.
-        let mut state = seed | 1;
-        let part: Vec<u8> = (0..ddg.node_count())
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state % u64::from(machine.clusters())) as u8
-            })
-            .collect();
+        let part = random_partition(&ddg, &machine, seed);
         let assignment = Assignment::from_partition(&part);
         let analysis = LoopAnalysis::new(&ddg, &machine);
         let mut engine = ReplicationEngine::new(&ddg, &machine, ii, assignment, &analysis);

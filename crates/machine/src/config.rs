@@ -426,26 +426,27 @@ impl MachineConfig {
     }
 
     /// The unified (non-clustered) machine of Figure 8: all 12 issue slots
-    /// in a single cluster, no buses, `regs` registers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `regs` is zero.
+    /// in a single cluster, no buses, `regs` registers (a `regs` of zero is
+    /// taken as one, the fewest any machine may have).
     #[must_use]
     pub fn unified(regs: u32) -> Self {
-        MachineConfig::new(
-            1,
-            0,
-            1,
-            regs,
-            FuCounts {
+        // What `MachineConfig::new(1, 0, 1, regs, ..)` builds, without its
+        // fallible checks: one cluster, no buses, at least one register.
+        MachineConfig {
+            clusters: 1,
+            interconnect: Interconnect::SharedBus {
+                buses: 0,
+                latency: 1,
+                pipelined: false,
+            },
+            regs_per_cluster: regs.max(1),
+            fu: vec![FuCounts {
                 int: TOTAL_PER_CLASS,
                 fp: TOTAL_PER_CLASS,
                 mem: TOTAL_PER_CLASS,
-            },
-            LatencyTable::PAPER,
-        )
-        .expect("unified config is valid for positive regs")
+            }],
+            latencies: LatencyTable::PAPER,
+        }
     }
 
     /// The spec name of this configuration (inverse of

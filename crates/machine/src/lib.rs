@@ -30,6 +30,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// The daemon parses untrusted input through this crate, so no
+// `unwrap`/`expect` may be reachable outside test code.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 mod config;

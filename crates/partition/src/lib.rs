@@ -52,15 +52,14 @@ mod coarsen;
 mod matching;
 mod partition;
 mod refine;
+#[cfg(any(test, feature = "testing"))]
+pub mod testing;
 mod weights;
 
 pub use coarsen::{coarsen, CoarseLevel, Hierarchy};
 pub use matching::greedy_matching;
 pub use partition::Partition;
-pub use refine::{
-    refine_existing, refine_existing_oracle, score_partition, PartitionScore, RefineCache,
-    RefineMove, RefineScratch,
-};
+pub use refine::{refine_existing, score_partition, PartitionScore, RefineCache, RefineScratch};
 
 use cvliw_ddg::Ddg;
 use cvliw_machine::MachineConfig;

@@ -38,7 +38,8 @@
 //!
 //! All four layers are observationally pure: [`refine_existing`] accepts
 //! the same moves with or without a cache, pinned by debug assertions and
-//! the differential oracle in `tests/refine_incremental_props.rs`.
+//! the differential oracle of the crate's `testing` module, which
+//! `tests/refine_incremental_props.rs` runs over random and suite loops.
 
 use cvliw_ddg::{Ddg, IncrementalAsap, NodeId, OpClass};
 use cvliw_machine::MachineConfig;
@@ -135,8 +136,10 @@ pub struct RefineScratch {
     /// follow-up `refine_level` on the *same* (graph, II, partition) state
     /// can skip the entry recount (see [`LevelOpts::reuse_base`]).
     base_ncoms: u32,
-    /// Moves accepted by the most recent refinement call.
-    moves: Vec<RefineMove>,
+    /// Moves accepted by the most recent refinement call, read by the
+    /// move-sequence differential of the `testing` module.
+    #[cfg(any(test, feature = "testing"))]
+    pub(crate) move_log: Vec<(u32, u8, u8)>,
 }
 
 impl Default for RefineScratch {
@@ -161,21 +164,13 @@ impl Default for RefineScratch {
             witness_on: false,
             bound_rejections: 0,
             base_ncoms: 0,
-            moves: Vec::new(),
+            #[cfg(any(test, feature = "testing"))]
+            move_log: Vec::new(),
         }
     }
 }
 
 impl RefineScratch {
-    /// The moves accepted by the most recent [`refine_existing`] (or
-    /// multilevel) call, in acceptance order — the production side of the
-    /// move-sequence differential against [`refine_existing_oracle`].
-    #[doc(hidden)]
-    #[must_use]
-    pub fn moves(&self) -> &[RefineMove] {
-        &self.moves
-    }
-
     /// Incremental-ASAP move speculations run on this scratch since it was
     /// created or its counts were last reset.
     #[must_use]
@@ -387,12 +382,7 @@ pub fn score_partition(
 }
 
 /// Maximum improvement passes per hierarchy level.
-const MAX_PASSES: usize = 2;
-
-/// An accepted refinement move: `(node or group-representative index,
-/// source cluster, destination cluster)`.
-#[doc(hidden)]
-pub type RefineMove = (u32, u8, u8);
+pub(crate) const MAX_PASSES: usize = 2;
 
 /// Cached communication deltas of candidate moves, keyed `(node,
 /// destination cluster)`, surviving across refinement calls and IIs.
@@ -549,7 +539,8 @@ pub(crate) fn refine_hierarchy(
     scratch: &mut RefineScratch,
     variant: u32,
 ) -> Partition {
-    scratch.moves.clear();
+    #[cfg(any(test, feature = "testing"))]
+    scratch.move_log.clear();
     let mut part = hierarchy.initial_partition();
     // Skip the coarsest level: each of its macros is an entire cluster.
     // Consecutive levels see the same (graph, II, partition) state, so the
@@ -574,8 +565,7 @@ pub(crate) fn refine_hierarchy(
 /// `cache` is the optional move-delta [`RefineCache`]: the driver passes
 /// one per compilation context, which must only ever see this one
 /// `(graph, machine)` pair; `None` scores every candidate from scratch.
-/// Either way the accepted moves are identical, and they are left in the
-/// scratch for [`RefineScratch::moves`].
+/// Either way the accepted moves are identical.
 #[must_use]
 pub fn refine_existing(
     ddg: &Ddg,
@@ -586,7 +576,8 @@ pub fn refine_existing(
     scratch: &mut RefineScratch,
     cache: Option<&mut RefineCache>,
 ) -> Partition {
-    scratch.moves.clear();
+    #[cfg(any(test, feature = "testing"))]
+    scratch.move_log.clear();
     if machine.clusters() == 1 {
         return part;
     }
@@ -603,67 +594,6 @@ pub fn refine_existing(
         cache.prepare(part.as_slice(), machine.clusters());
     }
     refine_level(ddg, machine, ii, part, analysis, scratch, &mut opts)
-}
-
-/// A from-scratch reference implementation of [`refine_existing`]:
-/// the same greedy walk, but every candidate is scored with a full
-/// pseudo-schedule — no lazy rejection, no incremental ASAP, no cache.
-/// Returns the refined partition and the accepted-move sequence; the
-/// differential proptests assert both match the production path exactly.
-#[doc(hidden)]
-#[must_use]
-pub fn refine_existing_oracle(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    mut part: Partition,
-    analysis: &LoopAnalysis,
-) -> (Partition, Vec<RefineMove>) {
-    let mut moves = Vec::new();
-    if machine.clusters() == 1 {
-        return (part, moves);
-    }
-    let mut scratch = RefineScratch::default();
-    let mut best = score_partition(ddg, &part, machine, ii, analysis, &mut scratch);
-    for _ in 0..MAX_PASSES {
-        let mut improved = false;
-        let consider_all = !best.feasible();
-        for i in 0..ddg.node_count() {
-            let n = NodeId::new(i as u32);
-            let current = part.cluster_of(n);
-            let boundary = ddg
-                .out_edges(n)
-                .map(|e| e.dst)
-                .chain(ddg.in_edges(n).map(|e| e.src))
-                .any(|other| part.cluster_of(other) != current);
-            if !consider_all && !boundary {
-                continue;
-            }
-            let mut best_move: Option<(u8, PartitionScore)> = None;
-            for target in 0..machine.clusters() {
-                if target == current {
-                    continue;
-                }
-                part.set_cluster(n, target);
-                let score = score_partition(ddg, &part, machine, ii, analysis, &mut scratch);
-                part.set_cluster(n, current);
-                let thresh = best_move.as_ref().map_or(&best, |(_, s)| s);
-                if score < *thresh {
-                    best_move = Some((target, score));
-                }
-            }
-            if let Some((target, score)) = best_move {
-                part.set_cluster(n, target);
-                best = score;
-                improved = true;
-                moves.push((i as u32, current, target));
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    (part, moves)
 }
 
 /// Whether producer `x` needs a bus under `part` with the nodes marked in
@@ -1000,7 +930,8 @@ fn refine_level(
                 if let Some(cache) = opts.cache.as_deref_mut() {
                     cache.observe(part.as_slice());
                 }
-                scratch.moves.push((group[0] as u32, current, target));
+                #[cfg(any(test, feature = "testing"))]
+                scratch.move_log.push((group[0] as u32, current, target));
             }
         }
         if !improved {
@@ -1342,6 +1273,7 @@ fn reg_overflow_of(est: &[u64], machine: &MachineConfig) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::refine_existing_oracle;
     use cvliw_ddg::OpKind;
 
     fn machine(spec: &str) -> MachineConfig {

@@ -14,6 +14,10 @@
 //! is what lets the server return cached bytes verbatim and stay
 //! byte-identical to one-shot compilation.
 //!
+//! The optional `seeds` field (default 1) races that many refinement seeds
+//! per compile, one thread each; it must lie in `1..=64`
+//! ([`MAX_REFINE_SEEDS`]), and any other value is a `bad_field` error.
+//!
 //! Errors are structured in the `SpecError` span-carrying style: every
 //! error body has a `kind` and a `detail`, plus the position information
 //! the underlying error carries (`line`/`col` for loop parse errors, a
@@ -25,7 +29,7 @@ use std::fmt::Write as _;
 
 use cvliw_ir::ParseError;
 use cvliw_machine::SpecError;
-use cvliw_replicate::{CauseCounts, CompileError, LoopStats, Mode};
+use cvliw_replicate::{CauseCounts, CompileError, LoopStats, Mode, MAX_REFINE_SEEDS};
 
 use crate::json::{self, JsonError, RawValue};
 
@@ -48,7 +52,7 @@ pub enum Request<'a> {
         machine: &'a str,
         /// Compilation mode.
         mode: Mode,
-        /// Refinement seeds to race (clamped to at least 1 downstream).
+        /// Refinement seeds to race, in `1..=`[`MAX_REFINE_SEEDS`].
         seeds: u32,
     },
     /// Report cache / pool accounting.
@@ -212,15 +216,20 @@ pub fn parse_request(line: &str) -> Result<Request<'_>, (Option<u64>, ErrorKind)
     let seeds = match seeds {
         None => 1,
         Some(digits) => match digits.parse::<u32>() {
-            Ok(n) if n >= 1 => n,
-            Ok(_) => {
+            Ok(n) if (1..=MAX_REFINE_SEEDS).contains(&n) => n,
+            Ok(n) => {
+                let detail = if n == 0 {
+                    "seeds must be at least 1".into()
+                } else {
+                    format!("seeds must be at most {MAX_REFINE_SEEDS}")
+                };
                 return Err((
                     Some(id),
                     ErrorKind::BadField {
                         field: "seeds",
-                        detail: "seeds must be at least 1".into(),
+                        detail,
                     },
-                ))
+                ));
             }
             Err(_) => {
                 return Err((
@@ -463,6 +472,17 @@ mod tests {
         let (_, kind) =
             parse_request(r#"{"id": 2, "loop": "x", "machine": "m", "seeds": 0}"#).unwrap_err();
         assert!(matches!(kind, ErrorKind::BadField { field: "seeds", .. }));
+        // One seed past the cap: rejected at parse time, before any lane or
+        // thread exists; the cap itself is accepted.
+        let (id, kind) =
+            parse_request(r#"{"id": 3, "loop": "x", "machine": "m", "seeds": 65}"#).unwrap_err();
+        assert_eq!(id, Some(3));
+        assert!(
+            matches!(&kind, ErrorKind::BadField { field: "seeds", detail } if detail.contains("at most 64")),
+            "{kind:?}"
+        );
+        let ok = parse_request(r#"{"id": 4, "loop": "x", "machine": "m", "seeds": 64}"#).unwrap();
+        assert!(matches!(ok, Request::Compile { seeds: 64, .. }));
         // Unknown field.
         let (_, kind) = parse_request(r#"{"id": 2, "frobnicate": 1}"#).unwrap_err();
         assert!(matches!(kind, ErrorKind::Json(_)));

@@ -7,9 +7,9 @@
 use cvliw::replicate::paper_example::{fig3_example, fig3_machine, FIG3_II};
 use cvliw::replicate::{LoopAnalysis, ReplicationEngine};
 
-fn main() {
-    let (ddg, assignment, _) = fig3_example();
-    let machine = fig3_machine();
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let (ddg, assignment, _) = fig3_example()?;
+    let machine = fig3_machine()?;
 
     println!(
         "Figure 3: {} instructions on 4 clusters, II = {FIG3_II}",
@@ -91,4 +91,5 @@ fn main() {
             .map(|c| c + 1)
             .collect::<Vec<_>>()
     );
+    Ok(())
 }

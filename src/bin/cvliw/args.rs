@@ -36,6 +36,13 @@ pub enum UsageError {
     Positional(&'static str),
     /// An option value parsed but is zero where at least 1 is required.
     NotPositive(String),
+    /// An option value parsed but exceeds its fixed maximum.
+    TooLarge {
+        /// The option name.
+        option: String,
+        /// The largest accepted value.
+        max: u32,
+    },
 }
 
 impl fmt::Display for UsageError {
@@ -50,6 +57,7 @@ impl fmt::Display for UsageError {
             }
             UsageError::Positional(what) => write!(f, "expected {what}"),
             UsageError::NotPositive(o) => write!(f, "--{o} must be at least 1"),
+            UsageError::TooLarge { option, max } => write!(f, "--{option} must be at most {max}"),
         }
     }
 }
@@ -143,6 +151,18 @@ impl Args {
     {
         match self.get_num::<T>(name)? {
             Some(v) if v == T::default() => Err(UsageError::NotPositive(name.to_string())),
+            other => Ok(other),
+        }
+    }
+
+    /// [`Args::get_positive_num`] with an upper bound: a value above `max`
+    /// is [`UsageError::TooLarge`].
+    pub fn get_bounded_num(&self, name: &str, max: u32) -> Result<Option<u32>, UsageError> {
+        match self.get_positive_num::<u32>(name)? {
+            Some(v) if v > max => Err(UsageError::TooLarge {
+                option: name.to_string(),
+                max,
+            }),
             other => Ok(other),
         }
     }

@@ -10,7 +10,9 @@ use cvliw::exp::{
 };
 use cvliw::ir::{parse_module, print_loop, NamedLoop, ParseError};
 use cvliw::machine::{MachineConfig, SpecError};
-use cvliw::replicate::{compile_loop, CompileError, CompileOptions, CompiledLoop, Mode};
+use cvliw::replicate::{
+    compile_loop, CompileError, CompileOptions, CompiledLoop, Mode, MAX_REFINE_SEEDS,
+};
 use cvliw::sched::LoopAnalysis;
 use cvliw::sim::simulate;
 
@@ -221,8 +223,9 @@ OPTIONS:
                            the report is identical for any worker count
     --refine-seeds <n>     suite/bench: race n perturbed refinement seeds
                            per loop for the MII seed partition (default 1 =
-                           off); the winner is picked by (score, seed-index),
-                           so reports never depend on thread scheduling
+                           off, at most 64); the winner is picked by
+                           (score, seed-index), so reports never depend on
+                           thread scheduling
     --format <fmt>         suite output: text | json | csv | md
                            (default text; md is the docs/RESULTS.md book)
     --out <path>           suite output file; `-` forces stdout
@@ -616,7 +619,7 @@ fn grid_from_args(args: &Args, base: SuiteGrid) -> Result<SuiteGrid, CliError> {
     if let Some(cap) = args.get_positive_num::<usize>("max-loops")? {
         grid = grid.with_max_loops(cap);
     }
-    if let Some(seeds) = args.get_positive_num::<u32>("refine-seeds")? {
+    if let Some(seeds) = args.get_bounded_num("refine-seeds", MAX_REFINE_SEEDS)? {
         grid = grid.with_refine_seeds(seeds);
     }
     Ok(grid)
@@ -1067,7 +1070,9 @@ fn cmd_client(args: &Args) -> Result<(), CliError> {
         parse_machine(machine)?;
         let mode = parse_mode(args);
         let mode_name = mode?.name();
-        let seeds = args.get_positive_num::<u32>("refine-seeds")?.unwrap_or(1);
+        let seeds = args
+            .get_bounded_num("refine-seeds", MAX_REFINE_SEEDS)?
+            .unwrap_or(1);
         for (id, l) in read_loops(args)?.iter().enumerate() {
             let source = print_loop(&l.name, &l.ddg);
             let response = client

@@ -351,6 +351,20 @@ fn zero_and_overflow_counts_are_usage_errors() {
             stderr(&out)
         );
     }
+    // One thread per raced seed: past the fixed cap is a usage error,
+    // diagnosed before any loop is compiled.
+    for args in [
+        &["suite", "--refine-seeds", "65"][..],
+        &["bench", "--refine-seeds", "65"],
+    ] {
+        let out = cvliw(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("--refine-seeds must be at most 64"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
     // Overflowing and garbage values are diagnosed, not wrapped.
     for val in ["99999999999999999999999", "three", "-2"] {
         let out = cvliw(&["suite", "--jobs", val]);

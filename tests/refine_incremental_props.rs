@@ -21,10 +21,8 @@
 //! compile settles at.
 
 use cvliw::machine::{paper_specs, MachineConfig};
-use cvliw::partition::{
-    partition_loop_scratch, refine_existing, refine_existing_oracle, RefineCache, RefineMove,
-    RefineScratch,
-};
+use cvliw::partition::testing::{refine_existing_oracle, RefineMove};
+use cvliw::partition::{partition_loop_scratch, refine_existing, RefineCache, RefineScratch};
 use cvliw::prelude::{compile_loop, CompileOptions};
 use cvliw::sched::LoopAnalysis;
 use cvliw::workloads::{generate_loop, program, program_names, GeneratorParams};
