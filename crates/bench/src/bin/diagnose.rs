@@ -11,25 +11,27 @@
 //! (non-trivial SCC) ended up split across clusters — the situation where
 //! communication latency sits on a cycle and the II pays for it.
 
-use cvliw_ddg::sccs;
+use cvliw_ddg::NodeId;
 use cvliw_machine::MachineConfig;
 use cvliw_replicate::{compile_loop, CompileOptions, CompiledLoop};
+use cvliw_sched::{ClusterSet, LoopAnalysis};
 
-fn split_sccs(l: &cvliw_workloads::WorkloadLoop, out: &CompiledLoop) -> (usize, usize) {
-    let comps = sccs(&l.ddg);
-    let nontrivial = comps.iter().filter(|c| c.len() > 1).count();
-    let split = comps
+/// `(non-trivial SCCs, those whose instances span more than one cluster)`,
+/// with the components read from the loop's [`LoopAnalysis`].
+fn split_sccs(analysis: &LoopAnalysis, out: &CompiledLoop) -> (usize, usize) {
+    let scc_of = analysis.scc_of();
+    let comps = scc_of.iter().max().map_or(0, |&c| c + 1);
+    let mut size = vec![0usize; comps];
+    let mut clusters = vec![ClusterSet::empty(); comps];
+    for (i, &c) in scc_of.iter().enumerate() {
+        size[c] += 1;
+        clusters[c] = clusters[c].union(out.assignment.instances(NodeId::new(i as u32)));
+    }
+    let nontrivial = size.iter().filter(|&&s| s > 1).count();
+    let split = size
         .iter()
-        .filter(|comp| comp.len() > 1)
-        .filter(|comp| {
-            let mut clusters: Vec<u8> = comp
-                .iter()
-                .flat_map(|&n| out.assignment.instances(n).iter().collect::<Vec<_>>())
-                .collect();
-            clusters.sort_unstable();
-            clusters.dedup();
-            clusters.len() > 1
-        })
+        .zip(&clusters)
+        .filter(|&(&s, set)| s > 1 && set.len() > 1)
         .count();
     (nontrivial, split)
 }
@@ -52,7 +54,7 @@ fn main() {
             }
             let ratio = f64::from(base.stats.ii) / f64::from(base.stats.mii);
             let repl = compile_loop(&l.ddg, &machine, &CompileOptions::replicate()).ok();
-            let (nontrivial, split) = split_sccs(l, &base);
+            let (nontrivial, split) = split_sccs(&LoopAnalysis::new(&l.ddg, &machine), &base);
             let c = base.stats.causes;
             rows.push((
                 ratio,

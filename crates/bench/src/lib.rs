@@ -14,7 +14,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use cvliw_exp::{run_loop, run_program, ProgramResult};
+pub use cvliw_exp::{run_program, ProgramResult};
 
 use cvliw_workloads::BenchmarkProgram;
 

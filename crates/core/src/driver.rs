@@ -10,7 +10,7 @@ use cvliw_ddg::Ddg;
 use cvliw_machine::MachineConfig;
 use cvliw_partition::{
     partition_loop_scratch, refine_existing, score_partition, Partition, PartitionScore,
-    RefineCache, RefineScratch,
+    RefineScratch,
 };
 use cvliw_sched::{
     schedule, Assignment, IiCause, LoopAnalysis, SchedScratch, Schedule, ScheduleError,
@@ -420,11 +420,6 @@ pub struct CompileScratch {
     /// Cooperative cancellation, polled once per II attempt.
     cancel: CancelToken,
     refine: RefineScratch,
-    /// Move-delta cache for the II-climb refinement chain. Sound only
-    /// because a `CompileContext` (and hence its scratch) serves exactly
-    /// one `(loop, machine)` pair — a [`RefineScratch`] may be reused
-    /// across graphs, a [`RefineCache`] must not be.
-    refine_cache: RefineCache,
     engine: EngineScratch,
     sched: SchedScratch,
     /// Wall-clock nanoseconds per [`Stage`].
@@ -432,18 +427,15 @@ pub struct CompileScratch {
 }
 
 impl CompileScratch {
-    /// Readies a recycled scratch for a *different* loop: invalidates the
-    /// graph-bound [`RefineCache`] (two graphs can share a node count, so
-    /// its shape check alone cannot catch the swap), zeroes the stage
+    /// Readies a recycled scratch for a *different* loop: zeroes the stage
     /// clocks and the refinement work counts, and replaces the
     /// [`CancelToken`] so a deadline armed against the previous loop's
     /// context cannot leak into this one.
-    /// Everything else is graph-agnostic ([`RefineScratch`], the scheduler
-    /// buffers) or refilled on every use (the engine's anchors, from the
-    /// context's analysis) and keeps its allocations — which is the whole
-    /// point.
+    /// Nothing in the scratch is graph-bound: it is graph-agnostic
+    /// ([`RefineScratch`], the scheduler buffers) or refilled on every use
+    /// (the engine's anchors, from the context's analysis) and keeps its
+    /// allocations — which is the whole point.
     fn reset_for_new_loop(&mut self) {
-        self.refine_cache.invalidate();
         self.refine.reset_counts();
         self.stage_nanos = [0; 4];
         self.cancel = CancelToken::new();
@@ -574,8 +566,8 @@ impl CompileContext {
 
     /// [`CompileContext::new`] on a recycled [`CompileScratch`] — the
     /// warmed-up buffers of a previous loop's context (recovered with
-    /// [`CompileContext::into_scratch`]) carry over; everything bound to
-    /// the previous graph is invalidated first. A suite worker compiling
+    /// [`CompileContext::into_scratch`]) carry over; only the clocks, work
+    /// counts and cancel token are reset. A suite worker compiling
     /// hundreds of loops in sequence allocates its big workspaces once
     /// instead of once per loop; results are identical either way, which
     /// `scratch_reuse_equals_fresh_state_compilation` pins.
@@ -734,7 +726,6 @@ impl CompileContext {
                 prev.clone(),
                 &self.analysis,
                 &mut scratch.refine,
-                Some(&mut scratch.refine_cache),
             );
             scratch.stage_nanos[Stage::Partition as usize] += elapsed_nanos(started);
             let changed = refined != *prev;

@@ -123,14 +123,6 @@ pub struct TimeBounds {
     pub length: i64,
 }
 
-impl TimeBounds {
-    /// Scheduling freedom of a node: `alap - asap`.
-    #[must_use]
-    pub fn mobility(&self, n: NodeId) -> i64 {
-        self.alap[n.index()] - self.asap[n.index()]
-    }
-}
-
 /// Computes recurrence-aware ASAP and ALAP issue times for initiation
 /// interval `ii`, with per-edge latencies given by `lat`.
 ///
@@ -360,7 +352,6 @@ mod tests {
         assert_eq!(tb.asap, vec![0, 3, 6]);
         assert_eq!(tb.alap, vec![0, 3, 6]);
         assert_eq!(tb.length, 6);
-        assert_eq!(tb.mobility(y), 0);
     }
 
     #[test]
@@ -379,9 +370,10 @@ mod tests {
             _ => 2,
         };
         let tb = time_bounds(&ddg, 1, lat).unwrap();
-        assert_eq!(tb.mobility(long), 0);
-        assert_eq!(tb.mobility(short), 15); // 18 - 3
-        assert_eq!(tb.mobility(a), 0);
+        let mobility = |n: NodeId| tb.alap[n.index()] - tb.asap[n.index()];
+        assert_eq!(mobility(long), 0);
+        assert_eq!(mobility(short), 15); // 18 - 3
+        assert_eq!(mobility(a), 0);
     }
 
     #[test]

@@ -87,12 +87,6 @@ pub struct Edge {
 }
 
 impl Edge {
-    /// Whether this is a same-iteration dependence.
-    #[must_use]
-    pub fn is_intra_iteration(&self) -> bool {
-        self.distance == 0
-    }
-
     /// Whether this is a register dependence.
     #[must_use]
     pub fn is_data(&self) -> bool {

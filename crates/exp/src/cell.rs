@@ -10,8 +10,8 @@
 
 use cvliw_machine::MachineConfig;
 use cvliw_replicate::{
-    compile_loop, compile_stats, compile_stats_ctx, CompileContext, CompileOptions, CompileScratch,
-    LoopStats, Mode, WorkCounts,
+    compile_stats, compile_stats_ctx, CompileContext, CompileOptions, CompileScratch, LoopStats,
+    Mode, WorkCounts,
 };
 use cvliw_sim::IpcAccumulator;
 use cvliw_workloads::{BenchmarkProgram, WorkloadLoop};
@@ -115,17 +115,6 @@ impl CellResult {
     #[must_use]
     pub fn overhead(&self) -> f64 {
         ratio(self.added_ops, self.ops)
-    }
-
-    /// Fraction of the partition's communications that replication removed
-    /// from the buses.
-    #[must_use]
-    pub fn comm_removed(&self) -> f64 {
-        if self.partition_coms == 0 {
-            0.0
-        } else {
-            1.0 - ratio(self.final_coms, self.partition_coms)
-        }
     }
 }
 
@@ -268,17 +257,6 @@ pub fn run_program(
     result
 }
 
-/// Compiles a single loop, returning its stats (convenience for callers
-/// that only need one loop).
-#[must_use]
-pub fn run_loop(
-    l: &WorkloadLoop,
-    machine: &MachineConfig,
-    opts: &CompileOptions,
-) -> Option<LoopStats> {
-    compile_loop(&l.ddg, machine, opts).ok().map(|o| o.stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,6 +314,5 @@ mod tests {
         };
         let r = CellResult::empty(&cell);
         assert_eq!(r.ipc(), 0.0);
-        assert_eq!(r.comm_removed(), 0.0);
     }
 }

@@ -56,7 +56,7 @@ mod runner;
 mod serve_bench;
 
 pub use bench::{bench_suite, emit_bench_json, BenchReport, PairStageTiming, PairTiming};
-pub use cell::{run_loop, run_program, CellResult, ProgramResult};
+pub use cell::{run_program, CellResult, ProgramResult};
 pub use emit::{emit, emit_csv, emit_json, emit_text, Format};
 pub use emit_md::emit_markdown;
 pub use grid::{CellSpec, SuiteGrid};

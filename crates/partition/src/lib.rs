@@ -59,7 +59,7 @@ mod weights;
 pub use coarsen::{coarsen, CoarseLevel, Hierarchy};
 pub use matching::greedy_matching;
 pub use partition::Partition;
-pub use refine::{refine_existing, score_partition, PartitionScore, RefineCache, RefineScratch};
+pub use refine::{refine_existing, score_partition, PartitionScore, RefineScratch};
 
 use cvliw_ddg::Ddg;
 use cvliw_machine::MachineConfig;

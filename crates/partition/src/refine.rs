@@ -1,14 +1,19 @@
 //! Pseudo-schedule-guided refinement of a partition (reference [2]).
 //!
 //! Refinement is the compilation driver's hottest loop: every II bump
-//! re-scores hundreds of candidate single-node moves. Four layers keep
+//! re-scores hundreds of candidate single-node moves. Three layers keep
 //! that cheap without changing a single accepted move:
 //!
 //! * **Lazy lexicographic rejection**: a candidate dies as soon as a cheap
 //!   prefix of the score key — capacity overflow and bus overflow, both
 //!   computed exactly from O(degree) deltas — already compares worse than
 //!   the incumbent. The lexicographic comparison is decided by the first
-//!   differing component, so the verdict equals the full score's.
+//!   differing component, so the verdict equals the full score's. The bus
+//!   delta comes from a *consumer-cluster census* taken once per move
+//!   group: for every producer the move can affect, the cluster bitmask
+//!   of its data consumers outside the group and whether one is inside
+//!   it. Each target cluster then costs one mask test per producer, not a
+//!   successor walk.
 //! * **A critical-path witness bound**: every move base records one
 //!   *witness path* of its ASAP fixpoint — a chain of tight edges from a
 //!   node at time 0 to a node at the base length `L`, so the path's
@@ -27,19 +32,11 @@
 //!   ([`IncrementalAsap`]) instead of a from-scratch pseudo-schedule. The
 //!   affected cone is updated, speculatively, and rolled back; debug
 //!   builds re-score every candidate in full and assert byte equality.
-//! * **A move-result cache** ([`RefineCache`]): the communication delta of
-//!   a rejected `(node, target)` move depends only on the clusters of a
-//!   fixed, graph-structural neighborhood of the node. Entries carry that
-//!   neighborhood's cluster bitmask plus a sum of per-cluster version
-//!   counters; any accepted move bumps the versions of its two clusters,
-//!   so a stale entry can never validate. The counts are latency-free,
-//!   hence II-independent: entries filled at one II keep hitting across
-//!   the whole II climb.
 //!
-//! All four layers are observationally pure: [`refine_existing`] accepts
-//! the same moves with or without a cache, pinned by debug assertions and
-//! the differential oracle of the crate's `testing` module, which
-//! `tests/refine_incremental_props.rs` runs over random and suite loops.
+//! All three layers are observationally pure, and no state survives a
+//! call: [`refine_existing`] accepts exactly the moves of the full-rescore
+//! oracle in the crate's `testing` module, pinned by debug assertions and
+//! by `tests/refine_incremental_props.rs` over random and suite loops.
 
 use cvliw_ddg::{Ddg, IncrementalAsap, NodeId, OpClass};
 use cvliw_machine::MachineConfig;
@@ -90,7 +87,7 @@ impl PartitionScore {
 /// One `RefineScratch` serves a whole compilation — every II of every mode
 /// — via `cvliw_replicate::CompileContext`'s compile scratch. All
 /// incremental state is rebuilt at every `refine_level` entry, so a
-/// scratch may be reused across unrelated graphs (unlike [`RefineCache`]).
+/// scratch may be reused across unrelated graphs.
 #[derive(Clone, Debug)]
 pub struct RefineScratch {
     pseudo: PseudoScratch,
@@ -103,11 +100,12 @@ pub struct RefineScratch {
     /// Current-partition instance census per cluster and class.
     usage: Vec<[u32; 3]>,
     /// Node stamps marking membership of the group being scanned.
-    in_group: Vec<bool>,
-    /// Producers whose communication status the move can change.
-    affected: Vec<NodeId>,
+    pub(crate) in_group: Vec<bool>,
+    /// Consumer census of the producers whose communication status the
+    /// move of the group being scanned can change.
+    pub(crate) affected: Vec<ConsumerCensus>,
     /// Dedup stamps for building `affected` and the register-update set.
-    seen: Vec<u32>,
+    pub(crate) seen: Vec<u32>,
     /// Current epoch for `seen`.
     epoch: u32,
     /// Incrementally maintained ASAP fixpoint of the current partition.
@@ -134,7 +132,7 @@ pub struct RefineScratch {
     bound_rejections: u64,
     /// Communication count of the partition the move base describes, so a
     /// follow-up `refine_level` on the *same* (graph, II, partition) state
-    /// can skip the entry recount (see [`LevelOpts::reuse_base`]).
+    /// can skip the entry recount (its `reuse_base`).
     base_ncoms: u32,
     /// Moves accepted by the most recent refinement call, read by the
     /// move-sequence differential of the `testing` module.
@@ -384,144 +382,6 @@ pub fn score_partition(
 /// Maximum improvement passes per hierarchy level.
 pub(crate) const MAX_PASSES: usize = 2;
 
-/// Cached communication deltas of candidate moves, keyed `(node,
-/// destination cluster)`, surviving across refinement calls and IIs.
-///
-/// A candidate's `before`/`after` communication counts depend only on the
-/// clusters of a **graph-structural** neighborhood of the node: the node,
-/// its data predecessors, and the data successors of those. Each entry
-/// records the cluster bitmask of that neighborhood plus the sum of the
-/// per-cluster **version counters** over the mask at fill time. Every
-/// observed cluster change bumps the versions of its two clusters, and
-/// versions only grow — so the sums match iff no relevant node changed
-/// cluster, and a stale entry can never validate. The counts contain no
-/// latencies, so entries filled at one II stay valid across the II climb.
-///
-/// A cache is only sound for a single `(graph, machine)` pair (the
-/// neighborhood is graph-structural, the key space machine-shaped). The
-/// driver owns one per compilation context; reusing one across loops the
-/// way a [`RefineScratch`] may be reused is a contract violation, guarded
-/// by debug assertions that recompute every hit in full.
-#[derive(Clone, Debug, Default)]
-pub struct RefineCache {
-    nodes: usize,
-    clusters: u8,
-    /// `nodes × clusters` move entries, row-major by node.
-    entries: Vec<MoveEntry>,
-    /// Per-cluster move counters; bumped for both endpoint clusters of
-    /// every observed node move.
-    version: Vec<u32>,
-    /// Partition snapshot the versions are relative to.
-    last_part: Vec<u8>,
-    primed: bool,
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-struct MoveEntry {
-    /// Version-counter sum over `mask` at fill time.
-    vsum: u64,
-    /// Cluster bitmask of the move's structural neighborhood at fill time.
-    mask: u32,
-    /// Communications paid by the neighborhood with the node in place.
-    before: u32,
-    /// Communications paid with the node re-homed to the entry's target.
-    after: u32,
-    valid: bool,
-}
-
-impl RefineCache {
-    /// Drops every entry while keeping the allocations, making the cache
-    /// safe to hand to a *different* `(graph, machine)` pair. Callers that
-    /// recycle a cache-bearing scratch across loops must call this at the
-    /// hand-over — two graphs can share a node count, and then nothing in
-    /// `RefineCache::prepare` would notice the swap.
-    pub fn invalidate(&mut self) {
-        self.primed = false;
-    }
-
-    /// Re-anchors the cache to `part` before a refinement call: resizes
-    /// (invalidating everything) on shape change, otherwise folds the
-    /// partition diff since the last call into the version counters.
-    fn prepare(&mut self, part: &[u8], clusters: u8) {
-        if !self.primed || self.nodes != part.len() || self.clusters != clusters {
-            self.nodes = part.len();
-            self.clusters = clusters;
-            self.entries.clear();
-            self.entries
-                .resize(part.len() * clusters as usize, MoveEntry::default());
-            self.version.clear();
-            self.version.resize(clusters as usize, 0);
-            self.last_part.clear();
-            self.last_part.extend_from_slice(part);
-            self.primed = true;
-        } else {
-            self.observe(part);
-        }
-    }
-
-    /// Folds every cluster change between the snapshot and `part` into the
-    /// version counters. Called on entry and after each accepted move.
-    fn observe(&mut self, part: &[u8]) {
-        for (&new, old) in part.iter().zip(self.last_part.iter_mut()) {
-            if *old != new {
-                self.version[*old as usize] += 1;
-                self.version[new as usize] += 1;
-                *old = new;
-            }
-        }
-    }
-
-    fn vsum_of(&self, mask: u32) -> u64 {
-        let mut sum = 0u64;
-        let mut m = mask;
-        while m != 0 {
-            sum += u64::from(self.version[m.trailing_zeros() as usize]);
-            m &= m - 1;
-        }
-        sum
-    }
-
-    /// The cached `(before, after)` communication counts of moving `node`
-    /// to `target`, if still valid.
-    fn get(&self, node: usize, target: u8) -> Option<(u32, u32)> {
-        let e = &self.entries[node * self.clusters as usize + target as usize];
-        (e.valid && e.vsum == self.vsum_of(e.mask)).then_some((e.before, e.after))
-    }
-
-    /// Fills the `(node, target)` entry under the current partition.
-    fn put(
-        &mut self,
-        ddg: &Ddg,
-        part: &Partition,
-        node: usize,
-        target: u8,
-        before: u32,
-        after: u32,
-    ) {
-        let n = NodeId::new(node as u32);
-        let mut mask = 0u32;
-        let mut add = |x: NodeId| mask |= 1u32 << part.cluster_of(x);
-        add(n);
-        for &s in ddg.data_succs(n) {
-            add(s);
-        }
-        for &p in ddg.data_preds(n) {
-            add(p);
-            for &s in ddg.data_succs(p) {
-                add(s);
-            }
-        }
-        let vsum = self.vsum_of(mask);
-        self.entries[node * self.clusters as usize + target as usize] = MoveEntry {
-            vsum,
-            mask,
-            before,
-            after,
-            valid: true,
-        };
-    }
-}
-
 /// Refines a partition by walking the hierarchy from coarse to fine,
 /// greedily moving macro-nodes between clusters while the score improves —
 /// the refinement half of [`crate::partition_loop_scratch`].
@@ -547,13 +407,10 @@ pub(crate) fn refine_hierarchy(
     // first level's exit move base is every later level's entry base.
     let mut reuse_base = false;
     for level in hierarchy.levels.iter().rev().skip(1) {
-        let mut opts = LevelOpts {
-            variant,
-            cache: None,
-            reuse_base,
-        };
         scratch.set_groups(&level.macro_of, level.n_macros);
-        part = refine_level(ddg, machine, ii, part, analysis, scratch, &mut opts);
+        part = refine_level(
+            ddg, machine, ii, part, analysis, scratch, variant, reuse_base,
+        );
         reuse_base = true;
     }
     part
@@ -561,11 +418,8 @@ pub(crate) fn refine_hierarchy(
 
 /// The "Refine Partition" box of the paper's Figure 2: refinement at node
 /// granularity only, used by the driver whenever it increases the II.
-///
-/// `cache` is the optional move-delta [`RefineCache`]: the driver passes
-/// one per compilation context, which must only ever see this one
-/// `(graph, machine)` pair; `None` scores every candidate from scratch.
-/// Either way the accepted moves are identical.
+/// Nothing outlives the call but the scratch's allocations, so one
+/// [`RefineScratch`] may serve any sequence of graphs and machines.
 #[must_use]
 pub fn refine_existing(
     ddg: &Ddg,
@@ -574,48 +428,98 @@ pub fn refine_existing(
     part: Partition,
     analysis: &LoopAnalysis,
     scratch: &mut RefineScratch,
-    cache: Option<&mut RefineCache>,
 ) -> Partition {
     #[cfg(any(test, feature = "testing"))]
     scratch.move_log.clear();
     if machine.clusters() == 1 {
         return part;
     }
-    if let Some(cache) = &cache {
-        debug_assert!(!cache.primed || cache.nodes == ddg.node_count() || cache.nodes == 0);
-    }
     scratch.set_singleton_groups(ddg.node_count());
-    let mut opts = LevelOpts {
-        variant: 0,
-        cache,
-        reuse_base: false,
-    };
-    if let Some(cache) = opts.cache.as_deref_mut() {
-        cache.prepare(part.as_slice(), machine.clusters());
-    }
-    refine_level(ddg, machine, ii, part, analysis, scratch, &mut opts)
+    refine_level(ddg, machine, ii, part, analysis, scratch, 0, false)
 }
 
-/// Whether producer `x` needs a bus under `part` with the nodes marked in
-/// `in_group` re-homed to `target` — the exact [`Assignment::needs_comm`]
-/// predicate evaluated without materializing the assignment.
-fn needs_comm_moved(ddg: &Ddg, part: &Partition, in_group: &[bool], target: u8, x: NodeId) -> bool {
-    if !ddg.kind(x).produces_value() {
-        return false;
-    }
-    let cx = if in_group[x.index()] {
-        target
-    } else {
-        part.cluster_of(x)
-    };
-    ddg.data_succs(x).iter().any(|&y| {
-        let cy = if in_group[y.index()] {
-            target
-        } else {
-            part.cluster_of(y)
+/// Where one affected producer's data consumers live, relative to the move
+/// group being scanned: the cluster bitmask of its consumers outside the
+/// group (`MAX_CLUSTERS` is 32, so a `u32` holds any machine), whether it
+/// has a consumer inside the group, and its own cluster — `None` for a
+/// group member, whose home moves with the group.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ConsumerCensus {
+    outside: u32,
+    inside: bool,
+    home: Option<u8>,
+}
+
+impl ConsumerCensus {
+    /// Takes the census of producer `x` under `part` with the group marked
+    /// in `in_group`; `None` if `x` produces no value and so never pays.
+    fn of(ddg: &Ddg, part: &Partition, in_group: &[bool], x: NodeId) -> Option<Self> {
+        if !ddg.kind(x).produces_value() {
+            return None;
+        }
+        let mut census = ConsumerCensus {
+            outside: 0,
+            inside: false,
+            home: (!in_group[x.index()]).then(|| part.cluster_of(x)),
         };
-        cy != cx
-    })
+        for &y in ddg.data_succs(x) {
+            if in_group[y.index()] {
+                census.inside = true;
+            } else {
+                census.outside |= 1 << part.cluster_of(y);
+            }
+        }
+        Some(census)
+    }
+
+    /// Whether the producer needs a bus with the group re-homed to
+    /// `target`: some consumer sits outside its home cluster — the exact
+    /// [`Assignment::needs_comm`] predicate of the moved partition.
+    fn pays(self, target: u8) -> bool {
+        let home = self.home.unwrap_or(target);
+        let inside = if self.inside { 1 << target } else { 0 };
+        (self.outside | inside) & !(1u32 << home) != 0
+    }
+}
+
+impl RefineScratch {
+    /// Marks the members of `group` in `in_group` and takes the consumer
+    /// census of every producer a move of the group can affect — the
+    /// members and their data predecessors, each once — into `affected`.
+    /// Returns the group's instance count per class. The caller clears the
+    /// marks when done with the group.
+    pub(crate) fn census_group(
+        &mut self,
+        ddg: &Ddg,
+        part: &Partition,
+        group: &[usize],
+    ) -> [u32; 3] {
+        self.epoch += 1;
+        let epoch = self.epoch;
+        for &i in group {
+            self.in_group[i] = true;
+        }
+        self.affected.clear();
+        let mut class_census = [0u32; 3];
+        for &i in group {
+            let m = NodeId::new(i as u32);
+            class_census[ddg.kind(m).class().index()] += 1;
+            for x in std::iter::once(m).chain(ddg.data_preds(m).iter().copied()) {
+                if self.seen[x.index()] != epoch {
+                    self.seen[x.index()] = epoch;
+                    self.affected
+                        .extend(ConsumerCensus::of(ddg, part, &self.in_group, x));
+                }
+            }
+        }
+        class_census
+    }
+}
+
+/// Communications paid by the affected producers of a census with the
+/// group re-homed to `target`.
+pub(crate) fn comm_count_moved(affected: &[ConsumerCensus], target: u8) -> u32 {
+    affected.iter().filter(|c| c.pays(target)).count() as u32
 }
 
 /// Per-cluster capacity overflow of one cluster under a usage census.
@@ -629,22 +533,18 @@ fn cluster_overflow(machine: &MachineConfig, ii: u32, cluster: u8, usage: &[u32;
         .sum()
 }
 
-/// Per-call refinement options: the tie-break perturbation and the optional
-/// move-delta cache (singleton groups only).
-struct LevelOpts<'a> {
-    variant: u32,
-    cache: Option<&'a mut RefineCache>,
-    /// The scratch already holds the move base (census, comm count, ASAP
-    /// fixpoint, register estimates) of exactly this (graph, II, partition)
-    /// — true between consecutive levels of the multilevel walk, where the
-    /// previous level's exit state *is* this level's entry state. Skips the
-    /// O(V + E) entry recount; the entry-score debug assertion still
-    /// cross-checks the reused state against a full pseudo-schedule.
-    reuse_base: bool,
-}
-
 /// One greedy refinement walk over the groups in the scratch's group
 /// lists.
+///
+/// `variant` rotates the target-cluster scan order (see
+/// [`refine_hierarchy`]). `reuse_base` says the scratch already holds the
+/// move base (census, comm count, ASAP fixpoint, register estimates) of
+/// exactly this (graph, II, partition) — true between consecutive levels
+/// of the multilevel walk, where the previous level's exit state *is* this
+/// level's entry state. It skips the O(V + E) entry recount; the
+/// entry-score debug assertion still cross-checks the reused state against
+/// a full pseudo-schedule.
+#[allow(clippy::too_many_arguments)]
 fn refine_level(
     ddg: &Ddg,
     machine: &MachineConfig,
@@ -652,7 +552,8 @@ fn refine_level(
     mut part: Partition,
     analysis: &LoopAnalysis,
     scratch: &mut RefineScratch,
-    opts: &mut LevelOpts,
+    variant: u32,
+    reuse_base: bool,
 ) -> Partition {
     let group_start = std::mem::take(&mut scratch.group_start);
     let group_nodes = std::mem::take(&mut scratch.group_nodes);
@@ -663,7 +564,7 @@ fn refine_level(
     // from the same base state instead of a second full pseudo-schedule.
     let mut usage = std::mem::take(&mut scratch.usage);
     let mut ncoms;
-    if opts.reuse_base {
+    if reuse_base {
         ncoms = scratch.base_ncoms;
     } else {
         scratch.assignment.set_from_partition(part.as_slice());
@@ -718,36 +619,13 @@ fn refine_level(
                 continue;
             }
             let current = part.cluster_of(NodeId::new(group[0] as u32));
-            // The move-delta cache only keys singleton groups: multilevel
-            // macro representatives alias across hierarchy levels.
-            let singleton = group.len() == 1;
 
             // Group-invariant delta ingredients, shared by every target:
-            // membership marks, the affected-producer list, the group's
-            // class census and (lazily) the communications paid under
-            // `part`.
-            scratch.epoch += 1;
-            let epoch = scratch.epoch;
-            for &i in group {
-                scratch.in_group[i] = true;
-            }
-            scratch.affected.clear();
-            let mut group_census = [0u32; 3];
-            for &i in group {
-                let m = NodeId::new(i as u32);
-                group_census[ddg.kind(m).class().index()] += 1;
-                if scratch.seen[i] != epoch {
-                    scratch.seen[i] = epoch;
-                    scratch.affected.push(m);
-                }
-                for &p in ddg.data_preds(m) {
-                    if scratch.seen[p.index()] != epoch {
-                        scratch.seen[p.index()] = epoch;
-                        scratch.affected.push(p);
-                    }
-                }
-            }
-            let mut before: Option<u32> = None;
+            // membership marks, the consumer census of the affected
+            // producers, the group's class census and the communications
+            // those producers pay under `part`.
+            let group_census = scratch.census_group(ddg, &part, group);
+            let before = comm_count_moved(&scratch.affected, current);
             let cap_rest: u32 = (0..machine.clusters())
                 .map(|c| cluster_overflow(machine, ii, c, &usage[c as usize]))
                 .sum::<u32>()
@@ -763,7 +641,7 @@ fn refine_level(
             // canonical ascending order.
             let clusters = u32::from(machine.clusters());
             for t in 0..clusters {
-                let target = ((t + opts.variant) % clusters) as u8;
+                let target = ((t + variant) % clusters) as u8;
                 if target == current {
                     continue;
                 }
@@ -794,42 +672,9 @@ fn refine_level(
                     );
                     continue;
                 }
-                // Exact communication delta of the move, from the cache
-                // when a prior fill is still valid, else recomputed (and
-                // cached for later passes and IIs).
-                let (bef, after) = match opts
-                    .cache
-                    .as_deref()
-                    .filter(|_| singleton)
-                    .and_then(|c| c.get(group[0], target))
-                {
-                    Some(hit) => {
-                        #[cfg(debug_assertions)]
-                        {
-                            let want_before = comm_count_moved(ddg, &part, scratch, current);
-                            let want_after = comm_count_moved(ddg, &part, scratch, target);
-                            debug_assert_eq!(
-                                hit,
-                                (want_before, want_after),
-                                "stale RefineCache hit for node {} -> {target}",
-                                group[0]
-                            );
-                        }
-                        hit
-                    }
-                    None => {
-                        let bef = *before
-                            .get_or_insert_with(|| comm_count_moved(ddg, &part, scratch, current));
-                        let after = comm_count_moved(ddg, &part, scratch, target);
-                        if singleton {
-                            if let Some(cache) = opts.cache.as_deref_mut() {
-                                cache.put(ddg, &part, group[0], target, bef, after);
-                            }
-                        }
-                        (bef, after)
-                    }
-                };
-                let q_ncoms = ncoms - bef + after;
+                // Exact communication delta of the move, from the census.
+                let after = comm_count_moved(&scratch.affected, target);
+                let q_ncoms = ncoms - before + after;
                 let bus = q_ncoms.saturating_sub(bus_cap);
                 if cap == thresh.key.0 && bus > thresh.key.1 {
                     debug_check_rejection(
@@ -927,9 +772,6 @@ fn refine_level(
                 ncoms = scratch.assignment.comm_count(ddg);
                 scratch.rebuild_move_base(ddg, machine, ii, &part, analysis);
                 scratch.base_ncoms = ncoms;
-                if let Some(cache) = opts.cache.as_deref_mut() {
-                    cache.observe(part.as_slice());
-                }
                 #[cfg(any(test, feature = "testing"))]
                 scratch.move_log.push((group[0] as u32, current, target));
             }
@@ -942,16 +784,6 @@ fn refine_level(
     scratch.group_start = group_start;
     scratch.group_nodes = group_nodes;
     part
-}
-
-/// Communications paid by the affected producers with the marked group
-/// re-homed to `target` — the cacheable half of a move's bus delta.
-fn comm_count_moved(ddg: &Ddg, part: &Partition, scratch: &RefineScratch, target: u8) -> u32 {
-    scratch
-        .affected
-        .iter()
-        .filter(|&&x| needs_comm_moved(ddg, part, &scratch.in_group, target, x))
-        .count() as u32
 }
 
 /// Debug-build proof obligation of the lazy (cap, bus) rejection: re-score
@@ -1299,15 +1131,7 @@ mod tests {
 
     fn refine_fresh(ddg: &Ddg, m: &MachineConfig, ii: u32, part: Partition) -> Partition {
         let analysis = LoopAnalysis::new(ddg, m);
-        refine_existing(
-            ddg,
-            m,
-            ii,
-            part,
-            &analysis,
-            &mut RefineScratch::default(),
-            None,
-        )
+        refine_existing(ddg, m, ii, part, &analysis, &mut RefineScratch::default())
     }
 
     #[test]
@@ -1413,33 +1237,8 @@ mod tests {
         for ii in 1..6 {
             let bad = Partition::from_vec(vec![0, 1, 0, 1, 0, 1]);
             let fresh = refine_fresh(&ddg, &m, ii, bad.clone());
-            let reused = refine_existing(&ddg, &m, ii, bad, &analysis, &mut scratch, None);
+            let reused = refine_existing(&ddg, &m, ii, bad, &analysis, &mut scratch);
             assert_eq!(fresh, reused, "ii={ii}");
-        }
-    }
-
-    /// A persistent cache across the II climb must not change a single
-    /// accepted move (debug builds additionally verify every hit in full).
-    #[test]
-    fn cached_refinement_matches_uncached_across_iis() {
-        let ddg = two_chains();
-        let m = machine("2c1b2l64r");
-        let analysis = LoopAnalysis::new(&ddg, &m);
-        let mut scratch = RefineScratch::default();
-        let mut cache = RefineCache::default();
-        let mut part = Partition::from_vec(vec![0, 1, 0, 1, 0, 1]);
-        for ii in 1..8 {
-            let plain = refine_fresh(&ddg, &m, ii, part.clone());
-            part = refine_existing(
-                &ddg,
-                &m,
-                ii,
-                part,
-                &analysis,
-                &mut scratch,
-                Some(&mut cache),
-            );
-            assert_eq!(plain, part, "ii={ii}");
         }
     }
 
@@ -1569,7 +1368,7 @@ mod tests {
         let analysis = LoopAnalysis::new(&ddg, &m);
         let part = Partition::from_vec(vec![0, 1, 1, 0]);
         let mut scratch = RefineScratch::default();
-        let got = refine_existing(&ddg, &m, 4, part.clone(), &analysis, &mut scratch, None);
+        let got = refine_existing(&ddg, &m, 4, part.clone(), &analysis, &mut scratch);
         let (want, want_moves) = refine_existing_oracle(&ddg, &m, 4, part, &analysis);
         assert_eq!(got, want);
         assert_eq!(scratch.moves(), want_moves);
@@ -1601,7 +1400,7 @@ mod tests {
         assert!(ii >= analysis.mii());
         let part = Partition::from_vec(vec![0, 0, 0, 1, 1]);
         let mut scratch = RefineScratch::default();
-        let got = refine_existing(&ddg, &m, ii, part.clone(), &analysis, &mut scratch, None);
+        let got = refine_existing(&ddg, &m, ii, part.clone(), &analysis, &mut scratch);
         let (want, want_moves) = refine_existing_oracle(&ddg, &m, ii, part.clone(), &analysis);
         assert_eq!(got, want);
         assert_eq!(scratch.moves(), want_moves);
@@ -1618,18 +1417,9 @@ mod tests {
         let m = machine("2c1b2l64r");
         let analysis = LoopAnalysis::new(&ddg, &m);
         let mut scratch = RefineScratch::default();
-        let mut cache = RefineCache::default();
         for ii in 1..6 {
             let bad = Partition::from_vec(vec![0, 1, 0, 1, 0, 1]);
-            let got = refine_existing(
-                &ddg,
-                &m,
-                ii,
-                bad.clone(),
-                &analysis,
-                &mut scratch,
-                Some(&mut cache),
-            );
+            let got = refine_existing(&ddg, &m, ii, bad.clone(), &analysis, &mut scratch);
             let (want, want_moves) = refine_existing_oracle(&ddg, &m, ii, bad, &analysis);
             assert_eq!(got, want, "ii={ii}");
             assert_eq!(scratch.moves(), want_moves, "ii={ii}");

@@ -5,13 +5,15 @@
 //! [`refine_existing_oracle`] is the simplest executable form of the
 //! refinement walk; the differential tests require
 //! [`refine_existing`](crate::refine_existing) to accept exactly its moves,
-//! read back with [`RefineScratch::moves`].
+//! read back with [`RefineScratch::moves`]. [`walked_move_comms`] is the
+//! successor-walk reference for the consumer-cluster census that prices a
+//! move's communications, read back with [`census_move_comms`].
 
 use cvliw_ddg::{Ddg, NodeId};
 use cvliw_machine::MachineConfig;
 use cvliw_sched::LoopAnalysis;
 
-use crate::refine::MAX_PASSES;
+use crate::refine::{comm_count_moved, MAX_PASSES};
 use crate::{score_partition, Partition, PartitionScore, RefineScratch};
 
 /// An accepted refinement move: `(node or group-representative index,
@@ -88,4 +90,56 @@ pub fn refine_existing_oracle(
         }
     }
     (part, moves)
+}
+
+/// Communications paid by the producers a move of `group` can affect — the
+/// members and their data predecessors — with the group re-homed to each
+/// target cluster `0..clusters`, priced by the production consumer census.
+#[must_use]
+pub fn census_move_comms(ddg: &Ddg, part: &Partition, group: &[usize], clusters: u8) -> Vec<u32> {
+    let mut scratch = RefineScratch::default();
+    scratch.in_group.resize(ddg.node_count(), false);
+    scratch.seen.resize(ddg.node_count(), 0);
+    scratch.census_group(ddg, part, group);
+    (0..clusters)
+        .map(|target| comm_count_moved(&scratch.affected, target))
+        .collect()
+}
+
+/// [`census_move_comms`] by the reference walk: every affected producer
+/// walks its successor list once per target and compares each consumer's
+/// cluster with its own, both read from the moved partition.
+#[must_use]
+pub fn walked_move_comms(ddg: &Ddg, part: &Partition, group: &[usize], clusters: u8) -> Vec<u32> {
+    let mut in_group = vec![false; ddg.node_count()];
+    for &i in group {
+        in_group[i] = true;
+    }
+    let mut affected: Vec<NodeId> = group
+        .iter()
+        .flat_map(|&i| {
+            let m = NodeId::new(i as u32);
+            std::iter::once(m).chain(ddg.data_preds(m).iter().copied())
+        })
+        .collect();
+    affected.sort_unstable();
+    affected.dedup();
+    (0..clusters)
+        .map(|target| {
+            let home = |n: NodeId| {
+                if in_group[n.index()] {
+                    target
+                } else {
+                    part.cluster_of(n)
+                }
+            };
+            affected
+                .iter()
+                .filter(|&&x| {
+                    ddg.kind(x).produces_value()
+                        && ddg.data_succs(x).iter().any(|&y| home(y) != home(x))
+                })
+                .count() as u32
+        })
+        .collect()
 }

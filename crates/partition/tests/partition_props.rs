@@ -1,8 +1,9 @@
 //! Property tests for the multilevel partitioner: structural invariants of
 //! coarsening, matching, and refinement on arbitrary loop graphs.
 
-use cvliw_ddg::{Ddg, DepKind, OpKind};
+use cvliw_ddg::{Ddg, DepKind, NodeId, OpKind};
 use cvliw_machine::MachineConfig;
+use cvliw_partition::testing::{census_move_comms, walked_move_comms};
 use cvliw_partition::{
     coarsen, greedy_matching, partition_loop, refine_existing, score_partition, Partition,
     RefineScratch,
@@ -15,16 +16,28 @@ fn arb_kind() -> impl Strategy<Value = OpKind> {
 }
 
 fn arb_ddg() -> impl Strategy<Value = Ddg> {
-    let nodes = prop::collection::vec(arb_kind(), 1..16);
+    arb_ddg_sized(1..16, false)
+}
+
+/// Random loop graphs of `nodes` nodes; with `self_loop`, node 0 is an
+/// integer add carrying its own value to the next iteration.
+fn arb_ddg_sized(nodes: std::ops::Range<usize>, self_loop: bool) -> impl Strategy<Value = Ddg> {
+    let nodes = prop::collection::vec(arb_kind(), nodes);
     nodes
         .prop_flat_map(|kinds| {
             let n = kinds.len();
             let edges = prop::collection::vec((0..n, 0..n, 0u32..2, prop::bool::ANY), 0..(2 * n));
             (Just(kinds), edges)
         })
-        .prop_map(|(kinds, edges)| {
+        .prop_map(move |(mut kinds, edges)| {
             let mut b = Ddg::builder();
+            if self_loop {
+                kinds[0] = OpKind::IntAdd;
+            }
             let ids: Vec<_> = kinds.iter().map(|&k| b.add_node(k)).collect();
+            if self_loop {
+                b.data_dist(ids[0], ids[0], 1);
+            }
             for (src, dst, dist, mem) in edges {
                 let kind = if mem || !kinds[src].produces_value() {
                     DepKind::Mem
@@ -39,6 +52,43 @@ fn arb_ddg() -> impl Strategy<Value = Ddg> {
             }
             b.build().expect("valid by construction")
         })
+}
+
+/// A deterministic xorshift stream over `seed`.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
+/// The move groups the census property covers: a random singleton, the
+/// self-looping node 0 alone, a random root with every data consumer it
+/// has (so members consume members) plus a random extra node, and a
+/// random subset of the whole graph.
+fn census_groups(ddg: &Ddg, next: &mut impl FnMut() -> u64) -> Vec<Vec<usize>> {
+    let n = ddg.node_count();
+    let mut pick = || (next() % n as u64) as usize;
+    let root = pick();
+    let mut macro_group: Vec<usize> = std::iter::once(root)
+        .chain(
+            ddg.data_succs(NodeId::new(root as u32))
+                .iter()
+                .map(|s| s.index()),
+        )
+        .chain(std::iter::once(pick()))
+        .collect();
+    macro_group.sort_unstable();
+    macro_group.dedup();
+    let mut groups = vec![vec![pick()], vec![0], macro_group];
+    let subset: Vec<usize> = (0..n).filter(|_| next() % 3 == 0).collect();
+    if !subset.is_empty() {
+        groups.push(subset);
+    }
+    groups
 }
 
 fn arb_machine() -> impl Strategy<Value = MachineConfig> {
@@ -115,24 +165,57 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // Start from a deterministic pseudo-random partition and refine.
-        let n = ddg.node_count();
-        let mut state = seed | 1;
-        let initial: Vec<u8> = (0..n)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state % u64::from(machine.clusters())) as u8
-            })
+        let mut next = xorshift(seed);
+        let initial: Vec<u8> = (0..ddg.node_count())
+            .map(|_| (next() % u64::from(machine.clusters())) as u8)
             .collect();
         let initial = Partition::from_vec(initial);
         let analysis = LoopAnalysis::new(&ddg, &machine);
         let mut scratch = RefineScratch::default();
         let before = score_partition(&ddg, &initial, &machine, ii, &analysis, &mut scratch);
-        let refined =
-            refine_existing(&ddg, &machine, ii, initial, &analysis, &mut scratch, None);
+        let refined = refine_existing(&ddg, &machine, ii, initial, &analysis, &mut scratch);
         let after = score_partition(&ddg, &refined, &machine, ii, &analysis, &mut scratch);
         prop_assert!(after <= before, "refinement worsened the partition");
+    }
+
+    /// The consumer-cluster census that prices a move's communications
+    /// equals the successor-walk reference for every target, and the
+    /// refiner's delta `ncoms − before + after` equals the recount of the
+    /// moved partition — on singleton groups, a self-looping node, macros
+    /// whose members consume each other, and arbitrary node subsets.
+    #[test]
+    fn move_census_matches_the_successor_walk(
+        ddg in arb_ddg_sized(2..16, true),
+        clusters in 2u8..9,
+        seed in any::<u64>(),
+    ) {
+        let mut next = xorshift(seed);
+        for group in census_groups(&ddg, &mut next) {
+            // Refinement moves a group whose members share one cluster.
+            let current = (next() % u64::from(clusters)) as u8;
+            let mut part: Vec<u8> = (0..ddg.node_count())
+                .map(|_| (next() % u64::from(clusters)) as u8)
+                .collect();
+            for &i in &group {
+                part[i] = current;
+            }
+            let part = Partition::from_vec(part);
+            let census = census_move_comms(&ddg, &part, &group, clusters);
+            let walked = walked_move_comms(&ddg, &part, &group, clusters);
+            prop_assert_eq!(&census, &walked, "group {:?}", &group);
+            let ncoms = part.to_assignment().comm_count(&ddg);
+            for target in 0..clusters {
+                let mut moved = part.clone();
+                for &i in &group {
+                    moved.set_cluster(NodeId::new(i as u32), target);
+                }
+                prop_assert_eq!(
+                    ncoms - census[current as usize] + census[target as usize],
+                    moved.to_assignment().comm_count(&ddg),
+                    "group {:?} -> {}", &group, target
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use cvliw_ddg::{Ddg, NodeId, OpClass};
+use cvliw_ddg::{Ddg, NodeId};
 
 /// A small set of cluster indices, stored as a bitmask (up to 32 clusters).
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -79,12 +79,6 @@ impl ClusterSet {
     #[must_use]
     pub fn difference(self, other: Self) -> Self {
         ClusterSet(self.0 & !other.0)
-    }
-
-    /// Set intersection.
-    #[must_use]
-    pub fn intersection(self, other: Self) -> Self {
-        ClusterSet(self.0 & other.0)
     }
 
     /// Iterates over the clusters in ascending order.
@@ -305,18 +299,6 @@ impl Assignment {
             }
         }
     }
-
-    /// Instance count of one class in one cluster.
-    #[must_use]
-    pub fn usage_of(&self, ddg: &Ddg, cluster: u8, class: OpClass) -> u32 {
-        let mut count = 0;
-        for n in ddg.node_ids() {
-            if ddg.kind(n).class() == class && self.instances(n).contains(cluster) {
-                count += 1;
-            }
-        }
-        count
-    }
 }
 
 #[cfg(test)]
@@ -344,7 +326,6 @@ mod tests {
         let b: ClusterSet = [1u8, 2].into_iter().collect();
         assert_eq!(a.union(b), ClusterSet::all(3));
         assert_eq!(a.difference(b), ClusterSet::single(0));
-        assert_eq!(a.intersection(b), ClusterSet::single(1));
         assert_eq!(ClusterSet::all(4).len(), 4);
     }
 
@@ -403,7 +384,6 @@ mod tests {
         let usage = asg.class_usage(&ddg, 2);
         assert_eq!(usage[0], [0, 1, 1]); // mulA + load
         assert_eq!(usage[1], [0, 1, 1]); // mulB + load replica
-        assert_eq!(asg.usage_of(&ddg, 1, OpClass::Mem), 1);
     }
 
     #[test]

@@ -127,24 +127,21 @@ impl Expansion {
 pub fn expand(schedule: &Schedule, iterations: u64) -> Expansion {
     let ii = schedule.ii();
     let stage_count = schedule.stage_count();
-    let mut rows: Vec<Vec<ExpandedOp>> =
-        vec![Vec::new(); usize::try_from(schedule.texec(iterations)).expect("trace fits")];
+    // A schedule's cycles are normalized to start at 0, so each one plus
+    // its iteration's base indexes a row of the trace directly.
+    let mut rows: Vec<Vec<ExpandedOp>> = vec![Vec::new(); row_index(schedule.texec(iterations))];
     for i in 0..iterations {
         let base = i * u64::from(ii);
-        for ((n, c), t) in schedule.instances() {
-            let cycle = base + u64::try_from(t).expect("normalized cycles are non-negative");
-            rows[usize::try_from(cycle).expect("within trace")].push(ExpandedOp {
-                op: SchedOp::Instance(n, c),
-                iteration: i,
-            });
-        }
-        for (n, copy) in schedule.copies() {
-            let cycle =
-                base + u64::try_from(copy.cycle).expect("normalized cycles are non-negative");
-            rows[usize::try_from(cycle).expect("within trace")].push(ExpandedOp {
-                op: SchedOp::Copy(n),
-                iteration: i,
-            });
+        let placements = schedule
+            .instances()
+            .map(|((n, c), t)| (SchedOp::Instance(n, c), t))
+            .chain(
+                schedule
+                    .copies()
+                    .map(|(n, copy)| (SchedOp::Copy(n), copy.cycle)),
+            );
+        for (op, t) in placements {
+            rows[row_index(base + t.unsigned_abs())].push(ExpandedOp { op, iteration: i });
         }
     }
     for row in &mut rows {
@@ -156,6 +153,13 @@ pub fn expand(schedule: &Schedule, iterations: u64) -> Expansion {
         iterations,
         rows,
     }
+}
+
+/// The `usize` position of trace row `row`. A row past `usize::MAX`
+/// saturates, so it fails the allocation or the bounds check loudly
+/// instead of wrapping onto another row.
+fn row_index(row: u64) -> usize {
+    usize::try_from(row).unwrap_or(usize::MAX)
 }
 
 /// The static shape of the emitted code: how many rows (VLIW instructions)
@@ -210,14 +214,14 @@ pub fn code_shape(schedule: &Schedule) -> CodeShape {
     let prologue_ops: u64 = trace
         .rows()
         .iter()
-        .take(usize::try_from(prologue_rows).expect("fits"))
+        .take(row_index(prologue_rows))
         .map(|r| r.len() as u64)
         .sum();
     let kernel_ops: u64 = trace
         .rows()
         .iter()
-        .skip(usize::try_from(prologue_rows).expect("fits"))
-        .take(usize::try_from(ii).expect("fits"))
+        .skip(row_index(prologue_rows))
+        .take(row_index(ii))
         .map(|r| r.len() as u64)
         .sum();
     debug_assert_eq!(

@@ -54,6 +54,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// The daemon compiles untrusted loops through this crate, so no
+// `unwrap`/`expect` may be reachable outside test code.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 mod assign;

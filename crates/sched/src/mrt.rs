@@ -142,18 +142,6 @@ impl Mrt {
         self.fu[idx] += 1;
     }
 
-    /// Releases a previously reserved slot (used by backtracking tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing was reserved there.
-    pub fn remove_fu(&mut self, cluster: u8, class: OpClass, cycle: i64) {
-        let idx = self.fu_index(cluster, class, self.slot(cycle));
-        let v = &mut self.fu[idx];
-        assert!(*v > 0, "no reservation to remove");
-        *v -= 1;
-    }
-
     /// Whether one link is free for `occ` consecutive modulo slots from
     /// `cycle`.
     fn link_free(&self, link: usize, occ: u32, cycle: i64) -> bool {
@@ -222,24 +210,6 @@ impl Mrt {
             }
         }
     }
-
-    /// Number of transfers that could still be placed if issued back to
-    /// back (diagnostic; used in tests).
-    #[must_use]
-    pub fn free_link_transfers(&self) -> u32 {
-        let slots = self.ii as usize;
-        self.links
-            .chunks_exact(slots.max(1))
-            .zip(&self.link_occ)
-            .map(|(busy, &occ)| {
-                if occ == 0 || occ > self.ii {
-                    return 0;
-                }
-                let used = busy.iter().filter(|&&b| b).count() as u32;
-                (self.ii / occ).saturating_sub(used.div_ceil(occ))
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -277,8 +247,7 @@ mod tests {
         mrt.place_fu(0, OpClass::Int, 7); // slot 1
         assert!(!mrt.fu_free(0, OpClass::Int, 1));
         assert!(!mrt.fu_free(0, OpClass::Int, -2)); // -2 mod 3 == 1
-        mrt.remove_fu(0, OpClass::Int, 4);
-        assert!(mrt.fu_free(0, OpClass::Int, 1));
+        assert!(mrt.fu_free(0, OpClass::Int, 2));
     }
 
     #[test]
@@ -366,7 +335,6 @@ mod tests {
         let m = MachineConfig::unified(256);
         let mrt = Mrt::new(&m, 10);
         assert!(mrt.copy_available(0, to1(), 0).is_none());
-        assert_eq!(mrt.free_link_transfers(), 0);
     }
 
     #[test]
@@ -422,18 +390,5 @@ mod tests {
         let mrt = Mrt::new(&m, 3);
         assert!(mrt.copy_available(0, ClusterSet::single(2), 0).is_none());
         assert!(mrt.copy_available(0, ClusterSet::single(1), 0).is_some());
-    }
-
-    #[test]
-    fn free_link_transfers_counts_per_link_slots() {
-        let m = machine("2c1b2l64r"); // 1 bus, occ 2, II=4 → 2 transfers
-        let mut mrt = Mrt::new(&m, 4);
-        assert_eq!(mrt.free_link_transfers(), 2);
-        mrt.place_copy(0, to1(), 0, 0);
-        assert_eq!(mrt.free_link_transfers(), 1);
-
-        let x = machine("4c-xbar1l64r"); // 12 links, occ 1, II=2
-        let mrt = Mrt::new(&x, 2);
-        assert_eq!(mrt.free_link_transfers(), 24);
     }
 }

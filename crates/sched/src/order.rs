@@ -96,12 +96,15 @@ impl Sweeper<'_> {
             if self.ready.is_empty() {
                 // Fresh component: start top-down from the highest node.
                 sweep = Sweep::TopDown;
-                let seed = members
+                // `remaining > 0`, so some member is still unordered.
+                let Some(seed) = members
                     .iter()
                     .copied()
                     .filter(|v| !self.ordered[v.index()])
                     .max_by_key(|v| (self.height[v.index()], Reverse(v.index())))
-                    .expect("non-empty remaining group");
+                else {
+                    break;
+                };
                 self.offer(seed);
             }
             while let Some(v) = self.pick(sweep) {

@@ -156,7 +156,7 @@ pub fn pseudo_schedule(
                     last = last.max(asap[e.dst.index()] + i64::from(ii) * i64::from(e.distance));
                 }
             }
-            let span = u64::try_from((last - def).max(1)).expect("non-negative");
+            let span = (last - def).max(1).unsigned_abs();
             let regs = span.div_ceil(u64::from(ii));
             for c in assignment.instances(n).iter() {
                 est[c as usize] += regs;

@@ -64,16 +64,6 @@ impl RegisterAllocation {
     pub fn registers_used(&self) -> Vec<u32> {
         self.clusters.iter().map(|c| c.registers_used).collect()
     }
-
-    /// The most registers any cluster uses.
-    #[must_use]
-    pub fn peak(&self) -> u32 {
-        self.clusters
-            .iter()
-            .map(|c| c.registers_used)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Allocation failure: some cluster needs more registers than it has.
@@ -252,10 +242,14 @@ impl RegFile {
                 || self.arc_free(base + strip.whole, strip.arc_start, strip.arc_len))
     }
 
+    /// The lowest base the strip fits at; the file grows on demand, so
+    /// the search always ends past the last occupied register.
     fn first_fit(&self, strip: &Strip) -> usize {
-        (0..)
-            .find(|&base| self.fits(base, strip))
-            .expect("file grows on demand")
+        let mut base = 0;
+        while !self.fits(base, strip) {
+            base += 1;
+        }
+        base
     }
 
     fn occupy(&mut self, base: usize, strip: &Strip) {

@@ -96,8 +96,9 @@ pub fn max_live_scratch<'s>(
         let rem = span % ii;
         let row = &mut scratch.pressure[r.cluster as usize * slots..][..slots];
         if full_wraps > 0 {
+            let wraps = u32::try_from(full_wraps).unwrap_or(u32::MAX);
             for slot in row.iter_mut() {
-                *slot += u32::try_from(full_wraps).expect("span fits u32");
+                *slot = slot.saturating_add(wraps);
             }
         }
         for off in 1..=rem {
@@ -137,8 +138,12 @@ fn collect_ranges_into(
         let copy = schedule.copy_of(n);
 
         // Local instances.
+        // `instance_clusters` lists exactly the clusters holding a
+        // placement, so the `else` arms below never run.
         for c in instance_set.iter() {
-            let def = schedule.instance_cycle(n, c).expect("instance exists");
+            let Some(def) = schedule.instance_cycle(n, c) else {
+                continue;
+            };
             let mut last_use = def + i64::from(machine.latency(ddg.kind(n)));
             for e in ddg.out_edges(n) {
                 if !e.is_data() {
@@ -172,8 +177,10 @@ fn collect_ranges_into(
                     if instance_set.contains(c) {
                         continue; // consumer reads the local instance
                     }
-                    let t = schedule.instance_cycle(e.dst, c).expect("instance exists")
-                        + ii * i64::from(e.distance);
+                    let Some(t) = schedule.instance_cycle(e.dst, c) else {
+                        continue;
+                    };
+                    let t = t + ii * i64::from(e.distance);
                     match dest_last.iter_mut().find(|(dc, _)| *dc == c) {
                         Some((_, last)) => *last = (*last).max(t),
                         None => dest_last.push((c, t)),

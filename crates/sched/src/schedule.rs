@@ -146,12 +146,6 @@ impl Schedule {
         self.copies.len() as u32
     }
 
-    /// Per-cluster register pressure (MaxLive) of the kernel.
-    #[must_use]
-    pub fn register_pressure(&self, ddg: &Ddg, machine: &MachineConfig) -> Vec<u32> {
-        max_live(self, ddg, machine)
-    }
-
     /// Checks the schedule against every machine and dependence constraint.
     ///
     /// # Errors
@@ -842,7 +836,7 @@ fn place(
         ii,
         instances,
         copies,
-        length: u32::try_from(max_t - min_t + 1).expect("schedule length fits u32"),
+        length: u32::try_from(max_t - min_t + 1).unwrap_or(u32::MAX),
         zero_bus_dep_latency: req.zero_bus_dep_latency,
     };
 

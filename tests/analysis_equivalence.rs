@@ -195,9 +195,8 @@ proptest! {
     /// covers every piece of incremental refinement state this crate
     /// maintains: the `RefineScratch` with its incremental-ASAP engine
     /// (per-candidate edge-latency overrides, cone worklists, undo logs),
-    /// the `(op, dest-cluster)` move-result `RefineCache` shared by the
-    /// whole II-climb chain, and the reused base-state communication
-    /// counts of the multilevel walk. An arbitrary capped pre-compile
+    /// the per-group consumer census and the reused base-state
+    /// communication counts of the multilevel walk. An arbitrary capped pre-compile
     /// first abandons the II climb at an arbitrary prefix — possibly as
     /// an error — so the comparison passes start from a genuinely
     /// arbitrary dirty state, not just a completed one. The second pass
@@ -209,13 +208,13 @@ proptest! {
     /// The scratch itself arrives *recycled from a different loop*, the
     /// way the suite's loop-granular worker pool hands it around: a donor
     /// loop is compiled first and its `CompileScratch` — dense `PlanArena`,
-    /// engine buffers, refinement caches, all sized and filled for the
+    /// engine buffers, refinement scratch, all sized and filled for the
     /// donor's graph — is recovered with `into_scratch` and threaded into
     /// this loop's context via `new_with_scratch`. Equality with the
-    /// fresh-state path proves `reset_for_new_loop` invalidates everything
-    /// graph-specific (notably the move-result `RefineCache`, which two
-    /// same-sized graphs could otherwise alias) while the engine refills
-    /// its liveness anchors from this loop's analysis.
+    /// fresh-state path proves the scratch holds nothing graph-bound: every
+    /// refinement call rebuilds its state from the partition it is handed,
+    /// and the engine refills its liveness anchors from this loop's
+    /// analysis.
     #[test]
     fn scratch_reuse_equals_fresh_state_compilation(
         seed in 0u64..10_000,
@@ -237,9 +236,8 @@ proptest! {
         let ctx = CompileContext::new_with_scratch(&ddg, &machine, donor_ctx.into_scratch());
 
         // Dirty every incremental structure with a prior compile that may
-        // abort partway: the refinement chain, the move cache and the
-        // incremental-ASAP scratch are left at whatever prefix the capped
-        // climb reached.
+        // abort partway: the refinement chain and the incremental-ASAP
+        // scratch are left at whatever prefix the capped climb reached.
         let capped = CompileOptions {
             mode: Mode::Replicate,
             max_ii: Some(ctx.analysis().mii() + cap_bump),

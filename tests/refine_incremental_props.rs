@@ -2,27 +2,26 @@
 //!
 //! The production refinement path earns its speed from three layers that
 //! all skip work: lazy lexicographic rejection (most candidates are
-//! discarded from a partial score), incremental ASAP maintenance (the
-//! survivors are scored by updating only the affected cone of the
-//! pseudo-schedule fixpoint) and the `(op, dest-cluster)` move-result
-//! cache (rejected moves re-examined in later passes and later IIs hit a
-//! version-checked cache). None of that may be observable: on random
-//! loops across every interconnect topology variant, the production path
-//! must produce the **identical accepted-move sequence and final
-//! partition** as a naive oracle that re-scores every candidate with a
-//! full from-scratch pseudo-schedule.
+//! discarded from a partial score, their bus delta priced by a one-pass
+//! consumer-cluster census), a critical-path witness bound (ties on the
+//! prefix are rejected from a lower bound on the length) and incremental
+//! ASAP maintenance (the survivors are scored by updating only the
+//! affected cone of the pseudo-schedule fixpoint). None of that may be
+//! observable: on random loops across every interconnect topology
+//! variant, the production path must produce the **identical
+//! accepted-move sequence and final partition** as a naive oracle that
+//! re-scores every candidate with a full from-scratch pseudo-schedule.
 //!
 //! The II sweep mirrors the driver's Figure-2 climb — each II refines the
-//! previous II's result, with one `RefineScratch` and one `RefineCache`
-//! carried across the whole chain, exactly as
-//! `cvliw_replicate::CompileContext` does — so cache entries filled at
-//! one II are re-validated at the next. The same climb also runs over
-//! suite loops on the paper's six machines, up to the II the baseline
-//! compile settles at.
+//! previous II's result, with one `RefineScratch` carried across the
+//! whole chain, exactly as `cvliw_replicate::CompileContext` does — so
+//! every call starts from the buffers the previous II left behind. The
+//! same climb also runs over suite loops on the paper's six machines, up
+//! to the II the baseline compile settles at.
 
 use cvliw::machine::{paper_specs, MachineConfig};
-use cvliw::partition::testing::{refine_existing_oracle, RefineMove};
-use cvliw::partition::{partition_loop_scratch, refine_existing, RefineCache, RefineScratch};
+use cvliw::partition::testing::refine_existing_oracle;
+use cvliw::partition::{partition_loop_scratch, refine_existing, RefineScratch};
 use cvliw::prelude::{compile_loop, CompileOptions};
 use cvliw::sched::LoopAnalysis;
 use cvliw::workloads::{generate_loop, program, program_names, GeneratorParams};
@@ -41,9 +40,9 @@ const TOPOLOGY_VARIANTS: [&str; 6] = [
     "4c-xbar1l64r",
 ];
 
-/// IIs swept above the MII — enough for the cache to see re-validation
-/// across IIs without making the (slow, full-rescoring) oracle the
-/// dominant cost of the test suite.
+/// IIs swept above the MII — enough for the carried scratch to cross IIs
+/// without making the (slow, full-rescoring) oracle the dominant cost of
+/// the test suite.
 const II_STEPS: u32 = 3;
 
 fn arb_params() -> impl Strategy<Value = GeneratorParams> {
@@ -68,8 +67,8 @@ fn arb_params() -> impl Strategy<Value = GeneratorParams> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Production refinement (lazy rejection + incremental ASAP + move
-    /// cache, state carried across the II climb) versus the full-recompute
+    /// Production refinement (lazy rejection + witness bound + incremental
+    /// ASAP, scratch carried across the II climb) versus the full-recompute
     /// oracle, move for move.
     #[test]
     fn incremental_refinement_matches_full_recompute_oracle(
@@ -81,23 +80,15 @@ proptest! {
             let machine = MachineConfig::from_spec(spec).expect("preset parses");
             let analysis = LoopAnalysis::new(&ddg, &machine);
             let mii = analysis.mii();
-            // One scratch and one cache across the whole climb, like the
-            // driver's per-(loop, machine) compile scratch.
+            // One scratch across the whole climb, like the driver's
+            // compile scratch.
             let mut scratch = RefineScratch::default();
-            let mut cache = RefineCache::default();
             let mut part = partition_loop_scratch(&ddg, &machine, mii, &analysis, &mut scratch, 0);
             for ii in mii..mii + II_STEPS {
                 let (oracle_part, oracle_moves) =
                     refine_existing_oracle(&ddg, &machine, ii, part.clone(), &analysis);
-                let refined = refine_existing(
-                    &ddg,
-                    &machine,
-                    ii,
-                    part.clone(),
-                    &analysis,
-                    &mut scratch,
-                    Some(&mut cache),
-                );
+                let refined =
+                    refine_existing(&ddg, &machine, ii, part.clone(), &analysis, &mut scratch);
                 prop_assert_eq!(
                     scratch.moves(), &oracle_moves[..],
                     "{} at ii {}: accepted-move sequences diverged", spec, ii
@@ -111,12 +102,12 @@ proptest! {
         }
     }
 
-    /// The cache layer alone must also be invisible when entries go stale
-    /// the hard way: running the *same* climb uncached must retrace the
-    /// cached run exactly (the unit tests in `refine.rs` cover single
-    /// calls; this pins the cross-II chain on generated loops).
+    /// Scratch reuse alone must also be invisible: the climb on one
+    /// carried scratch must retrace the same climb with a fresh scratch
+    /// per call (the unit tests in `refine.rs` cover single calls; this
+    /// pins the cross-II chain on generated loops).
     #[test]
-    fn cached_climb_retraces_uncached_climb(
+    fn carried_scratch_climb_retraces_fresh_scratch_climb(
         seed in 0u64..10_000,
         params in arb_params(),
     ) {
@@ -125,36 +116,33 @@ proptest! {
             let machine = MachineConfig::from_spec(spec).expect("preset parses");
             let analysis = LoopAnalysis::new(&ddg, &machine);
             let mii = analysis.mii();
-            let mut scratch = RefineScratch::default();
-            let seed_part = partition_loop_scratch(&ddg, &machine, mii, &analysis, &mut scratch, 0);
-            let mut cache = RefineCache::default();
-            let mut cached_part = seed_part.clone();
-            let mut uncached_part = seed_part;
+            let mut carried = RefineScratch::default();
+            let seed_part = partition_loop_scratch(&ddg, &machine, mii, &analysis, &mut carried, 0);
+            let mut carried_part = seed_part.clone();
+            let mut fresh_part = seed_part;
             for ii in mii..mii + II_STEPS {
-                cached_part = refine_existing(
+                carried_part = refine_existing(
                     &ddg,
                     &machine,
                     ii,
-                    cached_part.clone(),
+                    carried_part.clone(),
                     &analysis,
-                    &mut scratch,
-                    Some(&mut cache),
+                    &mut carried,
                 );
-                let cached_trace: Vec<RefineMove> = scratch.moves().to_vec();
-                uncached_part = refine_existing(
+                let mut fresh = RefineScratch::default();
+                fresh_part = refine_existing(
                     &ddg,
                     &machine,
                     ii,
-                    uncached_part.clone(),
+                    fresh_part.clone(),
                     &analysis,
-                    &mut scratch,
-                    None,
+                    &mut fresh,
                 );
                 prop_assert_eq!(
-                    &cached_trace[..], scratch.moves(),
-                    "{} at ii {}: cache changed the move sequence", spec, ii
+                    carried.moves(), fresh.moves(),
+                    "{} at ii {}: scratch reuse changed the move sequence", spec, ii
                 );
-                prop_assert_eq!(&cached_part, &uncached_part);
+                prop_assert_eq!(&carried_part, &fresh_part);
             }
         }
     }
@@ -191,22 +179,13 @@ fn suite_chain_matches_full_recompute_oracle() {
                     .ii
                     .max(mii + II_STEPS - 1);
                 let mut scratch = RefineScratch::default();
-                let mut cache = RefineCache::default();
                 let mut part =
                     partition_loop_scratch(&l.ddg, &machine, mii, &analysis, &mut scratch, 0);
                 scratch.reset_counts();
                 for ii in mii..=top {
                     let (oracle_part, oracle_moves) =
                         refine_existing_oracle(&l.ddg, &machine, ii, part.clone(), &analysis);
-                    part = refine_existing(
-                        &l.ddg,
-                        &machine,
-                        ii,
-                        part,
-                        &analysis,
-                        &mut scratch,
-                        Some(&mut cache),
-                    );
+                    part = refine_existing(&l.ddg, &machine, ii, part, &analysis, &mut scratch);
                     assert_eq!(
                         scratch.moves(),
                         &oracle_moves[..],
