@@ -30,7 +30,7 @@ fn main() {
             fine.1 += u64::from(s.removed_coms());
             fine.2 += u64::from(s.added_instances());
 
-            let (_, s) = macro_replicate(&l.ddg, &machine, mii, &partition);
+            let (_, s) = macro_replicate(&l.ddg, &machine, mii, &partition, &analysis);
             coarse.0 += u64::from(s.initial_coms);
             coarse.1 += u64::from(s.removed_coms());
             coarse.2 += u64::from(s.added_instances());

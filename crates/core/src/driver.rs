@@ -9,8 +9,8 @@ use std::time::Instant;
 use cvliw_ddg::Ddg;
 use cvliw_machine::MachineConfig;
 use cvliw_partition::{
-    partition_loop_scratch, refine_existing, score_partition, Partition, PartitionScore,
-    RefineScratch,
+    coarsen, partition_loop_scratch, refine_existing, refine_hierarchy, score_partition, Hierarchy,
+    Partition, PartitionScore, RefineScratch,
 };
 use cvliw_sched::{
     schedule, Assignment, IiCause, LoopAnalysis, SchedScratch, Schedule, ScheduleError,
@@ -487,6 +487,11 @@ pub struct WorkCounts {
     /// Candidate refinement moves the critical-path witness bound rejected
     /// without a speculation.
     pub refine_bound_rejections: u64,
+    /// Coarsening rounds of the seed partitions (one per hierarchy level
+    /// below the identity level).
+    pub coarsen_rounds: u64,
+    /// Moves the seed partitions' multilevel refinement accepted.
+    pub seed_moves: u64,
 }
 
 impl WorkCounts {
@@ -497,6 +502,8 @@ impl WorkCounts {
         self.asap_speculations += other.asap_speculations;
         self.asap_pops += other.asap_pops;
         self.refine_bound_rejections += other.refine_bound_rejections;
+        self.coarsen_rounds += other.coarsen_rounds;
+        self.seed_moves += other.seed_moves;
     }
 
     /// Adds the refinement work counted by `refine`.
@@ -504,6 +511,8 @@ impl WorkCounts {
         self.asap_speculations += refine.asap_speculations();
         self.asap_pops += refine.asap_pops();
         self.refine_bound_rejections += refine.bound_rejections();
+        self.coarsen_rounds += refine.coarsen_rounds();
+        self.seed_moves += refine.seed_moves();
     }
 }
 
@@ -677,7 +686,7 @@ impl CompileContext {
     ) -> &Partition {
         self.initial_partition.get_or_init(|| {
             let mii = self.analysis.mii();
-            if self.refine_seeds > 1 {
+            if self.refine_seeds > 1 && machine.clusters() > 1 {
                 let (seed, raced_nanos, raced_work) =
                     race_seed_partitions(ddg, machine, mii, &self.analysis, self.refine_seeds);
                 scratch.stage_nanos[Stage::Partition as usize] += raced_nanos;
@@ -834,10 +843,12 @@ pub const MAX_REFINE_SEEDS: u32 = 64;
 /// the MII — seed 0 on the calling thread, the others on scoped threads —
 /// and picks the winner by `(score, seed-index)`: the smallest score wins,
 /// ties resolve to the lowest index, so seed 0 (the canonical, unperturbed
-/// pipeline) wins unless a perturbation is strictly better. Returns the
-/// winning partition plus the **summed** wall-clock nanoseconds and
-/// refinement work of every raced seed (losers included), which the caller
-/// charges to the partition stage.
+/// pipeline) wins unless a perturbation is strictly better. Coarsening
+/// does not depend on the perturbation, so the hierarchy is built once and
+/// every lane refines it read-only. Returns the winning partition plus the
+/// **summed** wall-clock nanoseconds and refinement work of the coarsening
+/// and every raced seed (losers included), which the caller charges to the
+/// partition stage.
 fn race_seed_partitions(
     ddg: &Ddg,
     machine: &MachineConfig,
@@ -845,10 +856,30 @@ fn race_seed_partitions(
     analysis: &LoopAnalysis,
     seeds: u32,
 ) -> (Partition, u64, WorkCounts) {
-    let run = |variant: u32| {
+    let started = Instant::now();
+    let mut seed_scratch = RefineScratch::default();
+    let mut hierarchy = Hierarchy::default();
+    coarsen(
+        ddg,
+        machine,
+        mii,
+        analysis,
+        &mut seed_scratch,
+        &mut hierarchy,
+    );
+    let coarsen_nanos = elapsed_nanos(started);
+    let hierarchy = &hierarchy;
+    let run = |variant: u32, mut scratch: RefineScratch| {
         let started = Instant::now();
-        let mut scratch = RefineScratch::default();
-        let part = partition_loop_scratch(ddg, machine, mii, analysis, &mut scratch, variant);
+        let part = refine_hierarchy(
+            ddg,
+            machine,
+            mii,
+            hierarchy,
+            analysis,
+            &mut scratch,
+            variant,
+        );
         let score = score_partition(ddg, &part, machine, mii, analysis, &mut scratch);
         let mut work = WorkCounts::default();
         work.add_refine(&scratch);
@@ -858,10 +889,11 @@ fn race_seed_partitions(
         (1..seeds).map(|_| None).collect();
     let (mut best, mut winner, mut raced_nanos, mut raced_work) = std::thread::scope(|scope| {
         for (lane, variant) in lanes.iter_mut().zip(1..) {
-            scope.spawn(move || *lane = Some(run(variant)));
+            scope.spawn(move || *lane = Some(run(variant, RefineScratch::default())));
         }
-        run(0)
+        run(0, seed_scratch)
     });
+    raced_nanos += coarsen_nanos;
     // The scope joined every thread, so every lane is filled; ascending
     // order with a strict `<` keeps the lowest index among equal scores.
     for (score, part, nanos, work) in lanes.into_iter().flatten() {

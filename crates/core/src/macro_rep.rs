@@ -8,7 +8,7 @@
 
 use cvliw_ddg::{Ddg, NodeId, OpClass, OpKind};
 use cvliw_machine::MachineConfig;
-use cvliw_partition::{coarsen, Partition};
+use cvliw_partition::{coarsen, Hierarchy, Partition, RefineScratch};
 use cvliw_sched::{Assignment, ClusterSet, LoopAnalysis};
 
 use crate::engine::ReplicationStats;
@@ -19,13 +19,15 @@ use crate::liveness::{always_anchor_into, dead_instances_dense, DenseViewRef};
 /// macro into every cluster those values are needed in, as long as it fits.
 ///
 /// Returns the resulting assignment and the same statistics the §3 engine
-/// reports, so the two strategies compare directly.
+/// reports, so the two strategies compare directly. `analysis` is the
+/// loop's cached [`LoopAnalysis`] on `machine`.
 #[must_use]
 pub fn macro_replicate(
     ddg: &Ddg,
     machine: &MachineConfig,
     ii: u32,
     partition: &Partition,
+    analysis: &LoopAnalysis,
 ) -> (Assignment, ReplicationStats) {
     let mut assignment = partition.to_assignment();
     // Ascending node order, as `Assignment::communicated` emits it.
@@ -36,14 +38,21 @@ pub fn macro_replicate(
         ..ReplicationStats::default()
     };
 
-    let analysis = LoopAnalysis::new(ddg, machine);
-    let hierarchy = coarsen(ddg, machine, ii, &analysis);
+    let mut hierarchy = Hierarchy::default();
+    coarsen(
+        ddg,
+        machine,
+        ii,
+        analysis,
+        &mut RefineScratch::default(),
+        &mut hierarchy,
+    );
     let mut always_anchor = Vec::new();
     always_anchor_into(ddg, analysis.on_cycle(), &mut always_anchor);
     let (mut live, mut worklist, mut dead) = (Vec::new(), Vec::new(), Vec::new());
     // Work at a mid level: coarse enough that macros bundle several
     // operations, fine enough that they are not whole clusters.
-    let level = &hierarchy.levels[hierarchy.levels.len() / 2];
+    let level = hierarchy.level(hierarchy.len() / 2);
 
     for group in level.groups() {
         if (coms.len() as u32) <= machine.coms_capacity_per_ii(ii) {
@@ -162,7 +171,7 @@ mod tests {
         let (ddg, part) = case();
         let m = MachineConfig::from_spec("4c1b2l64r").unwrap();
         // II=2: capacity 1, two coms → work needed.
-        let (asg, stats) = macro_replicate(&ddg, &m, 2, &part);
+        let (asg, stats) = macro_replicate(&ddg, &m, 2, &part, &LoopAnalysis::new(&ddg, &m));
         assert!(stats.final_coms <= stats.initial_coms);
         assert!(asg.comm_count(&ddg) == stats.final_coms);
     }
@@ -171,7 +180,7 @@ mod tests {
     fn macro_replication_is_no_op_when_bus_fits() {
         let (ddg, part) = case();
         let m = MachineConfig::from_spec("4c2b2l64r").unwrap();
-        let (_, stats) = macro_replicate(&ddg, &m, 2, &part);
+        let (_, stats) = macro_replicate(&ddg, &m, 2, &part, &LoopAnalysis::new(&ddg, &m));
         assert_eq!(stats.added_instances(), 0);
     }
 
@@ -179,7 +188,7 @@ mod tests {
     fn macro_replication_costs_at_least_as_much_as_subgraphs() {
         let (ddg, part) = case();
         let m = MachineConfig::from_spec("4c1b2l64r").unwrap();
-        let (_, macro_stats) = macro_replicate(&ddg, &m, 2, &part);
+        let (_, macro_stats) = macro_replicate(&ddg, &m, 2, &part, &LoopAnalysis::new(&ddg, &m));
         let analysis = LoopAnalysis::new(&ddg, &m);
         let mut engine = ReplicationEngine::new(&ddg, &m, 2, part.to_assignment(), &analysis);
         engine.run(&mut EngineScratch::default());

@@ -51,7 +51,7 @@ impl InstanceView {
 /// and liveness propagates backwards along same-cluster data edges.
 fn live_instances(ddg: &Ddg, view: &InstanceView) -> Vec<ClusterSet> {
     let mut on_cycle = vec![false; ddg.node_count()];
-    for comp in &cvliw_ddg::sccs(ddg) {
+    for comp in cvliw_ddg::sccs(ddg).iter() {
         // Only membership matters: under zero latencies every recurrence
         // is satisfied at II 1, so the RecMII search stops at its first
         // probe.

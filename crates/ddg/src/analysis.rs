@@ -19,8 +19,8 @@ pub fn topo_order(ddg: &Ddg) -> Vec<NodeId> {
             indeg[e.dst.index()] += 1;
         }
     }
-    let mut ready: BinaryHeap<Reverse<usize>> =
-        (0..n).filter(|&i| indeg[i] == 0).map(Reverse).collect();
+    let mut ready: BinaryHeap<Reverse<usize>> = BinaryHeap::with_capacity(n);
+    ready.extend((0..n).filter(|&i| indeg[i] == 0).map(Reverse));
     let mut order = Vec::with_capacity(n);
     while let Some(Reverse(i)) = ready.pop() {
         let id = NodeId::new(i as u32);
@@ -44,42 +44,48 @@ pub fn topo_order(ddg: &Ddg) -> Vec<NodeId> {
 ///
 /// Nodes inside each component are sorted by index. Trivial components
 /// (single node without a self-loop) are included, so the result partitions
-/// the node set.
+/// the node set. The components are stored flat, CSR-style (one node list
+/// and one start offset per component), so the pass allocates a fixed
+/// handful of buffers however many components the graph has.
 #[must_use]
-pub fn sccs(ddg: &Ddg) -> Vec<Vec<NodeId>> {
+pub fn sccs(ddg: &Ddg) -> Sccs {
     // Iterative Tarjan to avoid recursion limits on large loop bodies.
     let n = ddg.node_count();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
+    let mut index = vec![u32::MAX; n];
+    let mut low = vec![0u32; n];
     let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut result: Vec<Vec<NodeId>> = Vec::new();
-    let mut counter = 0usize;
+    let mut stack: Vec<NodeId> = Vec::with_capacity(n);
+    let mut out = Sccs {
+        start: Vec::with_capacity(n + 1),
+        nodes: Vec::with_capacity(n),
+    };
+    out.start.push(0);
+    let mut counter = 0u32;
 
     // Explicit DFS state: (node, position in its out-edge row).
-    let mut call_stack: Vec<(usize, usize)> = Vec::new();
+    let mut call_stack: Vec<(usize, usize)> = Vec::with_capacity(n);
 
     for root in 0..n {
-        if index[root] != usize::MAX {
+        if index[root] != u32::MAX {
             continue;
         }
         call_stack.push((root, 0));
         index[root] = counter;
         low[root] = counter;
         counter += 1;
-        stack.push(root);
+        stack.push(NodeId::new(root as u32));
         on_stack[root] = true;
 
         while let Some(&mut (v, ref mut pos)) = call_stack.last_mut() {
-            let out = ddg.out_edge_ids(NodeId::new(v as u32));
-            if let Some(&id) = out.get(*pos) {
+            let row = ddg.out_edge_ids(NodeId::new(v as u32));
+            if let Some(&id) = row.get(*pos) {
                 let w = ddg.edge(id).dst.index();
                 *pos += 1;
-                if index[w] == usize::MAX {
+                if index[w] == u32::MAX {
                     index[w] = counter;
                     low[w] = counter;
                     counter += 1;
-                    stack.push(w);
+                    stack.push(NodeId::new(w as u32));
                     on_stack[w] = true;
                     call_stack.push((w, 0));
                 } else if on_stack[w] {
@@ -93,21 +99,60 @@ pub fn sccs(ddg: &Ddg) -> Vec<Vec<NodeId>> {
                 if low[v] == index[v] {
                     // `v` is still on the stack: everything above it is
                     // its component.
-                    let mut comp = Vec::new();
+                    let first = out.nodes.len();
                     while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
-                        comp.push(NodeId::new(w as u32));
-                        if w == v {
+                        on_stack[w.index()] = false;
+                        out.nodes.push(w);
+                        if w.index() == v {
                             break;
                         }
                     }
-                    comp.sort_unstable();
-                    result.push(comp);
+                    out.nodes[first..].sort_unstable();
+                    out.start.push(out.nodes.len() as u32);
                 }
             }
         }
     }
-    result
+    out
+}
+
+/// The strongly connected components of a graph, as [`sccs`] returns them:
+/// component `i` is `nodes[start[i]..start[i + 1]]`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Sccs {
+    start: Vec<u32>,
+    nodes: Vec<NodeId>,
+}
+
+impl Sccs {
+    /// Number of components.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Whether there are no components (the graph has no nodes).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Component `i`'s nodes, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    #[must_use]
+    pub fn comp(&self, i: usize) -> &[NodeId] {
+        &self.nodes[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    /// The components in discovery order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[NodeId]> + '_ {
+        self.start
+            .windows(2)
+            .map(|w| &self.nodes[w[0] as usize..w[1] as usize])
+    }
 }
 
 /// ASAP/ALAP issue-time bounds of every node for a candidate initiation
@@ -225,13 +270,19 @@ pub fn asap_times_into(ddg: &Ddg, ii: u32, edge_lat: &[u32], asap: &mut Vec<i64>
 ///
 /// `depth(n)` is the length of the longest latency-weighted path from any
 /// source ending at `n` (sources have depth 0); `height(n)` the longest
-/// path from `n` to any sink.
+/// path from `n` to any sink. `order` is a topological order of the
+/// distance-0 subgraph, as [`topo_order`] returns it; callers that need the
+/// order themselves compute it once and pass it in.
 #[must_use]
-pub fn depth_height(ddg: &Ddg, lat: impl Fn(&Edge) -> u32) -> (Vec<i64>, Vec<i64>) {
-    let order = topo_order(ddg);
+pub fn depth_height(
+    ddg: &Ddg,
+    order: &[NodeId],
+    lat: impl Fn(&Edge) -> u32,
+) -> (Vec<i64>, Vec<i64>) {
+    debug_assert_eq!(order.len(), ddg.node_count(), "one rank per node");
     let n = ddg.node_count();
     let mut depth = vec![0i64; n];
-    for &v in &order {
+    for &v in order {
         for e in ddg.out_edges(v) {
             if e.distance == 0 {
                 let t = depth[v.index()] + i64::from(lat(e));
@@ -309,7 +360,7 @@ mod tests {
         let ddg = ring();
         let comps = sccs(&ddg);
         assert_eq!(comps.len(), 1);
-        assert_eq!(comps[0].len(), 3);
+        assert_eq!(comps.comp(0).len(), 3);
     }
 
     #[test]
@@ -337,7 +388,8 @@ mod tests {
         let ddg = b.build().unwrap();
         let comps = sccs(&ddg);
         // Reverse-topological discovery: the downstream component first.
-        assert_eq!(comps, vec![vec![c0, c1], vec![a0, a1]]);
+        let comps: Vec<&[NodeId]> = comps.iter().collect();
+        assert_eq!(comps, [[c0, c1], [a0, a1]]);
     }
 
     #[test]
@@ -408,7 +460,7 @@ mod tests {
         let z = b.add_node(OpKind::FpAdd);
         b.data(x, y).data(y, z).data_dist(z, x, 1);
         let ddg = b.build().unwrap();
-        let (depth, height) = depth_height(&ddg, |_| 3);
+        let (depth, height) = depth_height(&ddg, &topo_order(&ddg), |_| 3);
         // loop-carried edge is ignored for depth/height
         assert_eq!(depth, vec![0, 3, 6]);
         assert_eq!(height, vec![6, 3, 0]);

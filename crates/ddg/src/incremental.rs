@@ -7,7 +7,8 @@
 //! [`IncrementalAsap`] maintains the fixpoint across speculations: it
 //! updates only the **affected cone** with a dirty-node worklist seeded
 //! from the changed edges' destinations, and restores the previous state
-//! via an undo log when the speculation is rolled back.
+//! via an undo log when the speculation is rolled back — or keeps it as the
+//! new base state when the move is accepted ([`IncrementalAsap::commit`]).
 //!
 //! The worklist pops in **topological rank** order of the distance-0
 //! subgraph (the caller hands the order to [`IncrementalAsap::rebuild`]):
@@ -101,6 +102,8 @@ pub struct IncrementalAsap {
     /// pre-speculation state then lives in `full_tmp`).
     swapped_full: bool,
     full_tmp: Vec<i64>,
+    /// What the active speculation returned, for [`IncrementalAsap::commit`].
+    spec_len: Option<i64>,
     /// Calls to [`IncrementalAsap::speculate`] and worklist pops since
     /// construction or the last [`IncrementalAsap::reset_counts`].
     speculations: u64,
@@ -211,11 +214,22 @@ impl IncrementalAsap {
     /// latency differs from the state of the last
     /// [`IncrementalAsap::rebuild`], each edge once. Returns the new
     /// `max(asap)` or `None` when the candidate system is infeasible,
-    /// exactly as [`asap_times_into`] would. The caller must
-    /// end every speculation with [`IncrementalAsap::rollback`] — there is
-    /// deliberately no commit: accepted moves are rare, and a fresh
-    /// [`IncrementalAsap::rebuild`] is both cheap and obviously exact.
+    /// exactly as [`asap_times_into`] would. The caller must end every
+    /// speculation with [`IncrementalAsap::rollback`] or
+    /// [`IncrementalAsap::commit`].
     pub fn speculate(
+        &mut self,
+        ddg: &Ddg,
+        ii: u32,
+        edge_lat: &[u32],
+        changes: &[(u32, u32)],
+    ) -> Option<i64> {
+        let len = self.speculate_inner(ddg, ii, edge_lat, changes);
+        self.spec_len = len;
+        len
+    }
+
+    fn speculate_inner(
         &mut self,
         ddg: &Ddg,
         ii: u32,
@@ -343,6 +357,36 @@ impl IncrementalAsap {
             }
             self.undo.clear();
         }
+    }
+
+    /// Ends the active speculation by making its state the new base state:
+    /// afterwards the fixpoint is exactly what [`IncrementalAsap::rebuild`]
+    /// would compute for `edge_lat`, the candidate latencies the
+    /// speculation ran on. A speculation the ceiling proved infeasible left
+    /// the base values in place, so that one case re-runs the full sweep;
+    /// every other case keeps the speculated values as they are.
+    pub fn commit(&mut self, ddg: &Ddg, ii: u32, edge_lat: &[u32]) {
+        match self.spec_len {
+            Some(length) => {
+                self.feasible = true;
+                self.length = length;
+                self.max_count = self.asap.iter().filter(|&&t| t == length).count();
+            }
+            None => {
+                if !self.swapped_full {
+                    let full = asap_times_into(ddg, ii, edge_lat, &mut self.asap);
+                    debug_assert!(
+                        full.is_none(),
+                        "the ceiling proved the candidate infeasible"
+                    );
+                }
+                self.feasible = false;
+                self.length = i64::MAX;
+                self.max_count = 0;
+            }
+        }
+        self.swapped_full = false;
+        self.undo.clear();
     }
 
     fn speculate_full(&mut self, ddg: &Ddg, ii: u32, edge_lat: &[u32]) -> Option<i64> {
@@ -522,6 +566,36 @@ mod tests {
         inc.rollback();
         assert!(inc.spec_changed().expect("no active spec").is_empty());
         assert_eq!(inc.asap(), &base_asap[..]);
+    }
+
+    /// Committing a speculation leaves exactly the state a rebuild on the
+    /// candidate latencies has — after a raise, a lower, an infeasible
+    /// candidate the ceiling caught, and a speculation on an infeasible
+    /// base — and the next speculation starts from it.
+    #[test]
+    fn commit_equals_a_rebuild_on_the_candidate_latencies() {
+        let ddg = ring();
+        let topo = topo_order(&ddg);
+        let mut inc = IncrementalAsap::default();
+        inc.rebuild(&ddg, 12, &[3, 3, 3], &topo);
+        let steps = [
+            (vec![5, 3, 3], vec![(0, 3)]),
+            (vec![5, 1, 3], vec![(1, 3)]),
+            (vec![5, 9, 3], vec![(1, 1)]),
+            (vec![1, 1, 1], vec![(0, 5), (1, 9), (2, 3)]),
+        ];
+        for (lat, changes) in &steps {
+            let got = inc.speculate(&ddg, 12, lat, changes);
+            inc.commit(&ddg, 12, lat);
+            let mut fresh = IncrementalAsap::default();
+            fresh.rebuild(&ddg, 12, lat, &topo);
+            assert_eq!(got, fresh.is_feasible().then(|| fresh.length()));
+            assert_eq!(inc.is_feasible(), fresh.is_feasible(), "{lat:?}");
+            assert_eq!(inc.length(), fresh.length(), "{lat:?}");
+            assert_eq!(inc.max_count, fresh.max_count, "{lat:?}");
+            assert_eq!(inc.asap(), fresh.asap(), "{lat:?}");
+            assert!(inc.spec_changed().is_some_and(<[_]>::is_empty));
+        }
     }
 
     /// Lowering the head edge of a chain resets the whole tail; popped in

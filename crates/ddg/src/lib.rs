@@ -47,7 +47,7 @@
 //! };
 //! let comps = sccs(&ddg);
 //! assert_eq!(comps.len(), 1); // load, mul and store form one recurrence
-//! assert_eq!(scc_rec_mii(&ddg, &comps[0], lat), Some(10));
+//! assert_eq!(scc_rec_mii(&ddg, comps.comp(0), lat), Some(10));
 //! // The loop-wide RecMII is the largest per-component one.
 //! assert_eq!(rec_mii(&ddg, lat), 10);
 //! # Ok::<(), cvliw_ddg::DdgError>(())
@@ -67,7 +67,9 @@ mod incremental;
 mod op;
 mod recurrence;
 
-pub use analysis::{asap_times_into, depth_height, sccs, time_bounds, topo_order, TimeBounds};
+pub use analysis::{
+    asap_times_into, depth_height, sccs, time_bounds, topo_order, Sccs, TimeBounds,
+};
 pub use dot::to_dot;
 pub use error::DdgError;
 pub use graph::{Ddg, DdgBuilder, DepKind, Edge, Node, NodeId};

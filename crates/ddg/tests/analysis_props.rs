@@ -1,7 +1,8 @@
 //! Property tests for the graph analyses: topological order, ASAP/ALAP
 //! time bounds, and the recurrence-constrained MII — including the
 //! per-component RecMII against the whole-graph binary search it replaced,
-//! kept here as the oracle.
+//! and the flat (CSR) strongly-connected-component pass against the
+//! one-`Vec`-per-component Tarjan it replaced, both kept here as oracles.
 
 use cvliw_ddg::{
     is_feasible_ii, rec_mii, scc_rec_mii, sccs, time_bounds, topo_order, Ddg, DepKind, Edge,
@@ -162,6 +163,65 @@ fn rec_mii_matches_the_oracle_on_named_shapes() {
         .all(|c| scc_rec_mii(&acyclic, c, lat(&acyclic)).is_none()));
 }
 
+/// The one-`Vec`-per-component Tarjan that [`sccs`] replaced: the oracle
+/// of the flat pass (same discovery order, members sorted by index).
+fn nested_sccs(ddg: &Ddg) -> Vec<Vec<NodeId>> {
+    let n = ddg.node_count();
+    let mut index = vec![usize::MAX; n];
+    let mut low = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut result: Vec<Vec<NodeId>> = Vec::new();
+    let mut counter = 0usize;
+    let mut call_stack: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if index[root] != usize::MAX {
+            continue;
+        }
+        call_stack.push((root, 0));
+        index[root] = counter;
+        low[root] = counter;
+        counter += 1;
+        stack.push(root);
+        on_stack[root] = true;
+        while let Some(&mut (v, ref mut pos)) = call_stack.last_mut() {
+            let out = ddg.out_edge_ids(NodeId::new(v as u32));
+            if let Some(&id) = out.get(*pos) {
+                let w = ddg.edge(id).dst.index();
+                *pos += 1;
+                if index[w] == usize::MAX {
+                    index[w] = counter;
+                    low[w] = counter;
+                    counter += 1;
+                    stack.push(w);
+                    on_stack[w] = true;
+                    call_stack.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+            } else {
+                call_stack.pop();
+                if let Some(&(parent, _)) = call_stack.last() {
+                    low[parent] = low[parent].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    let mut comp = Vec::new();
+                    while let Some(w) = stack.pop() {
+                        on_stack[w] = false;
+                        comp.push(NodeId::new(w as u32));
+                        if w == v {
+                            break;
+                        }
+                    }
+                    comp.sort_unstable();
+                    result.push(comp);
+                }
+            }
+        }
+    }
+    result
+}
+
 /// Unit latency for every edge — keeps the properties easy to state.
 fn unit(_: &Edge) -> u32 {
     1
@@ -169,6 +229,18 @@ fn unit(_: &Edge) -> u32 {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn flat_sccs_match_the_nested_oracle(case in arb_recurrent_ddg(), plain in arb_ddg()) {
+        for ddg in [&case.0, &plain] {
+            let flat = sccs(ddg);
+            let nested = nested_sccs(ddg);
+            prop_assert_eq!(flat.len(), nested.len());
+            prop_assert_eq!(flat.iter().len(), nested.len());
+            let comps: Vec<Vec<NodeId>> = flat.iter().map(<[NodeId]>::to_vec).collect();
+            prop_assert_eq!(comps, nested);
+        }
+    }
 
     #[test]
     fn topo_order_is_a_permutation_respecting_dist0_edges(ddg in arb_ddg()) {
@@ -269,12 +341,12 @@ proptest! {
     #[test]
     fn scc_rec_mii_is_the_rec_mii_of_the_component_alone(case in arb_recurrent_ddg()) {
         let (ddg, lats) = case;
-        for comp in sccs(&ddg) {
-            let per_comp = scc_rec_mii(&ddg, &comp, |e: &Edge| lats[e.src.index()]);
+        for comp in sccs(&ddg).iter() {
+            let per_comp = scc_rec_mii(&ddg, comp, |e: &Edge| lats[e.src.index()]);
             let self_loop = ddg.out_edges(comp[0]).any(|e| e.dst == comp[0]);
             prop_assert_eq!(per_comp.is_some(), comp.len() > 1 || self_loop);
             if let Some(mii) = per_comp {
-                let (sub, sub_lats) = induced(&ddg, &comp, &lats);
+                let (sub, sub_lats) = induced(&ddg, comp, &lats);
                 let oracle = whole_graph_rec_mii(&sub, |e: &Edge| sub_lats[e.src.index()]);
                 prop_assert_eq!(mii, oracle);
             }

@@ -259,9 +259,11 @@ pub fn emit_bench_json(report: &BenchReport) -> String {
     let _ = writeln!(o, "    \"asap_pops\": {},", report.work.asap_pops);
     let _ = writeln!(
         o,
-        "    \"refine_bound_rejections\": {}",
+        "    \"refine_bound_rejections\": {},",
         report.work.refine_bound_rejections
     );
+    let _ = writeln!(o, "    \"coarsen_rounds\": {},", report.work.coarsen_rounds);
+    let _ = writeln!(o, "    \"seed_moves\": {}", report.work.seed_moves);
     // Per-stage share of the median total wall clock. On one worker the
     // shares nearly sum to 1; with more workers (or seed racing) the
     // buckets are CPU time against an elapsed total, so the sum exceeds it.
@@ -434,6 +436,10 @@ mod tests {
             first.asap_speculations > 0 && first.asap_pops > 0,
             "refinement scored no move incrementally: {first:?}"
         );
+        assert!(
+            first.coarsen_rounds > 0 && first.seed_moves > 0,
+            "no seed partition coarsened or moved: {first:?}"
+        );
     }
 
     #[test]
@@ -456,9 +462,14 @@ mod tests {
         )));
         assert!(section.contains(&format!("\"asap_pops\": {},", report.work.asap_pops)));
         assert!(section.contains(&format!(
-            "\"refine_bound_rejections\": {}",
+            "\"refine_bound_rejections\": {},",
             report.work.refine_bound_rejections
         )));
+        assert!(section.contains(&format!(
+            "\"coarsen_rounds\": {},",
+            report.work.coarsen_rounds
+        )));
+        assert!(section.contains(&format!("\"seed_moves\": {}\n", report.work.seed_moves)));
         for stage in Stage::ALL {
             assert!(!section.contains(&format!("\"{}\":", stage.name())));
         }

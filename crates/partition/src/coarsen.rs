@@ -1,30 +1,39 @@
 //! Multilevel coarsening: heavy-edge matching into macro-nodes.
+//!
+//! Each round works on the *coarse graph* of the previous level: one
+//! `(a, b, w)` entry per connected macro pair `a < b`, where `w` sums
+//! `weight + 1` over the DDG edges between the two macros (the +1 lets
+//! plain connectivity count even for weight-0 memory edges). Only the
+//! first round reads the DDG; every later round contracts the previous
+//! round's list through the merge map, so the sums stay exact `u64`
+//! totals of the same per-edge terms. The levels and all round buffers
+//! are flat vectors that are cleared, never freed, between calls.
 
 use cvliw_ddg::{Ddg, OpClass};
 use cvliw_machine::MachineConfig;
 use cvliw_sched::LoopAnalysis;
 
-use crate::matching::greedy_matching;
 use crate::partition::Partition;
+use crate::refine::RefineScratch;
 use crate::weights::edge_weights;
 
-/// One level of the coarsening hierarchy: a grouping of the original nodes
-/// into `n_macros` macro-nodes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CoarseLevel {
+/// One level of a [`Hierarchy`]: a grouping of the original nodes into
+/// `n_macros` macro-nodes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CoarseLevel<'a> {
     /// Original node index → macro index at this level.
-    pub macro_of: Vec<usize>,
+    pub macro_of: &'a [u32],
     /// Number of macro-nodes at this level.
     pub n_macros: usize,
 }
 
-impl CoarseLevel {
+impl CoarseLevel<'_> {
     /// The member node indices of every macro, in macro order.
     #[must_use]
     pub fn groups(&self) -> Vec<Vec<usize>> {
         let mut groups = vec![Vec::new(); self.n_macros];
         for (node, &m) in self.macro_of.iter().enumerate() {
-            groups[m].push(node);
+            groups[m as usize].push(node);
         }
         groups
     }
@@ -32,20 +41,55 @@ impl CoarseLevel {
 
 /// The whole coarsening hierarchy, from the identity level (every node its
 /// own macro) down to a level with at most as many macro-nodes as clusters.
-#[derive(Clone, Debug)]
+///
+/// The levels are stored level-major in one flat vector, so a hierarchy
+/// reused across [`coarsen`] calls allocates nothing once warm.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Hierarchy {
-    /// Levels in coarsening order: `levels[0]` is the identity grouping,
-    /// the last level is the coarsest.
-    pub levels: Vec<CoarseLevel>,
+    /// Level `l`'s node → macro map is `macro_of[l·nodes..(l + 1)·nodes]`.
+    macro_of: Vec<u32>,
+    /// Macro count of each level, in coarsening order.
+    n_macros: Vec<u32>,
+    nodes: usize,
     clusters: u8,
 }
 
 impl Hierarchy {
-    /// The coarsest level.
+    /// Number of levels, the identity level included (at least one once
+    /// [`coarsen`] has filled the hierarchy).
     #[must_use]
-    pub fn coarsest(&self) -> &CoarseLevel {
-        // `coarsen` always records the identity level first.
-        &self.levels[self.levels.len() - 1]
+    pub fn len(&self) -> usize {
+        self.n_macros.len()
+    }
+
+    /// Whether no level has been recorded yet.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.n_macros.is_empty()
+    }
+
+    /// Level `l` in coarsening order: level 0 is the identity grouping,
+    /// the last level the coarsest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l >= self.len()`.
+    #[must_use]
+    pub fn level(&self, l: usize) -> CoarseLevel<'_> {
+        CoarseLevel {
+            macro_of: &self.macro_of[l * self.nodes..(l + 1) * self.nodes],
+            n_macros: self.n_macros[l] as usize,
+        }
+    }
+
+    /// The coarsest level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hierarchy is empty.
+    #[must_use]
+    pub fn coarsest(&self) -> CoarseLevel<'_> {
+        self.level(self.len() - 1)
     }
 
     /// The preliminary partition induced by the coarsest level: macro `i`
@@ -59,35 +103,172 @@ impl Hierarchy {
     }
 }
 
-/// Per-macro operation counts by class, used for capacity-aware matching.
-fn macro_class_counts(ddg: &Ddg, macro_of: &[usize], n_macros: usize) -> Vec<[u32; 3]> {
-    let mut counts = vec![[0u32; 3]; n_macros];
-    for n in ddg.node_ids() {
-        counts[macro_of[n.index()]][ddg.kind(n).class().index()] += 1;
-    }
-    counts
+/// The round buffers of [`coarsen`], kept in the [`RefineScratch`] and
+/// cleared at every call, so they carry nothing from one graph to the next.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct CoarsenScratch {
+    /// The coarse graph of the current level: `(a, b, w)` per connected
+    /// macro pair `a < b`.
+    pairs: Vec<(u32, u32, u64)>,
+    /// Operation count per macro and class.
+    counts: Vec<[u32; 3]>,
+    /// Whether each macro is already matched this round.
+    matched: Vec<bool>,
+    /// The macro each merged macro joins this round (`u32::MAX` for a
+    /// macro that keeps its own identity).
+    merged_into: Vec<u32>,
+    /// Old macro index → new macro index of this round's merge.
+    remap: Vec<u32>,
 }
 
-/// Fills `agg` with one `(a, b, w)` per connected macro pair `a < b`,
-/// ascending: `w` sums `weight + 1` over the edges between the two macros
-/// (the +1 lets plain connectivity count even for weight-0 memory edges).
-/// Sorts the per-edge terms by pair and merges each run of equal pairs.
-fn aggregate_weights(
+/// Marker of [`CoarsenScratch::merged_into`] for a surviving macro.
+const SURVIVES: u32 = u32::MAX;
+
+/// Coarsens the DDG into `hierarchy` until at most `machine.clusters()`
+/// macro-nodes remain, with the round buffers of `scratch`; counts the
+/// rounds in [`RefineScratch::coarsen_rounds`].
+///
+/// Each round takes a greedy maximum-weight matching of the coarse graph
+/// among pairs whose merged size still fits a cluster's `units·II`
+/// capacity, heaviest pair first (ties by macro index), and merges. When
+/// matching stalls (disconnected or capacity-blocked graphs) the two
+/// smallest macro-nodes are force-merged so the process always terminates.
+/// The edge weights read the RecMII and SCC decomposition from `analysis`.
+pub fn coarsen(
     ddg: &Ddg,
-    weights: &[u64],
-    macro_of: &[usize],
-    agg: &mut Vec<(usize, usize, u64)>,
+    machine: &MachineConfig,
+    ii: u32,
+    analysis: &LoopAnalysis,
+    scratch: &mut RefineScratch,
+    hierarchy: &mut Hierarchy,
 ) {
-    agg.clear();
-    for (e, &w) in ddg.edges().zip(weights) {
-        let a = macro_of[e.src.index()];
-        let b = macro_of[e.dst.index()];
+    let n = ddg.node_count();
+    let clusters = machine.clusters() as usize;
+    hierarchy.macro_of.clear();
+    hierarchy.macro_of.extend(0..n as u32);
+    hierarchy.n_macros.clear();
+    hierarchy.n_macros.push(n as u32);
+    hierarchy.nodes = n;
+    hierarchy.clusters = machine.clusters();
+
+    let CoarsenScratch {
+        pairs,
+        counts,
+        matched,
+        merged_into,
+        remap,
+    } = &mut scratch.coarsen;
+    pairs.clear();
+    for (e, w) in ddg.edges().zip(edge_weights(ddg, machine, ii, analysis)) {
+        let (a, b) = (e.src.index() as u32, e.dst.index() as u32);
         if a != b {
-            agg.push((a.min(b), a.max(b), w + 1));
+            pairs.push((a.min(b), a.max(b), w + 1));
         }
     }
-    agg.sort_unstable_by_key(|&(a, b, _)| (a, b));
-    agg.dedup_by(|next, kept| {
+    merge_parallel_pairs(pairs);
+    counts.clear();
+    counts.extend(ddg.node_ids().map(|v| {
+        let mut c = [0u32; 3];
+        c[ddg.kind(v).class().index()] = 1;
+        c
+    }));
+
+    // Macro-nodes must fit in *some* cluster; the largest one bounds them
+    // (exact per-cluster fit is enforced later by refinement/scheduling).
+    let cap = OpClass::ALL.map(|class| u32::from(machine.max_fu_count(class)) * ii.max(1));
+    let fits = |x: &[u32; 3], y: &[u32; 3]| (0..3).all(|k| x[k] + y[k] <= cap[k]);
+
+    let mut n_macros = n;
+    while n_macros > clusters {
+        // Heaviest pair first; the pairs are distinct, so the order is
+        // total and the matching does not depend on how they were built.
+        pairs.sort_unstable_by(|x, y| (y.2, x.0, x.1).cmp(&(x.2, y.0, y.1)));
+        matched.clear();
+        matched.resize(n_macros, false);
+        merged_into.clear();
+        merged_into.resize(n_macros, SURVIVES);
+        // Never overshoot below the cluster count.
+        let mut budget = n_macros - clusters;
+        for &(a, b, _) in pairs.iter() {
+            if budget == 0 {
+                break;
+            }
+            let (a, b) = (a as usize, b as usize);
+            if !matched[a] && !matched[b] && fits(&counts[a], &counts[b]) {
+                matched[a] = true;
+                matched[b] = true;
+                merged_into[b] = a as u32;
+                budget -= 1;
+            }
+        }
+        if budget == n_macros - clusters {
+            // Nothing matched: force-merge the two smallest macros (by
+            // size, then index).
+            let size = |m: usize| (counts[m].iter().sum::<u32>(), m);
+            let (mut lo, mut hi) = (size(0), size(1));
+            if hi < lo {
+                std::mem::swap(&mut lo, &mut hi);
+            }
+            for m in 2..n_macros {
+                let s = size(m);
+                if s < lo {
+                    hi = lo;
+                    lo = s;
+                } else if s < hi {
+                    hi = s;
+                }
+            }
+            merged_into[lo.1.max(hi.1)] = lo.1.min(hi.1) as u32;
+        }
+
+        // Survivors keep their relative order; a merged macro takes its
+        // partner's new index (the partner has the lower old index, so it
+        // is numbered first). Class counts merge in the same ascending
+        // pass: a new index never exceeds the old one, so no slot is
+        // overwritten before it is read.
+        remap.clear();
+        let mut next = 0u32;
+        for m in 0..n_macros {
+            let into = merged_into[m];
+            if into == SURVIVES {
+                remap.push(next);
+                counts[next as usize] = counts[m];
+                next += 1;
+            } else {
+                let r = remap[into as usize];
+                remap.push(r);
+                let merged = counts[m];
+                for (slot, c) in counts[r as usize].iter_mut().zip(merged) {
+                    *slot += c;
+                }
+            }
+        }
+        n_macros = next as usize;
+        counts.truncate(n_macros);
+
+        // Contract the coarse graph through the merge map.
+        pairs.retain_mut(|p| {
+            let (a, b) = (remap[p.0 as usize], remap[p.1 as usize]);
+            *p = (a.min(b), a.max(b), p.2);
+            a != b
+        });
+        merge_parallel_pairs(pairs);
+
+        let prev = (hierarchy.n_macros.len() - 1) * n;
+        hierarchy.macro_of.extend_from_within(prev..prev + n);
+        for m in &mut hierarchy.macro_of[prev + n..] {
+            *m = remap[*m as usize];
+        }
+        hierarchy.n_macros.push(next);
+        scratch.coarsen_rounds += 1;
+    }
+}
+
+/// Sorts `(a, b, w)` entries by pair and merges each run of equal pairs
+/// into one entry carrying the summed weight.
+fn merge_parallel_pairs(pairs: &mut Vec<(u32, u32, u64)>) {
+    pairs.sort_unstable_by_key(|&(a, b, _)| (a, b));
+    pairs.dedup_by(|next, kept| {
         let same = (next.0, next.1) == (kept.0, kept.1);
         if same {
             kept.2 += next.2;
@@ -96,93 +277,10 @@ fn aggregate_weights(
     });
 }
 
-/// Coarsens the DDG until at most `machine.clusters()` macro-nodes remain.
-///
-/// Each round aggregates the slack-based edge weights between macro-nodes,
-/// takes a greedy maximum-weight matching among pairs whose merged size
-/// still fits a cluster's `units·II` capacity, and merges. When matching
-/// stalls (disconnected or capacity-blocked graphs) the two smallest
-/// macro-nodes are force-merged so the process always terminates. The
-/// weights read the RecMII and SCC decomposition from `analysis`.
-#[must_use]
-pub fn coarsen(ddg: &Ddg, machine: &MachineConfig, ii: u32, analysis: &LoopAnalysis) -> Hierarchy {
-    let weights = edge_weights(ddg, machine, ii, analysis);
-    let n = ddg.node_count();
-    let clusters = machine.clusters() as usize;
-
-    let mut macro_of: Vec<usize> = (0..n).collect();
-    let mut n_macros = n;
-    let mut levels = vec![CoarseLevel {
-        macro_of: macro_of.clone(),
-        n_macros,
-    }];
-
-    // Macro-nodes must fit in *some* cluster; the largest one bounds them
-    // (exact per-cluster fit is enforced later by refinement/scheduling).
-    let cap = |class: OpClass| u32::from(machine.max_fu_count(class)) * ii.max(1);
-
-    // Inter-macro weights of one round, `(a, b, w)` with `a < b`; reused.
-    let mut agg: Vec<(usize, usize, u64)> = Vec::new();
-    while n_macros > clusters {
-        let counts = macro_class_counts(ddg, &macro_of, n_macros);
-        aggregate_weights(ddg, &weights, &macro_of, &mut agg);
-        let fits = |a: usize, b: usize| {
-            OpClass::ALL
-                .iter()
-                .all(|&class| counts[a][class.index()] + counts[b][class.index()] <= cap(class))
-        };
-        agg.retain(|&(a, b, _)| fits(a, b));
-
-        // `greedy_matching` orders pairs totally by `(w, a, b)`, so the
-        // matching does not depend on the order of `agg`.
-        let mut pairs = greedy_matching(n_macros, &agg);
-        // Never overshoot below the cluster count.
-        pairs.truncate(n_macros - clusters);
-
-        if pairs.is_empty() {
-            // Force-merge the two smallest macros.
-            let mut by_size: Vec<usize> = (0..n_macros).collect();
-            by_size.sort_by_key(|&m| counts[m].iter().sum::<u32>());
-            pairs.push((by_size[0].min(by_size[1]), by_size[0].max(by_size[1])));
-        }
-
-        // Apply merges and compact macro indices.
-        let mut target: Vec<usize> = (0..n_macros).collect();
-        for &(a, b) in &pairs {
-            target[b] = a;
-        }
-        let mut remap = vec![usize::MAX; n_macros];
-        let mut next = 0;
-        for m in 0..n_macros {
-            if target[m] == m {
-                remap[m] = next;
-                next += 1;
-            }
-        }
-        for m in 0..n_macros {
-            if target[m] != m {
-                remap[m] = remap[target[m]];
-            }
-        }
-        for slot in macro_of.iter_mut() {
-            *slot = remap[target[*slot]];
-        }
-        n_macros = next;
-        levels.push(CoarseLevel {
-            macro_of: macro_of.clone(),
-            n_macros,
-        });
-    }
-
-    Hierarchy {
-        levels,
-        clusters: machine.clusters(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::coarsen_oracle;
     use cvliw_ddg::OpKind;
     use std::collections::BTreeMap;
 
@@ -192,7 +290,17 @@ mod tests {
 
     fn coarsen_on(ddg: &Ddg, spec: &str, ii: u32) -> Hierarchy {
         let m = machine(spec);
-        coarsen(ddg, &m, ii, &LoopAnalysis::new(ddg, &m))
+        let mut h = Hierarchy::default();
+        let analysis = LoopAnalysis::new(ddg, &m);
+        coarsen(
+            ddg,
+            &m,
+            ii,
+            &analysis,
+            &mut RefineScratch::default(),
+            &mut h,
+        );
+        h
     }
 
     fn chain(n: usize) -> Ddg {
@@ -209,10 +317,10 @@ mod tests {
         let ddg = chain(10);
         let h = coarsen_on(&ddg, "4c1b2l64r", 4);
         assert!(h.coarsest().n_macros <= 4);
-        assert_eq!(h.levels[0].n_macros, 10);
+        assert_eq!(h.level(0).n_macros, 10);
         // levels strictly shrink
-        for w in h.levels.windows(2) {
-            assert!(w[1].n_macros < w[0].n_macros);
+        for l in 1..h.len() {
+            assert!(h.level(l).n_macros < h.level(l - 1).n_macros);
         }
     }
 
@@ -229,16 +337,17 @@ mod tests {
     fn groups_partition_the_nodes() {
         let ddg = chain(7);
         let h = coarsen_on(&ddg, "2c1b2l64r", 3);
-        for level in &h.levels {
-            let groups = level.groups();
+        for l in 0..h.len() {
+            let groups = h.level(l).groups();
             let total: usize = groups.iter().map(Vec::len).sum();
             assert_eq!(total, 7);
             assert!(groups.iter().all(|g| !g.is_empty()));
         }
     }
 
-    /// The sorted aggregation equals a per-pair map sum on every level of
-    /// a graph with parallel, reversed and memory edges between macros.
+    /// The contracted coarse graph equals a per-pair map sum over the DDG
+    /// edges on every level of a graph with parallel, reversed and memory
+    /// edges between macros, and the levels equal the oracle's.
     #[test]
     fn aggregated_weights_match_a_pair_map() {
         let mut b = Ddg::builder();
@@ -252,22 +361,54 @@ mod tests {
         let ddg = b.build().unwrap();
         let m = machine("2c1b2l64r");
         let analysis = LoopAnalysis::new(&ddg, &m);
-        let weights = edge_weights(&ddg, &m, 3, &analysis);
-        let h = coarsen(&ddg, &m, 3, &analysis);
-        assert!(h.levels.len() > 2);
-        let mut agg = Vec::new();
-        for level in &h.levels {
-            let mut want: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+        let weights: Vec<u64> = edge_weights(&ddg, &m, 3, &analysis).collect();
+        let mut scratch = RefineScratch::default();
+        let mut h = Hierarchy::default();
+        coarsen(&ddg, &m, 3, &analysis, &mut scratch, &mut h);
+        assert!(h.len() > 2);
+        let oracle = coarsen_oracle(&ddg, &m, 3, &analysis);
+        assert_eq!(oracle.levels.len(), h.len());
+        for (l, want) in oracle.levels.iter().enumerate() {
+            let got = h.level(l);
+            assert_eq!(got.n_macros, want.n_macros, "level {l}");
+            assert!(got
+                .macro_of
+                .iter()
+                .map(|&m| m as usize)
+                .eq(want.macro_of.iter().copied()));
+        }
+        // Replay the contraction level by level through the levels' maps.
+        let pair_map = |macro_of: &[u32]| {
+            let mut want: BTreeMap<(u32, u32), u64> = BTreeMap::new();
             for (e, &w) in ddg.edges().zip(&weights) {
-                let (a, b) = (level.macro_of[e.src.index()], level.macro_of[e.dst.index()]);
+                let (a, b) = (macro_of[e.src.index()], macro_of[e.dst.index()]);
                 if a != b {
                     *want.entry((a.min(b), a.max(b))).or_insert(0) += w + 1;
                 }
             }
-            aggregate_weights(&ddg, &weights, &level.macro_of, &mut agg);
-            let want: Vec<_> = want.into_iter().map(|((a, b), w)| (a, b, w)).collect();
-            assert_eq!(agg, want, "level with {} macros", level.n_macros);
+            want.into_iter()
+                .map(|((a, b), w)| (a, b, w))
+                .collect::<Vec<_>>()
+        };
+        let mut pairs = pair_map(h.level(0).macro_of);
+        for l in 1..h.len() {
+            let (prev, next) = (h.level(l - 1), h.level(l));
+            let mut remap = vec![0u32; prev.n_macros];
+            for (&p, &q) in prev.macro_of.iter().zip(next.macro_of) {
+                remap[p as usize] = q;
+            }
+            pairs.retain_mut(|p| {
+                let (a, b) = (remap[p.0 as usize], remap[p.1 as usize]);
+                *p = (a.min(b), a.max(b), p.2);
+                a != b
+            });
+            merge_parallel_pairs(&mut pairs);
+            assert_eq!(pairs, pair_map(next.macro_of), "level {l}");
         }
+        // The last round's list is the scratch's coarse graph, up to order.
+        let mut last = scratch.coarsen.pairs.clone();
+        merge_parallel_pairs(&mut last);
+        assert_eq!(last, pairs);
     }
 
     #[test]
@@ -285,7 +426,7 @@ mod tests {
     fn small_graphs_stay_as_is() {
         let ddg = chain(2);
         let h = coarsen_on(&ddg, "4c1b2l64r", 1);
-        assert_eq!(h.levels.len(), 1);
+        assert_eq!(h.len(), 1);
         assert_eq!(h.coarsest().n_macros, 2);
         let p = h.initial_partition();
         assert_eq!(p.as_slice(), &[0, 1]);
@@ -304,8 +445,25 @@ mod tests {
         let ddg = b.build().unwrap();
         let h = coarsen_on(&ddg, "2c1b2l64r", 6);
         // after the first merge round, x and y share a macro
-        let level1 = &h.levels[1];
+        let level1 = h.level(1);
         assert_eq!(level1.macro_of[x.index()], level1.macro_of[y.index()]);
         assert_ne!(level1.macro_of[x.index()], level1.macro_of[loose.index()]);
+    }
+
+    /// A reused scratch and hierarchy carry nothing from one graph to the
+    /// next, and the rounds are counted.
+    #[test]
+    fn reused_buffers_match_fresh_ones() {
+        let m = machine("2c1b2l64r");
+        let mut scratch = RefineScratch::default();
+        let mut h = Hierarchy::default();
+        for n in [12, 3, 9] {
+            let ddg = chain(n);
+            let analysis = LoopAnalysis::new(&ddg, &m);
+            let before = scratch.coarsen_rounds();
+            coarsen(&ddg, &m, 2, &analysis, &mut scratch, &mut h);
+            assert_eq!(h, coarsen_on(&ddg, "2c1b2l64r", 2), "{n} nodes");
+            assert_eq!(scratch.coarsen_rounds() - before, h.len() as u64 - 1);
+        }
     }
 }

@@ -9,17 +9,33 @@
 //!    edges and edges inside recurrences are expensive to cut.
 //! 2. **Coarsening** ([`coarsen`]): repeated maximum-weight matchings group
 //!    nodes into macro-nodes until as many macro-nodes remain as the
-//!    machine has clusters, recording every intermediate level.
+//!    machine has clusters, recording every intermediate level. Only the
+//!    first round reads the DDG: each later round *contracts* the previous
+//!    round's coarse graph (one summed `(a, b, w)` entry per connected
+//!    macro pair) through the merge map, matches over it sorted in place,
+//!    and merges the macros' class counts. The levels of a [`Hierarchy`]
+//!    sit level-major in one flat vector and the round buffers live in the
+//!    [`RefineScratch`], both cleared per call, so a warm scratch coarsens
+//!    without allocating and still carries nothing between graphs.
 //! 3. **Initial partition** ([`Hierarchy::initial_partition`]): the
 //!    coarsest macro-nodes map one-to-one onto clusters.
-//! 4. **Refinement**: walking the hierarchy back from coarse to fine,
-//!    macro-nodes are greedily moved between clusters whenever a
-//!    pseudo-schedule-based score ([`score_partition`]) improves.
+//! 4. **Refinement** ([`refine_hierarchy`]): walking the hierarchy back
+//!    from coarse to fine, macro-nodes are greedily moved between clusters
+//!    whenever a pseudo-schedule-based score ([`score_partition`])
+//!    improves. An accepted move is *committed* into the incremental move
+//!    base (its speculation becomes the new ASAP fixpoint, its deltas
+//!    update the census and the register estimate) instead of rebuilding
+//!    it. A group whose scan found no move is skipped until the next
+//!    accept, since the partition and the score it was scanned against
+//!    have not changed; the next finer level inherits that mark for its
+//!    groups that are whole macros of the level above.
 //!
 //! [`partition_loop_scratch`] bundles the whole pipeline (with
 //! [`partition_loop`] as its one-shot form); [`refine_existing`] is the
 //! "Refine Partition" box of the paper's Figure 2, used by the driver each
-//! time the II is bumped.
+//! time the II is bumped. [`RefineScratch::coarsen_rounds`] and
+//! [`RefineScratch::seed_moves`] count the coarsening rounds and the seed
+//! refinement's accepted moves beside the scoring counters.
 //!
 //! # Example
 //!
@@ -49,6 +65,7 @@
 #![warn(missing_docs)]
 
 mod coarsen;
+#[cfg(any(test, feature = "testing"))]
 mod matching;
 mod partition;
 mod refine;
@@ -57,9 +74,10 @@ pub mod testing;
 mod weights;
 
 pub use coarsen::{coarsen, CoarseLevel, Hierarchy};
-pub use matching::greedy_matching;
 pub use partition::Partition;
-pub use refine::{refine_existing, score_partition, PartitionScore, RefineScratch};
+pub use refine::{
+    refine_existing, refine_hierarchy, score_partition, PartitionScore, RefineScratch,
+};
 
 use cvliw_ddg::Ddg;
 use cvliw_machine::MachineConfig;
@@ -106,6 +124,9 @@ pub fn partition_loop_scratch(
     if machine.clusters() == 1 {
         return Partition::single_cluster(ddg.node_count());
     }
-    let hierarchy = coarsen(ddg, machine, ii, analysis);
-    refine::refine_hierarchy(ddg, machine, ii, &hierarchy, analysis, scratch, variant)
+    let mut hierarchy = std::mem::take(&mut scratch.hierarchy);
+    coarsen(ddg, machine, ii, analysis, scratch, &mut hierarchy);
+    let part = refine_hierarchy(ddg, machine, ii, &hierarchy, analysis, scratch, variant);
+    scratch.hierarchy = hierarchy;
+    part
 }

@@ -1,4 +1,6 @@
-//! Greedy maximum-weight matching used by the coarsener.
+//! Greedy maximum-weight matching of the reference coarsening in the
+//! `testing` module (the production coarsener matches in place over its
+//! sorted coarse graph).
 
 /// Computes a matching over `n` vertices from weighted candidate pairs,
 /// greedily taking the heaviest edges first (classic heavy-edge matching;

@@ -33,8 +33,20 @@
 //!   affected cone is updated, speculatively, and rolled back; debug
 //!   builds re-score every candidate in full and assert byte equality.
 //!
-//! All three layers are observationally pure, and no state survives a
-//! call: [`refine_existing`] accepts exactly the moves of the full-rescore
+//! An accepted move does not rebuild that base either: the winner's
+//! latencies are re-applied and its speculation *committed*, the usage
+//! census and communication count take its deltas, and the register costs
+//! are re-derived over the producers its cone touched; only the witness
+//! path is walked again. Debug builds compare every committed base with a
+//! fresh rebuild. A group whose scan found no move is not scanned again
+//! until the next accept (the partition and the incumbent it was scanned
+//! against are unchanged), and the next finer level of the multilevel walk
+//! inherits that mark for the groups that are whole macros of the level
+//! above; debug builds re-score every skipped target and assert none
+//! improves.
+//!
+//! All of it is observationally pure, and no state survives a call:
+//! [`refine_existing`] accepts exactly the moves of the full-rescore
 //! oracle in the crate's `testing` module, pinned by debug assertions and
 //! by `tests/refine_incremental_props.rs` over random and suite loops.
 
@@ -42,7 +54,7 @@ use cvliw_ddg::{Ddg, IncrementalAsap, NodeId, OpClass};
 use cvliw_machine::MachineConfig;
 use cvliw_sched::{pseudo_schedule, Assignment, LoopAnalysis, PseudoScratch};
 
-use crate::coarsen::Hierarchy;
+use crate::coarsen::{CoarseLevel, CoarsenScratch, Hierarchy};
 use crate::partition::Partition;
 
 /// Comparable quality of a partition at a given II; **lower is better**.
@@ -86,8 +98,9 @@ impl PartitionScore {
 ///
 /// One `RefineScratch` serves a whole compilation — every II of every mode
 /// — via `cvliw_replicate::CompileContext`'s compile scratch. All
-/// incremental state is rebuilt at every `refine_level` entry, so a
-/// scratch may be reused across unrelated graphs.
+/// incremental state is rebuilt at every `refine_level` entry, and the
+/// coarsening buffers at every [`crate::coarsen`] call, so a scratch may
+/// be reused across unrelated graphs.
 #[derive(Clone, Debug)]
 pub struct RefineScratch {
     pseudo: PseudoScratch,
@@ -134,6 +147,22 @@ pub struct RefineScratch {
     /// follow-up `refine_level` on the *same* (graph, II, partition) state
     /// can skip the entry recount (its `reuse_base`).
     base_ncoms: u32,
+    /// Per group of the level being refined: the accept count at which
+    /// its last scan found no move (see `refine_level`); on entry, 1 for a
+    /// group the parent level left checked, 0 otherwise. On exit, 1 for a
+    /// group checked since the level's last accept, 0 otherwise.
+    checked: Vec<u32>,
+    /// The parent level's exit `checked` flags, and its macro sizes.
+    parent_checked: Vec<u32>,
+    parent_size: Vec<u32>,
+    /// The round buffers of [`crate::coarsen`].
+    pub(crate) coarsen: CoarsenScratch,
+    /// The seed hierarchy of [`crate::partition_loop_scratch`].
+    pub(crate) hierarchy: Hierarchy,
+    /// Coarsening rounds and moves accepted by multilevel (seed)
+    /// refinement since creation or the last reset.
+    pub(crate) coarsen_rounds: u64,
+    seed_moves: u64,
     /// Moves accepted by the most recent refinement call, read by the
     /// move-sequence differential of the `testing` module.
     #[cfg(any(test, feature = "testing"))]
@@ -162,6 +191,13 @@ impl Default for RefineScratch {
             witness_on: false,
             bound_rejections: 0,
             base_ncoms: 0,
+            checked: Vec::new(),
+            parent_checked: Vec::new(),
+            parent_size: Vec::new(),
+            coarsen: CoarsenScratch::default(),
+            hierarchy: Hierarchy::default(),
+            coarsen_rounds: 0,
+            seed_moves: 0,
             #[cfg(any(test, feature = "testing"))]
             move_log: Vec::new(),
         }
@@ -190,37 +226,81 @@ impl RefineScratch {
         self.bound_rejections
     }
 
+    /// Coarsening rounds run by [`crate::coarsen`] on this scratch: one per
+    /// level below the identity level.
+    #[must_use]
+    pub fn coarsen_rounds(&self) -> u64 {
+        self.coarsen_rounds
+    }
+
+    /// Moves accepted by multilevel (seed) refinement,
+    /// [`refine_hierarchy`], on this scratch.
+    #[must_use]
+    pub fn seed_moves(&self) -> u64 {
+        self.seed_moves
+    }
+
     /// Zeroes [`RefineScratch::asap_speculations`],
-    /// [`RefineScratch::asap_pops`] and
-    /// [`RefineScratch::bound_rejections`].
+    /// [`RefineScratch::asap_pops`],
+    /// [`RefineScratch::bound_rejections`],
+    /// [`RefineScratch::coarsen_rounds`] and [`RefineScratch::seed_moves`].
     pub fn reset_counts(&mut self) {
         self.inc.reset_counts();
         self.bound_rejections = 0;
+        self.coarsen_rounds = 0;
+        self.seed_moves = 0;
     }
 
-    /// Fills the group lists with one group per macro of `macro_of` (a
-    /// node → macro map over `n_macros` macros) by counting sort: macros in
-    /// index order, members in node order.
-    fn set_groups(&mut self, macro_of: &[usize], n_macros: usize) {
+    /// Fills the group lists with one group per macro of `level` by
+    /// counting sort: macros in index order, members in node order.
+    fn set_groups(&mut self, level: CoarseLevel<'_>) {
         // Counts land at `m + 2`, so after the prefix sum `group_start[m +
         // 1]` is macro `m`'s start; placing each node advances that cursor
         // to macro `m + 1`'s start, which leaves `group_start[m]` = start
         // of `m` for every macro.
         self.group_start.clear();
-        self.group_start.resize(n_macros + 2, 0);
-        for &m in macro_of {
-            self.group_start[m + 2] += 1;
+        self.group_start.resize(level.n_macros + 2, 0);
+        for &m in level.macro_of {
+            self.group_start[m as usize + 2] += 1;
         }
         for m in 2..self.group_start.len() {
             self.group_start[m] += self.group_start[m - 1];
         }
         self.group_nodes.clear();
-        self.group_nodes.resize(macro_of.len(), 0);
-        for (node, &m) in macro_of.iter().enumerate() {
-            self.group_nodes[self.group_start[m + 1]] = node;
-            self.group_start[m + 1] += 1;
+        self.group_nodes.resize(level.macro_of.len(), 0);
+        for (node, &m) in level.macro_of.iter().enumerate() {
+            self.group_nodes[self.group_start[m as usize + 1]] = node;
+            self.group_start[m as usize + 1] += 1;
         }
         self.group_start.pop();
+    }
+
+    /// Carries the exit `checked` flags of `parent`, the next coarser
+    /// level just refined, to the groups in the current group lists: a
+    /// group is checked iff it is a whole macro of `parent` (its parent
+    /// macro has no other members) and that macro was checked.
+    fn carry_checked(&mut self, parent: CoarseLevel<'_>) {
+        std::mem::swap(&mut self.checked, &mut self.parent_checked);
+        self.parent_size.clear();
+        self.parent_size.resize(parent.n_macros, 0);
+        for &m in parent.macro_of {
+            self.parent_size[m as usize] += 1;
+        }
+        self.checked.clear();
+        self.checked.extend(self.group_start.windows(2).map(|g| {
+            if g[0] == g[1] {
+                return 0;
+            }
+            let p = parent.macro_of[self.group_nodes[g[0]]] as usize;
+            let whole = self.parent_size[p] as usize == g[1] - g[0];
+            u32::from(whole && self.parent_checked[p] == 1)
+        }));
+    }
+
+    /// Marks every group of the current group lists unchecked.
+    fn clear_checked(&mut self) {
+        self.checked.clear();
+        self.checked.resize(self.group_start.len() - 1, 0);
     }
 
     /// Fills the group lists with one singleton group per node.
@@ -233,9 +313,9 @@ impl RefineScratch {
 
     /// Rebuilds the incremental move-speculation base state — the current
     /// partition's comm-adjusted latencies, ASAP fixpoint, its witness path
-    /// and per-producer register costs. Called at `refine_level` entry and
-    /// after every accepted move (accepts are rare; candidates are
-    /// speculative).
+    /// and per-producer register costs — from scratch. Called at
+    /// `refine_level` entry; an accepted move updates the base state in
+    /// place instead ([`RefineScratch::commit_move`]).
     fn rebuild_move_base(
         &mut self,
         ddg: &Ddg,
@@ -263,6 +343,20 @@ impl RefineScratch {
         self.inc
             .rebuild(ddg, ii, &self.cur_edge_lat, analysis.topo_order());
         self.rebuild_witness(ddg, ii);
+        self.recount_regs(ddg, machine, ii, part, analysis);
+    }
+
+    /// Recomputes every producer's register cost and the per-cluster
+    /// estimate from the maintained fixpoint (all zero when it is
+    /// infeasible).
+    fn recount_regs(
+        &mut self,
+        ddg: &Ddg,
+        machine: &MachineConfig,
+        ii: u32,
+        part: &Partition,
+        analysis: &LoopAnalysis,
+    ) {
         self.node_regs.clear();
         self.node_regs.resize(ddg.node_count(), 0);
         self.est_base.clear();
@@ -384,13 +478,16 @@ pub(crate) const MAX_PASSES: usize = 2;
 
 /// Refines a partition by walking the hierarchy from coarse to fine,
 /// greedily moving macro-nodes between clusters while the score improves —
-/// the refinement half of [`crate::partition_loop_scratch`].
+/// the refinement half of [`crate::partition_loop_scratch`]. Reads the
+/// hierarchy only, so several variants may refine one hierarchy at once,
+/// each on its own scratch.
 ///
 /// `variant` is the best-of-N seed-racing perturbation: it rotates the
 /// target-cluster scan order inside every level, so score *ties* between
 /// destination clusters break differently and the greedy walk explores a
 /// different trajectory. `variant == 0` is the canonical order.
-pub(crate) fn refine_hierarchy(
+#[must_use]
+pub fn refine_hierarchy(
     ddg: &Ddg,
     machine: &MachineConfig,
     ii: u32,
@@ -406,11 +503,19 @@ pub(crate) fn refine_hierarchy(
     // Consecutive levels see the same (graph, II, partition) state, so the
     // first level's exit move base is every later level's entry base.
     let mut reuse_base = false;
-    for level in hierarchy.levels.iter().rev().skip(1) {
-        scratch.set_groups(&level.macro_of, level.n_macros);
-        part = refine_level(
+    let top = hierarchy.len().saturating_sub(1);
+    for l in (0..top).rev() {
+        scratch.set_groups(hierarchy.level(l));
+        if l + 1 < top {
+            scratch.carry_checked(hierarchy.level(l + 1));
+        } else {
+            scratch.clear_checked();
+        }
+        let accepted;
+        (part, accepted) = refine_level(
             ddg, machine, ii, part, analysis, scratch, variant, reuse_base,
         );
+        scratch.seed_moves += accepted;
         reuse_base = true;
     }
     part
@@ -435,7 +540,8 @@ pub fn refine_existing(
         return part;
     }
     scratch.set_singleton_groups(ddg.node_count());
-    refine_level(ddg, machine, ii, part, analysis, scratch, 0, false)
+    scratch.clear_checked();
+    refine_level(ddg, machine, ii, part, analysis, scratch, 0, false).0
 }
 
 /// Where one affected producer's data consumers live, relative to the move
@@ -534,7 +640,7 @@ fn cluster_overflow(machine: &MachineConfig, ii: u32, cluster: u8, usage: &[u32;
 }
 
 /// One greedy refinement walk over the groups in the scratch's group
-/// lists.
+/// lists. Returns the refined partition and the number of accepted moves.
 ///
 /// `variant` rotates the target-cluster scan order (see
 /// [`refine_hierarchy`]). `reuse_base` says the scratch already holds the
@@ -544,6 +650,21 @@ fn cluster_overflow(machine: &MachineConfig, ii: u32, cluster: u8, usage: &[u32;
 /// level's entry state. It skips the O(V + E) entry recount; the
 /// entry-score debug assertion still cross-checks the reused state against
 /// a full pseudo-schedule.
+///
+/// Whether a group's scan finds a move depends only on the group, the
+/// partition, the incumbent score and `variant`: it finds one iff some
+/// target scores below the incumbent, and every rejection layer is exact.
+/// The partition and the incumbent change only on an accept. So a group
+/// whose scan found no move, with no accept since, cannot move and is
+/// skipped: `checked[g]` holds the accept count at which group `g` was last
+/// scanned without a move, and the group is skipped while that is the
+/// current count. This spares the second pass the groups after the first
+/// pass's last accept, and — through the entry flags the multilevel walk
+/// carries over (see [`RefineScratch::carry_checked`]) — the groups a
+/// level shares with its parent that the parent checked after its last
+/// accept: at level entry the partition and the score are the parent's
+/// exit ones. Debug builds re-score every target of a skipped group in
+/// full and assert that none improves.
 #[allow(clippy::too_many_arguments)]
 fn refine_level(
     ddg: &Ddg,
@@ -554,9 +675,13 @@ fn refine_level(
     scratch: &mut RefineScratch,
     variant: u32,
     reuse_base: bool,
-) -> Partition {
+) -> (Partition, u64) {
     let group_start = std::mem::take(&mut scratch.group_start);
     let group_nodes = std::mem::take(&mut scratch.group_nodes);
+    let mut checked = std::mem::take(&mut scratch.checked);
+    debug_assert_eq!(checked.len() + 1, group_start.len(), "one flag per group");
+    // Accepts so far, plus one: the stamp of a scan under the current state.
+    let mut state = 1u32;
     let bus_cap = machine.coms_capacity_per_ii(ii);
     // The cheap-delta base state of the *current* partition: instance
     // census, communication count and the incremental ASAP fixpoint,
@@ -613,8 +738,25 @@ fn refine_level(
         // infeasible one (e.g. fp work stranded in a cluster without fp
         // units on a heterogeneous machine) may need interior moves.
         let consider_all = !best_score.feasible();
-        for bounds in group_start.windows(2) {
+        for (g, bounds) in group_start.windows(2).enumerate() {
             let group = &group_nodes[bounds[0]..bounds[1]];
+            // A checked group was scanned under this very partition and
+            // score, so it also passes the gate below.
+            if checked[g] == state {
+                let current = part.cluster_of(NodeId::new(group[0] as u32));
+                debug_check_checked(
+                    ddg,
+                    machine,
+                    ii,
+                    &mut part,
+                    analysis,
+                    scratch,
+                    group,
+                    current,
+                    &best_score,
+                );
+                continue;
+            }
             if group.is_empty() || (!consider_all && !is_boundary(&part, group)) {
                 continue;
             }
@@ -626,10 +768,10 @@ fn refine_level(
             // those producers pay under `part`.
             let group_census = scratch.census_group(ddg, &part, group);
             let before = comm_count_moved(&scratch.affected, current);
-            let cap_rest: u32 = (0..machine.clusters())
-                .map(|c| cluster_overflow(machine, ii, c, &usage[c as usize]))
-                .sum::<u32>()
-                - cluster_overflow(machine, ii, current, &usage[current as usize]);
+            // The incumbent is the current partition's score, so its
+            // capacity component is the total overflow of `usage`.
+            let cap_rest =
+                best_score.key.0 - cluster_overflow(machine, ii, current, &usage[current as usize]);
             let mut src_usage = usage[current as usize];
             for (slot, &g) in src_usage.iter_mut().zip(&group_census) {
                 *slot -= g;
@@ -756,34 +898,44 @@ fn refine_level(
                     best_move = Some((target, score));
                 }
             }
-            for &i in group {
-                scratch.in_group[i] = false;
-            }
             if let Some((target, score)) = best_move {
-                for &i in group {
-                    part.set_cluster(NodeId::new(i as u32), target);
+                // Commit the winner into the base state: its census deltas
+                // for the usage and the communication count, its
+                // speculation for the rest.
+                for (c, &k) in group_census.iter().enumerate() {
+                    usage[current as usize][c] -= k;
+                    usage[target as usize][c] += k;
                 }
+                ncoms = score.comms();
+                scratch.base_ncoms = ncoms;
+                scratch.commit_move(ddg, machine, ii, &mut part, analysis, group, target);
                 best_score = score;
                 improved = true;
-                scratch.assignment.set_from_partition(part.as_slice());
-                scratch
-                    .assignment
-                    .class_usage_into(ddg, machine.clusters(), &mut usage);
-                ncoms = scratch.assignment.comm_count(ddg);
-                scratch.rebuild_move_base(ddg, machine, ii, &part, analysis);
-                scratch.base_ncoms = ncoms;
+                state += 1;
                 #[cfg(any(test, feature = "testing"))]
                 scratch.move_log.push((group[0] as u32, current, target));
+                #[cfg(debug_assertions)]
+                scratch
+                    .debug_check_committed_base(ddg, machine, ii, &part, analysis, &usage, ncoms);
+            } else {
+                checked[g] = state;
+            }
+            for &i in group {
+                scratch.in_group[i] = false;
             }
         }
         if !improved {
             break;
         }
     }
+    for c in &mut checked {
+        *c = u32::from(*c == state);
+    }
     scratch.usage = usage;
     scratch.group_start = group_start;
     scratch.group_nodes = group_nodes;
-    part
+    scratch.checked = checked;
+    (part, state as u64 - 1)
 }
 
 /// Debug-build proof obligation of the lazy (cap, bus) rejection: re-score
@@ -853,6 +1005,10 @@ fn speculate_move_score(
     dst_usage: &[u32; 3],
     thresh: &PartitionScore,
 ) -> Option<PartitionScore> {
+    // 1. Apply the move's edge-latency changes, summing the changes on the
+    // witness path on the way.
+    let (lowers, witness_delta) =
+        scratch.apply_move_latencies(ddg, machine, part, analysis, group, target);
     let RefineScratch {
         in_group,
         seen,
@@ -863,64 +1019,10 @@ fn speculate_move_score(
         node_regs,
         est_base,
         est_tmp,
-        witness_in,
         witness_on,
         bound_rejections,
         ..
     } = scratch;
-
-    // 1. Collect the move's edge-latency changes: only data edges incident
-    // to the group can change, and each is visited exactly once (in-edges
-    // whose source is also in the group were already seen as out-edges).
-    // Sum the changes on the witness path on the way.
-    edge_changes.clear();
-    let base = analysis.edge_lat();
-    let uniform = machine.uniform_transfer_latency();
-    let mut lowers = false;
-    let mut witness_delta = 0i64;
-    {
-        let eff = |n: NodeId| {
-            if in_group[n.index()] {
-                target
-            } else {
-                part.cluster_of(n)
-            }
-        };
-        let mut consider = |eid: u32| {
-            let e = ddg.edge(eid);
-            if !e.is_data() {
-                return;
-            }
-            let cs = eff(e.src);
-            let cd = eff(e.dst);
-            let lat = base[eid as usize]
-                + if cs == cd {
-                    0
-                } else {
-                    uniform.unwrap_or_else(|| machine.transfer_latency(cs, cd))
-                };
-            let old = cur_edge_lat[eid as usize];
-            if lat != old {
-                edge_changes.push((eid, old));
-                cur_edge_lat[eid as usize] = lat;
-                lowers |= lat < old;
-                if witness_in[e.dst.index()] == eid {
-                    witness_delta += i64::from(lat) - i64::from(old);
-                }
-            }
-        };
-        for &i in group {
-            let m = NodeId::new(i as u32);
-            for &eid in ddg.out_edge_ids(m) {
-                consider(eid);
-            }
-            for &eid in ddg.in_edge_ids(m) {
-                if !in_group[ddg.edge(eid).src.index()] {
-                    consider(eid);
-                }
-            }
-        }
-    }
     let imbalance = imbalance_of(machine, usage, current, target, src_usage, dst_usage);
 
     // 2. The witness bound: a candidate that ties the whole prefix can only
@@ -1025,6 +1127,226 @@ fn speculate_move_score(
     Some(PartitionScore {
         key: (cap, bus, rec, reg, q_ncoms, est, imbalance),
     })
+}
+
+impl RefineScratch {
+    /// Writes the comm-adjusted latencies a move of `group` (marked in
+    /// `in_group`) to `target` gives its incident data edges into
+    /// `cur_edge_lat`, logging `(edge id, previous latency)` for each edge
+    /// that changes in `edge_changes`. Each edge is visited exactly once
+    /// (in-edges whose source is also in the group were already seen as
+    /// out-edges). Returns whether any latency drops and the summed change
+    /// on the witness path.
+    fn apply_move_latencies(
+        &mut self,
+        ddg: &Ddg,
+        machine: &MachineConfig,
+        part: &Partition,
+        analysis: &LoopAnalysis,
+        group: &[usize],
+        target: u8,
+    ) -> (bool, i64) {
+        let RefineScratch {
+            in_group,
+            cur_edge_lat,
+            edge_changes,
+            witness_in,
+            ..
+        } = self;
+        edge_changes.clear();
+        let base = analysis.edge_lat();
+        let uniform = machine.uniform_transfer_latency();
+        let mut lowers = false;
+        let mut witness_delta = 0i64;
+        let eff = |n: NodeId| {
+            if in_group[n.index()] {
+                target
+            } else {
+                part.cluster_of(n)
+            }
+        };
+        let mut consider = |eid: u32| {
+            let e = ddg.edge(eid);
+            if !e.is_data() {
+                return;
+            }
+            let cs = eff(e.src);
+            let cd = eff(e.dst);
+            let lat = base[eid as usize]
+                + if cs == cd {
+                    0
+                } else {
+                    uniform.unwrap_or_else(|| machine.transfer_latency(cs, cd))
+                };
+            let old = cur_edge_lat[eid as usize];
+            if lat != old {
+                edge_changes.push((eid, old));
+                cur_edge_lat[eid as usize] = lat;
+                lowers |= lat < old;
+                if witness_in[e.dst.index()] == eid {
+                    witness_delta += i64::from(lat) - i64::from(old);
+                }
+            }
+        };
+        for &i in group {
+            let m = NodeId::new(i as u32);
+            for &eid in ddg.out_edge_ids(m) {
+                consider(eid);
+            }
+            for &eid in ddg.in_edge_ids(m) {
+                if !in_group[ddg.edge(eid).src.index()] {
+                    consider(eid);
+                }
+            }
+        }
+        (lowers, witness_delta)
+    }
+
+    /// Commits the accepted move of `group` (still marked in `in_group`)
+    /// to `target` into the move base and `part`: the move's latencies stay
+    /// in `cur_edge_lat`, one speculation through its cone becomes the new
+    /// ASAP fixpoint, the register costs are re-derived over only the
+    /// producers the speculation can have changed (every producer, as a
+    /// rebuild does, when it ran a full sweep, the base was infeasible or
+    /// the candidate is), and the witness path is walked again. The caller updates the usage census and the
+    /// communication count from the move's deltas. Debug builds assert the
+    /// result equals a fresh [`RefineScratch::rebuild_move_base`].
+    #[allow(clippy::too_many_arguments)]
+    fn commit_move(
+        &mut self,
+        ddg: &Ddg,
+        machine: &MachineConfig,
+        ii: u32,
+        part: &mut Partition,
+        analysis: &LoopAnalysis,
+        group: &[usize],
+        target: u8,
+    ) {
+        let current = part.cluster_of(NodeId::new(group[0] as u32));
+        self.apply_move_latencies(ddg, machine, part, analysis, group, target);
+        let feasible = self
+            .inc
+            .speculate(ddg, ii, &self.cur_edge_lat, &self.edge_changes)
+            .is_some();
+        for &i in group {
+            part.set_cluster(NodeId::new(i as u32), target);
+        }
+        let RefineScratch {
+            in_group,
+            seen,
+            epoch,
+            inc,
+            cur_edge_lat,
+            node_regs,
+            est_base,
+            ..
+        } = self;
+        match inc.spec_changed() {
+            // The incremental path from a feasible base: exactly the
+            // producers whose own or a data successor's ASAP moved, or
+            // whose home moves, change cost.
+            Some(changed) if feasible => {
+                *epoch += 1;
+                let ep = *epoch;
+                let asap = inc.asap();
+                let mut update = |i: usize| {
+                    if seen[i] == ep {
+                        return;
+                    }
+                    seen[i] = ep;
+                    let n = NodeId::new(i as u32);
+                    if !ddg.kind(n).produces_value() {
+                        return;
+                    }
+                    let home = part.cluster_of(n);
+                    est_base[if in_group[i] { current } else { home } as usize] -= node_regs[i];
+                    let regs = node_reg_cost(ddg, ii, analysis, asap, n);
+                    node_regs[i] = regs;
+                    est_base[home as usize] += regs;
+                };
+                for &(v, _) in changed {
+                    update(v as usize);
+                    for &p in ddg.data_preds(NodeId::new(v)) {
+                        update(p.index());
+                    }
+                }
+                for &i in group {
+                    update(i);
+                }
+                inc.commit(ddg, ii, cur_edge_lat);
+            }
+            _ => {
+                inc.commit(ddg, ii, cur_edge_lat);
+                self.recount_regs(ddg, machine, ii, part, analysis);
+            }
+        }
+        self.edge_changes.clear();
+        self.rebuild_witness(ddg, ii);
+    }
+
+    /// Debug-build proof obligation of [`RefineScratch::commit_move`]: the
+    /// committed move base, usage census and communication count equal the
+    /// ones a from-scratch rebuild derives from the moved partition.
+    #[cfg(debug_assertions)]
+    #[allow(clippy::too_many_arguments)]
+    fn debug_check_committed_base(
+        &self,
+        ddg: &Ddg,
+        machine: &MachineConfig,
+        ii: u32,
+        part: &Partition,
+        analysis: &LoopAnalysis,
+        usage: &[[u32; 3]],
+        ncoms: u32,
+    ) {
+        let mut fresh = RefineScratch::default();
+        fresh.rebuild_move_base(ddg, machine, ii, part, analysis);
+        let assignment = part.to_assignment();
+        let mut fresh_usage = Vec::new();
+        assignment.class_usage_into(ddg, machine.clusters(), &mut fresh_usage);
+        let what = "a committed move base diverged from a fresh rebuild";
+        debug_assert_eq!(usage, fresh_usage.as_slice(), "{what}: usage");
+        debug_assert_eq!(ncoms, assignment.comm_count(ddg), "{what}: ncoms");
+        debug_assert_eq!(self.cur_edge_lat, fresh.cur_edge_lat, "{what}: latencies");
+        debug_assert_eq!(self.inc.is_feasible(), fresh.inc.is_feasible(), "{what}");
+        debug_assert_eq!(self.inc.length(), fresh.inc.length(), "{what}: length");
+        debug_assert_eq!(self.inc.asap(), fresh.inc.asap(), "{what}: asap");
+        debug_assert_eq!(self.witness_on, fresh.witness_on, "{what}: witness");
+        debug_assert_eq!(self.witness_in, fresh.witness_in, "{what}: witness");
+        debug_assert_eq!(self.node_regs, fresh.node_regs, "{what}: registers");
+        debug_assert_eq!(self.est_base, fresh.est_base, "{what}: registers");
+    }
+}
+
+/// Debug-build proof obligation of the checked-group skip: no target of
+/// the skipped group scores below the incumbent, so the scan it skipped
+/// would have found no move.
+#[allow(clippy::too_many_arguments, unused_variables)]
+fn debug_check_checked(
+    ddg: &Ddg,
+    machine: &MachineConfig,
+    ii: u32,
+    part: &mut Partition,
+    analysis: &LoopAnalysis,
+    scratch: &mut RefineScratch,
+    group: &[usize],
+    current: u8,
+    best_score: &PartitionScore,
+) {
+    #[cfg(debug_assertions)]
+    for target in (0..machine.clusters()).filter(|&t| t != current) {
+        for &i in group {
+            part.set_cluster(NodeId::new(i as u32), target);
+        }
+        let full = score_partition(ddg, part, machine, ii, analysis, scratch);
+        for &i in group {
+            part.set_cluster(NodeId::new(i as u32), current);
+        }
+        debug_assert!(
+            full >= *best_score,
+            "a group checked since the last accept can move: {full:?} < {best_score:?}"
+        );
+    }
 }
 
 /// Undoes a candidate's in-place edge-latency overrides from its
@@ -1139,10 +1461,11 @@ mod tests {
         let ddg = two_chains();
         let m = machine("2c1b2l64r");
         let analysis = LoopAnalysis::new(&ddg, &m);
-        let h = crate::coarsen(&ddg, &m, 2, &analysis);
+        let mut scratch = RefineScratch::default();
+        let mut h = Hierarchy::default();
+        crate::coarsen(&ddg, &m, 2, &analysis, &mut scratch, &mut h);
         let initial_score = score(&ddg, &h.initial_partition(), &m, 2);
-        let refined =
-            refine_hierarchy(&ddg, &m, 2, &h, &analysis, &mut RefineScratch::default(), 0);
+        let refined = refine_hierarchy(&ddg, &m, 2, &h, &analysis, &mut scratch, 0);
         assert!(score(&ddg, &refined, &m, 2) <= initial_score);
     }
 
@@ -1157,17 +1480,44 @@ mod tests {
         b.data(n[0], n[5]).data(n[2], n[7]).data_dist(n[8], n[3], 1);
         let ddg = b.build().unwrap();
         let m = machine("2c1b2l64r");
-        let h = crate::coarsen(&ddg, &m, 2, &LoopAnalysis::new(&ddg, &m));
-        assert!(h.levels.len() > 2);
         let mut scratch = RefineScratch::default();
-        for level in &h.levels {
-            scratch.set_groups(&level.macro_of, level.n_macros);
+        let mut h = Hierarchy::default();
+        crate::coarsen(
+            &ddg,
+            &m,
+            2,
+            &LoopAnalysis::new(&ddg, &m),
+            &mut scratch,
+            &mut h,
+        );
+        assert!(h.len() > 2);
+        for l in 0..h.len() {
+            let level = h.level(l);
+            scratch.set_groups(level);
             let flat: Vec<Vec<usize>> = scratch
                 .group_start
                 .windows(2)
                 .map(|g| scratch.group_nodes[g[0]..g[1]].to_vec())
                 .collect();
             assert_eq!(flat, level.groups());
+            // A group inherits its parent's flag iff it is also a group of
+            // the next level.
+            if l + 1 < h.len() {
+                let parent = h.level(l + 1).groups();
+                let parent_flags: Vec<u32> = (0..parent.len() as u32).map(|p| p % 2).collect();
+                scratch.checked.clone_from(&parent_flags);
+                scratch.carry_checked(h.level(l + 1));
+                let want: Vec<u32> = flat
+                    .iter()
+                    .map(|g| {
+                        parent
+                            .iter()
+                            .position(|p| p == g)
+                            .map_or(0, |p| parent_flags[p])
+                    })
+                    .collect();
+                assert_eq!(scratch.checked, want, "level {l}");
+            }
         }
         scratch.set_singleton_groups(3);
         assert_eq!(scratch.group_start, [0, 1, 2, 3]);

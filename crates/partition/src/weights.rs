@@ -17,7 +17,7 @@ const SLACK_PENALTY: u64 = 2;
 /// Base weight of any data edge (every cut consumes bus bandwidth).
 const BASE_WEIGHT: u64 = 1;
 
-/// Computes one weight per edge, aligned with `ddg.edges()` order.
+/// Yields one weight per edge, aligned with `ddg.edges()` order.
 ///
 /// Memory-ordering edges get weight 0: cutting them costs nothing because
 /// the memory hierarchy is centralized. Data edges cost more the less slack
@@ -25,13 +25,12 @@ const BASE_WEIGHT: u64 = 1;
 /// recurrence. The RecMII and recurrence membership are read from the cached
 /// [`LoopAnalysis`]; only the II-dependent slack bounds are evaluated per
 /// call.
-#[must_use]
-pub(crate) fn edge_weights(
-    ddg: &Ddg,
+pub(crate) fn edge_weights<'a>(
+    ddg: &'a Ddg,
     machine: &MachineConfig,
     ii: u32,
-    analysis: &LoopAnalysis,
-) -> Vec<u64> {
+    analysis: &'a LoopAnalysis,
+) -> impl Iterator<Item = u64> + 'a {
     let lat = analysis.lat();
     let feasible_ii = ii.max(analysis.rec_mii());
     // An II at or above RecMII always has time bounds; without them no
@@ -44,24 +43,22 @@ pub(crate) fn edge_weights(
     // machines, so the paper configurations score identically).
     let bus_lat = machine.max_transfer_latency();
     let bus = u64::from(bus_lat);
-    ddg.edges()
-        .map(|e| {
-            if !e.is_data() {
-                return 0;
-            }
-            let mut w = BASE_WEIGHT;
-            let same_scc = of[e.src.index()] == of[e.dst.index()];
-            if same_scc && on_cycle[e.src.index()] {
-                w += RECURRENCE_PENALTY * bus;
-            }
-            let shortfall = bounds.as_ref().map_or(0, |b| {
-                let slack = b.alap[e.dst.index()] - b.asap[e.src.index()] - i64::from(lat(e))
-                    + i64::from(feasible_ii) * i64::from(e.distance);
-                (i64::from(bus_lat) - slack).max(0) as u64
-            });
-            w + SLACK_PENALTY * shortfall
-        })
-        .collect()
+    ddg.edges().map(move |e| {
+        if !e.is_data() {
+            return 0;
+        }
+        let mut w = BASE_WEIGHT;
+        let same_scc = of[e.src.index()] == of[e.dst.index()];
+        if same_scc && on_cycle[e.src.index()] {
+            w += RECURRENCE_PENALTY * bus;
+        }
+        let shortfall = bounds.as_ref().map_or(0, |b| {
+            let slack = b.alap[e.dst.index()] - b.asap[e.src.index()] - i64::from(lat(e))
+                + i64::from(feasible_ii) * i64::from(e.distance);
+            (i64::from(bus_lat) - slack).max(0) as u64
+        });
+        w + SLACK_PENALTY * shortfall
+    })
 }
 
 #[cfg(test)]
@@ -75,7 +72,7 @@ mod tests {
 
     fn weights(ddg: &Ddg, ii: u32) -> Vec<u64> {
         let m = machine();
-        edge_weights(ddg, &m, ii, &LoopAnalysis::new(ddg, &m))
+        edge_weights(ddg, &m, ii, &LoopAnalysis::new(ddg, &m)).collect()
     }
 
     #[test]

@@ -3,10 +3,11 @@
 
 use cvliw_ddg::{Ddg, DepKind, NodeId, OpKind};
 use cvliw_machine::MachineConfig;
-use cvliw_partition::testing::{census_move_comms, walked_move_comms};
+use cvliw_partition::testing::{
+    census_move_comms, coarsen_oracle, greedy_matching, walked_move_comms,
+};
 use cvliw_partition::{
-    coarsen, greedy_matching, partition_loop, refine_existing, score_partition, Partition,
-    RefineScratch,
+    coarsen, partition_loop, refine_existing, score_partition, Hierarchy, Partition, RefineScratch,
 };
 use cvliw_sched::LoopAnalysis;
 use proptest::prelude::*;
@@ -116,20 +117,46 @@ proptest! {
         machine in arb_machine(),
         ii in 1u32..8,
     ) {
-        let h = coarsen(&ddg, &machine, ii, &LoopAnalysis::new(&ddg, &machine));
-        prop_assert!(!h.levels.is_empty());
+        let mut h = Hierarchy::default();
+        let analysis = LoopAnalysis::new(&ddg, &machine);
+        coarsen(&ddg, &machine, ii, &analysis, &mut RefineScratch::default(), &mut h);
+        prop_assert!(!h.is_empty());
         // Level 0 is the identity; macro counts never grow level to level.
-        prop_assert_eq!(h.levels[0].n_macros, ddg.node_count());
-        for w in h.levels.windows(2) {
-            prop_assert!(w[1].n_macros <= w[0].n_macros);
+        prop_assert_eq!(h.level(0).n_macros, ddg.node_count());
+        for l in 1..h.len() {
+            prop_assert!(h.level(l).n_macros <= h.level(l - 1).n_macros);
         }
-        let last = h.levels.last().expect("nonempty");
+        let last = h.coarsest();
         prop_assert!(last.n_macros <= (machine.clusters() as usize).max(1)
             || ddg.node_count() <= machine.clusters() as usize);
         // Every level is a total map into its macro count.
-        for level in &h.levels {
+        for l in 0..h.len() {
+            let level = h.level(l);
             prop_assert_eq!(level.macro_of.len(), ddg.node_count());
-            prop_assert!(level.macro_of.iter().all(|&m| m < level.n_macros));
+            prop_assert!(level.macro_of.iter().all(|&m| (m as usize) < level.n_macros));
+        }
+    }
+
+    /// The flat coarsening records exactly the nested oracle's levels on
+    /// arbitrary graphs (disconnected parts, memory edges, self-loops), on
+    /// 2–8 clusters with their own unit mixes, at MII to MII + 3, with one
+    /// scratch and hierarchy carried across every call.
+    #[test]
+    fn flat_coarsening_matches_the_nested_oracle(
+        ddg in arb_ddg_sized(1..24, true),
+        mixes in prop::collection::vec((1u8..=3, 1u8..=3, 1u8..=2), 2..=8),
+        bus in 1u32..=4,
+    ) {
+        let mix: Vec<String> = mixes.iter().map(|(i, f, m)| format!("{i}.{f}.{m}")).collect();
+        let spec = format!("het:{}:1b{bus}l64r", mix.join("+"));
+        let machine = MachineConfig::from_extended_spec(&spec).expect("valid spec");
+        let analysis = LoopAnalysis::new(&ddg, &machine);
+        let mut scratch = RefineScratch::default();
+        let mut h = Hierarchy::default();
+        for ii in analysis.mii()..analysis.mii() + 4 {
+            coarsen(&ddg, &machine, ii, &analysis, &mut scratch, &mut h);
+            let oracle = coarsen_oracle(&ddg, &machine, ii, &analysis);
+            prop_assert!(oracle.matches(&h), "{} at ii {}: {:?} vs {:?}", spec, ii, h, oracle);
         }
     }
 

@@ -63,7 +63,8 @@ impl LoopAnalysis {
         let edge_lat: Vec<u32> = ddg.edges().map(|e| node_lat[e.src.index()]).collect();
         let lat = |e: &Edge| node_lat[e.src.index()];
 
-        let (depth, height) = depth_height(ddg, lat);
+        let topo_order = topo_order(ddg);
+        let (depth, height) = depth_height(ddg, &topo_order, lat);
         let comps = sccs(ddg);
         let mut scc_of = vec![0usize; n];
         let mut on_cycle = vec![false; n];
@@ -96,7 +97,7 @@ impl LoopAnalysis {
             mii: res.max(rec),
             count_by_class: ddg.count_by_class(),
             sms_order: order,
-            topo_order: topo_order(ddg),
+            topo_order,
         }
     }
 
@@ -216,7 +217,7 @@ mod tests {
         assert_eq!(a.count_by_class(), &ddg.count_by_class());
         let expect: Vec<u32> = ddg.edges().map(&lat).collect();
         assert_eq!(a.edge_lat(), expect.as_slice());
-        let (depth, height) = cvliw_ddg::depth_height(&ddg, &lat);
+        let (depth, height) = cvliw_ddg::depth_height(&ddg, a.topo_order(), &lat);
         assert_eq!(a.depth(), depth.as_slice());
         assert_eq!(a.height(), height.as_slice());
         // The ring's group comes first, each group from its highest node.

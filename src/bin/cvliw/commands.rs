@@ -193,8 +193,9 @@ COMMANDS:
                            (cold + warm pass) and records throughput
     serve                  run as a compile daemon: JSONL requests on
                            stdin (or --socket <path>), one response per
-                           line, with a content-addressed result cache
-                           and per-worker persistent compile contexts;
+                           line, with a content-addressed result cache;
+                           each job builds a fresh compile context on its
+                           worker's recycled scratch;
                            --cache-path <dir> makes the cache survive
                            restarts (journal + snapshots, crash-safe)
     client                 talk to a socket daemon with reconnect +

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeSet;
 
-use cvliw::ddg::{depth_height, sccs, Ddg, Edge, NodeId};
+use cvliw::ddg::{depth_height, sccs, topo_order, Ddg, Edge, NodeId};
 use cvliw::machine::{paper_specs, FuCounts, LatencyTable, MachineConfig};
 use cvliw::sched::LoopAnalysis;
 use cvliw::workloads::{generate_loop, suite, GeneratorParams};
@@ -63,8 +63,8 @@ fn oracle_sms_order(ddg: &Ddg, machine: &MachineConfig) -> Vec<NodeId> {
         .map(|n| machine.latency(ddg.kind(n)))
         .collect();
     let lat = |e: &Edge| node_lat[e.src.index()];
-    let (depth, height) = depth_height(ddg, lat);
-    let comps = sccs(ddg);
+    let (depth, height) = depth_height(ddg, &topo_order(ddg), lat);
+    let comps: Vec<Vec<NodeId>> = sccs(ddg).iter().map(<[NodeId]>::to_vec).collect();
     let comp_rec_mii = comp_rec_miis(ddg, &comps, lat);
     let n = ddg.node_count();
     let groups = priority_groups(ddg, &comps, &comp_rec_mii);
