@@ -139,15 +139,6 @@ impl CompileOptions {
             max_ii: None,
         }
     }
-
-    /// Value cloning only (the Kuras et al. related-work baseline).
-    #[must_use]
-    pub fn value_clone() -> Self {
-        CompileOptions {
-            mode: Mode::ValueClone,
-            max_ii: None,
-        }
-    }
 }
 
 impl Default for CompileOptions {

@@ -10,11 +10,10 @@
 
 use cvliw_machine::MachineConfig;
 use cvliw_replicate::{
-    compile_stats, compile_stats_ctx, CompileContext, CompileOptions, CompileScratch, LoopStats,
-    Mode, WorkCounts,
+    compile_stats_ctx, CompileContext, CompileOptions, CompileScratch, LoopStats, Mode, WorkCounts,
 };
 use cvliw_sim::IpcAccumulator;
-use cvliw_workloads::{BenchmarkProgram, WorkloadLoop};
+use cvliw_workloads::WorkloadLoop;
 
 use crate::grid::CellSpec;
 
@@ -47,6 +46,19 @@ pub struct CellResult {
     pub partition_coms: u64,
     /// Communications actually scheduled on buses, summed over loops.
     pub final_coms: u64,
+    /// Figure 1's II bumps past the MII, `[bus, recurrence, registers,
+    /// resources]`, summed over loops.
+    pub ii_causes: [u64; 4],
+    /// Compiled loops whose II exceeds their MII.
+    pub loops_over_mii: u64,
+    /// Static instances the replication pass created, summed over loops.
+    pub added_instances: u64,
+    /// Static communications the replication pass removed, summed over
+    /// loops.
+    pub removed_coms: u64,
+    /// [`CellResult::added_ops`] split by functional-unit class
+    /// (`[int, fp, mem]`, profile-weighted).
+    pub added_ops_by_class: [u64; 3],
 }
 
 impl CellResult {
@@ -67,6 +79,11 @@ impl CellResult {
             dyn_iters: 0,
             partition_coms: 0,
             final_coms: 0,
+            ii_causes: [0; 4],
+            loops_over_mii: 0,
+            added_instances: 0,
+            removed_coms: 0,
+            added_ops_by_class: [0; 3],
         }
     }
 
@@ -90,6 +107,18 @@ impl CellResult {
         self.dyn_iters += dyn_iters;
         self.partition_coms += u64::from(stats.partition_coms);
         self.final_coms += u64::from(stats.final_coms);
+        let c = stats.causes;
+        let causes = [c.bus, c.recurrence, c.registers, c.resources];
+        for (sum, n) in self.ii_causes.iter_mut().zip(causes) {
+            *sum += u64::from(n);
+        }
+        self.loops_over_mii += u64::from(stats.ii > stats.mii);
+        self.added_instances += u64::from(stats.replication.added_instances());
+        self.removed_coms += u64::from(stats.replication.removed_coms());
+        let net = stats.replication.net_added_by_class();
+        for (sum, n) in self.added_ops_by_class.iter_mut().zip(net) {
+            *sum += dyn_iters * u64::from(n);
+        }
     }
 
     /// Profile-weighted IPC of the cell (original operations per cycle).
@@ -179,84 +208,6 @@ pub(crate) fn fold_loop<'a>(
     }
 }
 
-/// Result of compiling one whole program under one configuration, keeping
-/// the per-loop statistics (the regenerators in `cvliw_bench` plot from
-/// these; suite-level aggregation uses the leaner [`CellResult`]).
-#[derive(Clone, Debug, Default)]
-pub struct ProgramResult {
-    /// Profile-weighted IPC (original operations per cycle).
-    pub ipc: f64,
-    /// Per-loop statistics, aligned with the program's loop order (loops
-    /// that failed to compile are skipped and counted).
-    pub loop_stats: Vec<LoopStats>,
-    /// Loop profiles matching `loop_stats` (visits, iterations).
-    pub profiles: Vec<(u64, u64)>,
-    /// Loops that failed to compile (should stay zero).
-    pub failures: usize,
-}
-
-impl ProgramResult {
-    /// Dynamic (profile-weighted) executed instructions, split into
-    /// `(original, net replicated)`.
-    #[must_use]
-    pub fn executed_instructions(&self) -> (u64, u64) {
-        let mut original = 0u64;
-        let mut replicated = 0u64;
-        for (stats, &(visits, iters)) in self.loop_stats.iter().zip(&self.profiles) {
-            let dyn_iters = visits * iters;
-            original += dyn_iters * u64::from(stats.ops_per_iter);
-            replicated += dyn_iters * u64::from(stats.net_added());
-        }
-        (original, replicated)
-    }
-
-    /// Dynamic net replicated instructions per class (`[int, fp, mem]`).
-    #[must_use]
-    pub fn replicated_by_class(&self) -> [u64; 3] {
-        let mut out = [0u64; 3];
-        for (stats, &(visits, iters)) in self.loop_stats.iter().zip(&self.profiles) {
-            let dyn_iters = visits * iters;
-            let net = stats.replication.net_added_by_class();
-            for (slot, &n) in out.iter_mut().zip(net.iter()) {
-                *slot += dyn_iters * u64::from(n);
-            }
-        }
-        out
-    }
-}
-
-/// Compiles every loop of `program` for `machine` under `opts` and
-/// aggregates profile-weighted IPC.
-#[must_use]
-pub fn run_program(
-    program: &BenchmarkProgram,
-    machine: &MachineConfig,
-    opts: &CompileOptions,
-) -> ProgramResult {
-    let mut acc = IpcAccumulator::new();
-    let mut result = ProgramResult::default();
-    for l in &program.loops {
-        match compile_stats(&l.ddg, machine, opts) {
-            Ok(stats) => {
-                acc.add_loop(
-                    l.profile.visits,
-                    l.profile.iterations,
-                    stats.ops_per_iter,
-                    stats.ii,
-                    stats.stage_count,
-                );
-                result.loop_stats.push(stats);
-                result
-                    .profiles
-                    .push((l.profile.visits, l.profile.iterations));
-            }
-            Err(_) => result.failures += 1,
-        }
-    }
-    result.ipc = acc.ipc();
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,15 +245,59 @@ mod tests {
     }
 
     #[test]
-    fn run_program_matches_cell_ipc() {
-        let cell_r = small_cell(Mode::Replicate);
-        let program = program_subset("tomcatv", 2).unwrap();
-        let machine = MachineConfig::from_spec("4c2b2l64r").unwrap();
-        let prog_r = run_program(&program, &machine, &CompileOptions::replicate());
-        assert!((cell_r.ipc() - prog_r.ipc).abs() < 1e-12);
-        assert_eq!(prog_r.failures, 0);
-        let (orig, _) = prog_r.executed_instructions();
-        assert_eq!(orig, cell_r.ops);
+    fn appendix_sums_match_the_per_loop_stats() {
+        // Against one-shot compiles of every loop, on a machine where
+        // baseline loops climb past their MII and replication removes
+        // communications.
+        let program = program_subset("su2cor", 6).unwrap();
+        let machine = MachineConfig::from_spec("4c1b2l64r").unwrap();
+        let grid = SuiteGrid::paper()
+            .with_programs(vec!["su2cor".into()])
+            .with_specs(vec!["4c1b2l64r".into()])
+            .with_modes(vec![Mode::Baseline, Mode::Replicate])
+            .with_max_loops(6);
+        let cells = run_suite(&grid, 1).unwrap().cells;
+        for cell in &cells {
+            let mut expect = CellResult::empty(&CellSpec {
+                program: cell.program.clone(),
+                spec: cell.spec.clone(),
+                mode: cell.mode,
+            });
+            let mut initial_coms = 0u64;
+            for l in &program.loops {
+                let opts = CompileOptions {
+                    mode: cell.mode,
+                    max_ii: None,
+                };
+                let s = cvliw_replicate::compile_stats(&l.ddg, &machine, &opts).unwrap();
+                let c = s.causes;
+                let causes = [c.bus, c.recurrence, c.registers, c.resources];
+                for (sum, n) in expect.ii_causes.iter_mut().zip(causes) {
+                    *sum += u64::from(n);
+                }
+                expect.loops_over_mii += u64::from(s.ii > s.mii);
+                expect.added_instances += u64::from(s.replication.added_instances());
+                expect.removed_coms += u64::from(s.replication.removed_coms());
+                let net = s.replication.net_added_by_class();
+                for (sum, n) in expect.added_ops_by_class.iter_mut().zip(net) {
+                    *sum += l.profile.total_iterations() * u64::from(n);
+                }
+                initial_coms += u64::from(s.replication.initial_coms);
+            }
+            let mode = cell.mode;
+            assert_eq!(cell.ii_causes, expect.ii_causes, "{mode:?}");
+            assert_eq!(cell.loops_over_mii, expect.loops_over_mii, "{mode:?}");
+            assert_eq!(cell.added_instances, expect.added_instances, "{mode:?}");
+            assert_eq!(cell.removed_coms, expect.removed_coms, "{mode:?}");
+            assert_eq!(cell.added_ops_by_class, expect.added_ops_by_class);
+            assert_eq!(cell.added_ops_by_class.iter().sum::<u64>(), cell.added_ops);
+            // The appendix reads "communications before replication" from
+            // the partition count.
+            assert_eq!(cell.partition_coms, initial_coms, "{mode:?}");
+        }
+        // The sample exercises every sum it checks.
+        assert!(cells[0].loops_over_mii > 0 && cells[0].ii_causes[0] > 0);
+        assert!(cells[1].removed_coms > 0 && cells[1].added_ops_by_class[0] > 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use cvliw_replicate::Mode;
 
 use crate::report::SuiteReport;
 
-fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 

@@ -16,7 +16,11 @@
 //!   HMEAN, weighted II, replication overhead);
 //! * [`emit`] — JSON, CSV, Markdown and aligned-text renderings. The
 //!   Markdown emitter writes the repository's regenerable results book,
-//!   `docs/RESULTS.md`, shaped after Table 1 and Figures 7/9/10/12.
+//!   `docs/RESULTS.md`, shaped after Table 1 and Figures 7/9/10/12;
+//! * [`emit_appendices`] — the book's appendices B onwards for the default
+//!   grid: Figures 1 and 8, the Figure 7/10 extras, the register sweep,
+//!   six ablations and the worst loops, so every published number comes
+//!   from one generator.
 //!
 //! Determinism is the design invariant: cells are work-stolen dynamically
 //! (they vary ~50× in cost), but every result lands in its grid slot and
@@ -46,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod appendix;
 mod bench;
 mod cell;
 mod emit;
@@ -55,8 +60,9 @@ mod report;
 mod runner;
 mod serve_bench;
 
+pub use appendix::emit_appendices;
 pub use bench::{bench_suite, emit_bench_json, BenchReport, PairStageTiming, PairTiming};
-pub use cell::{run_program, CellResult, ProgramResult};
+pub use cell::CellResult;
 pub use emit::{emit, emit_csv, emit_json, emit_text, Format};
 pub use emit_md::emit_markdown;
 pub use grid::{CellSpec, SuiteGrid};

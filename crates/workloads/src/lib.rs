@@ -18,7 +18,8 @@
 //!   matters — Figure 9's discussion);
 //! * fpppp has very large loop bodies.
 //!
-//! [`suite`] returns all ten programs (678 loops); [`program`] builds one;
+//! [`suite_with_salt`] returns all ten programs (678 loops, optionally
+//! capped and re-seeded); [`program`] builds one;
 //! [`kernels`] contains hand-written kernels (FIR, daxpy, dot product,
 //! stencils) used by examples and tests.
 //!
@@ -46,6 +47,6 @@ mod programs;
 pub use generator::{generate_loop, GeneratorParams};
 pub use profile::LoopProfile;
 pub use programs::{
-    program, program_names, program_subset, suite, suite_loop_count, suite_subset, suite_with_salt,
-    BenchmarkProgram, WorkloadLoop,
+    program, program_names, program_subset, suite_loop_count, suite_with_salt, BenchmarkProgram,
+    WorkloadLoop,
 };

@@ -269,7 +269,7 @@ pub fn program(name: &str) -> Option<BenchmarkProgram> {
 /// Builds one named program capped at `max_loops` loops, or `None` for an
 /// unknown name. The capped prefix draws the same loops as the full
 /// program, so a suite sharded one program at a time (the `cvliw_exp`
-/// worker pool) sees exactly the loops [`suite_subset`] would produce.
+/// worker pool) sees exactly the loops the capped suite would.
 #[must_use]
 pub fn program_subset(name: &str, max_loops: usize) -> Option<BenchmarkProgram> {
     spec()
@@ -278,29 +278,11 @@ pub fn program_subset(name: &str, max_loops: usize) -> Option<BenchmarkProgram> 
         .map(|(n, count, params)| build(n, count.min(max_loops), &params))
 }
 
-/// Builds the whole 678-loop suite.
-#[must_use]
-pub fn suite() -> Vec<BenchmarkProgram> {
-    spec()
-        .into_iter()
-        .map(|(n, count, params)| build(n, count, &params))
-        .collect()
-}
-
-/// Builds the suite with at most `max_loops` loops per program — used to
-/// keep tests fast while exercising every program's character.
-#[must_use]
-pub fn suite_subset(max_loops: usize) -> Vec<BenchmarkProgram> {
-    spec()
-        .into_iter()
-        .map(|(n, count, params)| build(n, count.min(max_loops), &params))
-        .collect()
-}
-
-/// Builds a re-seeded variant of the suite: same per-program structural
-/// knobs and loop counts, different random draws. Salt `0` is [`suite`]
-/// itself. Used by the seed-sensitivity ablation to show the paper-shape
-/// conclusions are not an artifact of one random suite.
+/// Builds the suite with at most `max_loops` loops per program
+/// (`usize::MAX` for the whole 678-loop suite), re-seeded by `salt`: same
+/// per-program structural knobs and loop counts, different random draws.
+/// Salt `0` is the suite [`program`] builds from. Other salts show the
+/// paper-shape conclusions are not an artifact of one random suite.
 #[must_use]
 pub fn suite_with_salt(salt: u64, max_loops: usize) -> Vec<BenchmarkProgram> {
     spec()
@@ -319,7 +301,10 @@ mod tests {
         let b = suite_with_salt(1, 3);
         assert_eq!(a.len(), b.len());
         // Salt 0 is the default suite.
-        let plain = suite_subset(3);
+        let plain: Vec<_> = program_names()
+            .iter()
+            .map(|&n| program_subset(n, 3).unwrap())
+            .collect();
         for (x, y) in a.iter().zip(&plain) {
             assert_eq!(x.name, y.name);
             assert_eq!(x.loops.len(), y.loops.len());
@@ -402,7 +387,7 @@ mod tests {
 
     #[test]
     fn program_subset_matches_suite_subset() {
-        let whole = suite_subset(2);
+        let whole = suite_with_salt(0, 2);
         for p in &whole {
             let alone = program_subset(p.name, 2).unwrap();
             assert_eq!(alone.loops.len(), p.loops.len());
@@ -417,7 +402,7 @@ mod tests {
 
     #[test]
     fn subset_caps_loop_counts() {
-        let sub = suite_subset(3);
+        let sub = suite_with_salt(0, 3);
         assert_eq!(sub.len(), 10);
         assert!(sub.iter().all(|p| p.loops.len() <= 3));
     }

@@ -5,7 +5,7 @@ use std::fs;
 
 use cvliw::ddg::to_dot;
 use cvliw::exp::{
-    bench_suite, default_jobs, emit, emit_bench_json, run_suite, serve_replay,
+    bench_suite, default_jobs, emit, emit_appendices, emit_bench_json, run_suite, serve_replay,
     serve_restart_replay, Format, SuiteError, SuiteGrid,
 };
 use cvliw::ir::{parse_module, print_loop, NamedLoop, ParseError};
@@ -670,7 +670,17 @@ fn cmd_suite(args: &Args) -> Result<(), CliError> {
         report.cells.len() as f64 / elapsed
     );
 
-    let rendered = emit(&report, format);
+    let mut rendered = emit(&report, format);
+    // The default grid's book also carries appendices B onwards: every
+    // other published table, from side workloads of their own.
+    if format == Format::Markdown && grid == SuiteGrid::paper_with_topology() {
+        let started = std::time::Instant::now();
+        rendered.push_str(&emit_appendices(&report, jobs).map_err(CliError::Suite)?);
+        eprintln!(
+            "suite: appendices in {:.1}s",
+            started.elapsed().as_secs_f64()
+        );
+    }
     // `--format md` regenerates the checked-in results book unless an
     // explicit destination is given; every other format prints to stdout.
     let destination = match (args.get("out"), format) {

@@ -81,5 +81,5 @@ pub mod prelude {
     pub use cvliw_replicate::{compile_loop, CompileOptions, CompiledLoop, Mode};
     pub use cvliw_sched::{Assignment, ClusterSet, Schedule};
     pub use cvliw_sim::{simulate, IpcAccumulator};
-    pub use cvliw_workloads::{suite, BenchmarkProgram, WorkloadLoop};
+    pub use cvliw_workloads::{BenchmarkProgram, WorkloadLoop};
 }

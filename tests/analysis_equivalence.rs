@@ -15,7 +15,7 @@ use cvliw::machine::{paper_specs, FuCounts, LatencyTable, MachineConfig};
 use cvliw::prelude::*;
 use cvliw::replicate::{compile_loop_ctx, CompileContext, WorkCounts};
 use cvliw::sched::{schedule, Assignment, LoopAnalysis, SchedScratch, ScheduleRequest};
-use cvliw::workloads::{generate_loop, suite, GeneratorParams};
+use cvliw::workloads::{generate_loop, suite_with_salt, GeneratorParams};
 use proptest::prelude::*;
 
 fn arb_params() -> impl Strategy<Value = GeneratorParams> {
@@ -119,7 +119,7 @@ fn schedule_memo_matches_fresh_compiles_on_suite_loops() {
     let mut total = WorkCounts::default();
     for spec in paper_specs() {
         let machine = MachineConfig::from_spec(spec).expect("paper spec parses");
-        for program in suite() {
+        for program in suite_with_salt(0, usize::MAX) {
             let sample = program.loops.iter().filter(|l| l.ddg.node_count() <= 32);
             for l in sample.take(2) {
                 let work = check_every_mode_order(&l.ddg, &machine)

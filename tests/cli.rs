@@ -249,6 +249,14 @@ fn suite_out_dash_forces_stdout() {
 }
 
 #[test]
+fn restricted_md_book_has_no_later_appendices() {
+    // Appendices B onwards belong to the default grid's book only.
+    let out = cvliw(&small_suite_with(&["--format", "md", "--out", "-"]));
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(!stdout(&out).contains("## Appendix B"), "{}", stdout(&out));
+}
+
+#[test]
 fn suite_worker_count_does_not_change_output() {
     let one = cvliw(&small_suite_with(&["--format", "csv", "--jobs", "1"]));
     let four = cvliw(&small_suite_with(&["--format", "csv", "--jobs", "4"]));

@@ -153,7 +153,10 @@ proptest! {
         let repl = compile_loop(&ddg, &machine, &CompileOptions::replicate()).unwrap();
         prop_assert!(repl.stats.ii <= base.stats.ii,
             "replication raised the II: {} vs {}", repl.stats.ii, base.stats.ii);
-        let clone = compile_loop(&ddg, &machine, &CompileOptions::value_clone()).unwrap();
+        let clone = compile_loop(&ddg, &machine, &CompileOptions {
+            mode: Mode::ValueClone,
+            max_ii: None,
+        }).unwrap();
         prop_assert!(clone.stats.ii <= base.stats.ii,
             "value cloning raised the II: {} vs {}", clone.stats.ii, base.stats.ii);
         // The restricted technique can never beat full replication on

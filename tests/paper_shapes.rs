@@ -1,7 +1,7 @@
 //! Qualitative paper shapes on reduced workloads: who wins, in which
 //! direction, and where the effects vanish. The full-scale numbers live in
-//! the bench harness and `EXPERIMENTS.md`; these tests pin the directions
-//! so a regression cannot silently flip a conclusion.
+//! the results book, `docs/RESULTS.md`; these tests pin the directions so
+//! a regression cannot silently flip a conclusion.
 
 use cvliw::prelude::*;
 use cvliw::sim::IpcAccumulator;
@@ -108,7 +108,10 @@ fn value_cloning_sits_between_baseline_and_replication() {
     let machine = MachineConfig::from_spec("4c1b2l64r").unwrap();
     let ipc = |opts: &CompileOptions| program_ipc("su2cor", &machine, opts);
     let base = ipc(&CompileOptions::baseline());
-    let clone = ipc(&CompileOptions::value_clone());
+    let clone = ipc(&CompileOptions {
+        mode: Mode::ValueClone,
+        max_ii: None,
+    });
     let repl = ipc(&CompileOptions::replicate());
     assert!(
         base <= clone * 1.001,
@@ -127,7 +130,7 @@ fn replication_overhead_is_small() {
     let machine = MachineConfig::from_spec("4c1b2l64r").unwrap();
     let mut original = 0u64;
     let mut added = 0u64;
-    for program in cvliw::workloads::suite_subset(3) {
+    for program in cvliw::workloads::suite_with_salt(0, 3) {
         for l in &program.loops {
             let out = compile_loop(&l.ddg, &machine, &CompileOptions::replicate()).unwrap();
             let w = l.profile.total_iterations();

@@ -4,15 +4,15 @@
 
 use cvliw::prelude::*;
 use cvliw::sim::simulate;
-use cvliw::workloads::suite_subset;
+use cvliw::workloads::suite_with_salt;
 
-/// Loops per program in these tests; the full 678-loop sweep runs in the
-/// bench harness (`cargo bench`).
+/// Loops per program in these tests; the full 678-loop sweep runs when
+/// `cvliw suite` regenerates the results book, `docs/RESULTS.md`.
 const LOOPS_PER_PROGRAM: usize = 3;
 
 fn check_config(spec: &str) {
     let machine = MachineConfig::from_spec(spec).unwrap();
-    for program in suite_subset(LOOPS_PER_PROGRAM) {
+    for program in suite_with_salt(0, LOOPS_PER_PROGRAM) {
         for l in &program.loops {
             let base = compile_loop(&l.ddg, &machine, &CompileOptions::baseline())
                 .unwrap_or_else(|e| panic!("{} baseline on {spec}: {e}", l.name));
@@ -77,7 +77,7 @@ fn four_cluster_wide_bus_invariants() {
 #[test]
 fn replicated_schedules_stay_functionally_correct() {
     let machine = MachineConfig::from_spec("4c1b2l64r").unwrap();
-    for program in suite_subset(2) {
+    for program in suite_with_salt(0, 2) {
         for l in &program.loops {
             let out = compile_loop(&l.ddg, &machine, &CompileOptions::replicate()).unwrap();
             let iters = u64::from(out.schedule.stage_count()) + 3;
@@ -96,8 +96,8 @@ fn replicated_schedules_stay_functionally_correct() {
 #[test]
 fn suite_is_deterministic_across_processes() {
     // Two builds of the same subset agree on structure and profile.
-    let a = suite_subset(2);
-    let b = suite_subset(2);
+    let a = suite_with_salt(0, 2);
+    let b = suite_with_salt(0, 2);
     for (pa, pb) in a.iter().zip(&b) {
         assert_eq!(pa.name, pb.name);
         for (la, lb) in pa.loops.iter().zip(&pb.loops) {

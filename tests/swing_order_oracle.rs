@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 use cvliw::ddg::{depth_height, sccs, topo_order, Ddg, Edge, NodeId};
 use cvliw::machine::{paper_specs, FuCounts, LatencyTable, MachineConfig};
 use cvliw::sched::LoopAnalysis;
-use cvliw::workloads::{generate_loop, suite, GeneratorParams};
+use cvliw::workloads::{generate_loop, suite_with_salt, GeneratorParams};
 
 // ---------------------------------------------------------------------
 // The oracle.
@@ -396,7 +396,7 @@ fn cached_orders_equal_the_oracle_on_every_suite_loop_and_paper_machine() {
         .map(|spec| MachineConfig::from_spec(spec).expect("paper spec parses"))
         .collect();
     let (mut loops, mut multi) = (0usize, 0usize);
-    for program in suite() {
+    for program in suite_with_salt(0, usize::MAX) {
         for l in &program.loops {
             loops += 1;
             multi += usize::from(recurrence_count(&l.ddg) >= 2);
