@@ -3,12 +3,15 @@
 //!
 //! Appendices that are functions of main-grid cells (Figure 1's causes,
 //! the Figure 7/10 extras, the communication statistics, value cloning)
-//! read the [`SuiteReport`]'s exact integer sums. Whole-program runs that
-//! a spec string can express (the register sweep, mgrid on the unified
-//! machine) go through [`run_suite`] on their own small grid. The rest —
-//! pipelined buses, re-seeded suites, unrolling, macro-nodes, selection
-//! policies and the worst-loops table — compile their own fixed-cap
-//! workloads here.
+//! read the [`SuiteReport`]'s exact integer sums. Every whole-program run
+//! under baseline and replicate — the register sweep, mgrid on the unified
+//! machine, pipelined buses, re-seeded suites and the rows of the
+//! unrolling table that do not unroll — goes through the suite pool on a side report of
+//! its own, so one loop on one machine shares one compile context across
+//! modes exactly as in the main grid, and every HMEAN is
+//! [`SuiteReport::config_hmean`]. Only what the pool cannot express is
+//! compiled here: unrolled loops, non-paper selection policies and
+//! macro-nodes at the MII partition, and the worst-loops table.
 //!
 //! Every appendix draws its programs and loop cap from the report, so a
 //! capped report renders a capped book. Appendices are independent and
@@ -23,13 +26,13 @@ use cvliw_ddg::{Ddg, NodeId, OpKind};
 use cvliw_machine::{
     fig10_specs, fig1_specs, fig8_specs, paper_specs, register_sweep_specs, MachineConfig,
 };
-use cvliw_partition::{partition_loop, Partition};
+use cvliw_partition::{partition_loop_scratch, Partition, RefineScratch};
 use cvliw_replicate::{
-    compile_loop, compile_stats, macro_replicate, CompileOptions, CompiledLoop, EngineScratch,
+    compile_loop_ctx, macro_replicate, CompileContext, CompileOptions, CompiledLoop, EngineScratch,
     LoopAnalysis, Mode, ReplicationEngine, ReplicationOutcome, ReplicationPlan, ReplicationStats,
 };
 use cvliw_sched::ClusterSet;
-use cvliw_sim::{harmonic_mean, IpcAccumulator};
+use cvliw_sim::IpcAccumulator;
 use cvliw_unroll::compile_unrolled;
 use cvliw_workloads::{suite_with_salt, BenchmarkProgram};
 
@@ -37,7 +40,7 @@ use crate::cell::CellResult;
 use crate::emit_md::pct;
 use crate::grid::SuiteGrid;
 use crate::report::SuiteReport;
-use crate::runner::{run_suite, SuiteError};
+use crate::runner::{run_pool, run_suite, PreparedSuite, SuiteError};
 
 /// Loops per program in the bus-model and seed-sensitivity ablations.
 const ABLATION_LOOPS: usize = 16;
@@ -66,28 +69,50 @@ struct Workload<'a> {
 }
 
 impl Workload<'_> {
+    /// The smaller of the report's loop cap and `cap`.
+    fn cap(&self, cap: Option<usize>) -> Option<usize> {
+        match (self.max_loops, cap) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
     /// The report's programs re-seeded with `salt` (0 is the suite itself),
-    /// capped at the smaller of the report's cap and `cap`.
+    /// capped at [`Workload::cap`].
     fn suite(&self, salt: u64, cap: Option<usize>) -> Vec<BenchmarkProgram> {
-        let cap = match (self.max_loops, cap) {
-            (Some(a), Some(b)) => a.min(b),
-            (a, b) => a.or(b).unwrap_or(usize::MAX),
-        };
-        suite_with_salt(salt, cap)
+        suite_with_salt(salt, self.cap(cap).unwrap_or(usize::MAX))
             .into_iter()
             .filter(|p| self.programs.iter().any(|n| n == p.name))
             .collect()
     }
 
-    /// A baseline-and-replicate side grid over `programs` at the report's
-    /// cap.
-    fn grid(&self, programs: &[String], specs: &[&str]) -> SuiteGrid {
+    /// A baseline-and-replicate side grid over `programs` and `specs`,
+    /// capped at [`Workload::cap`].
+    fn grid(&self, programs: Vec<String>, specs: Vec<String>, cap: Option<usize>) -> SuiteGrid {
         let mut grid = SuiteGrid::paper()
-            .with_programs(programs.to_vec())
-            .with_specs(specs.iter().map(ToString::to_string).collect())
+            .with_programs(programs)
+            .with_specs(specs)
             .with_modes(vec![Mode::Baseline, Mode::Replicate]);
-        grid.max_loops = self.max_loops;
+        grid.max_loops = self.cap(cap);
         grid
+    }
+
+    /// Runs labelled `machines` over the suite re-seeded with `salt` and
+    /// capped at `cap` on one pool worker, under baseline and replicate.
+    /// A label names its machine's cells in the side report.
+    fn run(
+        &self,
+        machines: &[(String, MachineConfig)],
+        salt: u64,
+        cap: usize,
+    ) -> Result<SuiteReport, SuiteError> {
+        let programs = self.suite(salt, Some(cap));
+        let names = programs.iter().map(|p| p.name.to_string()).collect();
+        let (specs, machines) = machines.iter().cloned().unzip();
+        let grid = self.grid(names, specs, Some(cap));
+        let prep = PreparedSuite::new(&grid, machines, programs)?;
+        let run = run_pool(&prep, 1);
+        Ok(SuiteReport::new(&grid, run.results, &prep.programs))
     }
 
     /// Calls `each` with every uncapped suite loop on the ablation machine,
@@ -97,9 +122,12 @@ impl Workload<'_> {
         mut each: impl FnMut(&Ddg, &MachineConfig, &LoopAnalysis, &Partition),
     ) {
         let machine = MachineConfig::from_spec(ABLATION_SPEC).expect("spec parses");
+        let mut scratch = RefineScratch::default();
         for l in self.suite(0, None).iter().flat_map(|p| &p.loops) {
             let analysis = LoopAnalysis::new(&l.ddg, &machine);
-            let partition = partition_loop(&l.ddg, &machine, analysis.mii());
+            let mii = analysis.mii();
+            let partition =
+                partition_loop_scratch(&l.ddg, &machine, mii, &analysis, &mut scratch, 0);
             each(&l.ddg, &machine, &analysis, &partition);
         }
     }
@@ -111,8 +139,8 @@ impl Workload<'_> {
 ///
 /// # Errors
 ///
-/// Returns [`SuiteError`] if a side grid (the register sweep or the
-/// unified machine) cannot run, e.g. for a report of an unknown program.
+/// Returns [`SuiteError`] if a side report cannot run, e.g. for a report
+/// of an unknown program.
 pub fn emit_appendices(report: &SuiteReport, jobs: usize) -> Result<String, SuiteError> {
     let w = Workload {
         programs: &report.programs,
@@ -135,9 +163,9 @@ pub fn emit_appendices(report: &SuiteReport, jobs: usize) -> Result<String, Suit
         ("Instructions per removed communication", &|| {
             Ok(comms_removed(report))
         }),
-        ("Register-file sensitivity", &|| register_sweep(&w)),
+        ("Register-file sensitivity", &|| register_sweep(report, &w)),
         ("Ablation: unpipelined vs pipelined buses", &|| {
-            Ok(bus_model(&w))
+            bus_model(&w)
         }),
         ("Ablation: subgraph selection policy", &|| {
             Ok(selection_policy(&w))
@@ -148,12 +176,8 @@ pub fn emit_appendices(report: &SuiteReport, jobs: usize) -> Result<String, Suit
         ("Ablation: value cloning vs subgraph replication", &|| {
             Ok(value_cloning(report))
         }),
-        ("Ablation: loop unrolling vs replication", &|| {
-            Ok(unrolling(&w))
-        }),
-        ("Ablation: suite-seed sensitivity", &|| {
-            Ok(seed_sensitivity(&w))
-        }),
+        ("Ablation: loop unrolling vs replication", &|| unrolling(&w)),
+        ("Ablation: suite-seed sensitivity", &|| seed_sensitivity(&w)),
         ("Worst loops by II/MII", &|| Ok(worst_loops(&w))),
     ];
 
@@ -227,11 +251,6 @@ fn finish(mut o: String, failures: usize) -> String {
     o
 }
 
-/// Sums `field` over one configuration's cells.
-fn config_sum(report: &SuiteReport, spec: &str, mode: Mode, field: fn(&CellResult) -> u64) -> u64 {
-    report.config_cells(spec, mode).map(field).sum()
-}
-
 fn ii_causes(report: &SuiteReport) -> String {
     let mut o = table(
         "Why the baseline scheduler raised the II past the MII: each cause's \
@@ -241,7 +260,7 @@ fn ii_causes(report: &SuiteReport) -> String {
         "| config | bus | recurrences | registers | resources | loops II>MII |",
     );
     for spec in fig1_specs() {
-        let sum = |field| config_sum(report, spec, Mode::Baseline, field);
+        let sum = |field| report.config_sum(spec, Mode::Baseline, field);
         let causes = [
             sum(|c| c.ii_causes[0]),
             sum(|c| c.ii_causes[1]),
@@ -314,7 +333,8 @@ fn fig8_mgrid(report: &SuiteReport, w: &Workload<'_>) -> Result<String, SuiteErr
     if !w.programs.iter().any(|p| p == "mgrid") {
         return Ok(finish(o, 0));
     }
-    let unified = run_suite(&w.grid(&["mgrid".into()], &["unified"]), 1)?;
+    let grid = w.grid(vec!["mgrid".into()], vec!["unified".into()], None);
+    let unified = run_suite(&grid, 1)?;
     let machines = std::iter::once((&unified, "unified")).chain(fig8_specs().map(|s| (report, s)));
     for (r, spec) in machines {
         let ipc = |mode| ipc_cell(r.cell(spec, mode, "mgrid").map(CellResult::ipc));
@@ -334,7 +354,7 @@ fn fig10_classes(report: &SuiteReport) -> String {
         "| config | int | fp | mem | total |",
     );
     for spec in fig10_specs() {
-        let sum = |field| config_sum(report, spec, Mode::Replicate, field);
+        let sum = |field| report.config_sum(spec, Mode::Replicate, field);
         let ops = sum(|c| c.ops);
         let class = [
             sum(|c| c.added_ops_by_class[0]),
@@ -374,7 +394,7 @@ fn comms_removed(report: &SuiteReport) -> String {
         "| config | coms before | removed | removed % | instr/com |",
     );
     for spec in paper_specs() {
-        let sum = |field| config_sum(report, spec, Mode::Replicate, field);
+        let sum = |field| report.config_sum(spec, Mode::Replicate, field);
         let before = sum(|c| c.partition_coms);
         let removed = sum(|c| c.removed_coms);
         let (rm, ipc) = (
@@ -386,60 +406,48 @@ fn comms_removed(report: &SuiteReport) -> String {
     finish(o, 0)
 }
 
-fn register_sweep(w: &Workload<'_>) -> Result<String, SuiteError> {
+/// Cells of `mode` on `spec` that failed, summed over programs.
+fn config_failures(report: &SuiteReport, spec: &str, mode: Mode) -> usize {
+    report.config_cells(spec, mode).map(|c| c.failures).sum()
+}
+
+/// `spec`'s baseline and replicate HMEAN IPCs and the replication gain,
+/// as `base | repl | gain` table cells.
+fn hmean_cells(report: &SuiteReport, spec: &str) -> String {
+    let [base, repl] = [Mode::Baseline, Mode::Replicate].map(|m| report.config_hmean(spec, m));
+    let (b, r, g) = (ipc_cell(base), ipc_cell(repl), gain(repl, base));
+    format!("{b} | {r} | {g}")
+}
+
+fn register_sweep(report: &SuiteReport, w: &Workload<'_>) -> Result<String, SuiteError> {
     let mut o = table(
         "HMEAN IPC with 32, 64 and 128 registers per cluster on the \
          4-cluster, 1-bus machine. The paper states the 32- and 128-register \
          variants behave like the 64-register machines.",
         "| config | base | repl | speedup |",
     );
+    // The main report holds the `4c1b2l64r` cells; compile the other two.
     let specs = register_sweep_specs();
-    let sweep = run_suite(&w.grid(w.programs, &specs), 1)?;
+    let others = specs
+        .into_iter()
+        .filter(|&s| s != ABLATION_SPEC)
+        .map(String::from);
+    let sweep = run_suite(&w.grid(w.programs.to_vec(), others.collect(), None), 1)?;
     for spec in specs {
-        let base = sweep.config_hmean(spec, Mode::Baseline);
-        let repl = sweep.config_hmean(spec, Mode::Replicate);
-        let (b, r, g) = (ipc_cell(base), ipc_cell(repl), gain(repl, base));
-        let _ = writeln!(o, "| `{spec}` | {b} | {r} | {g} |");
+        let source = if spec == ABLATION_SPEC {
+            report
+        } else {
+            &sweep
+        };
+        let _ = writeln!(o, "| `{spec}` | {} |", hmean_cells(source, spec));
     }
-    Ok(finish(o, sweep.failures()))
+    let failures = sweep.failures()
+        + config_failures(report, ABLATION_SPEC, Mode::Baseline)
+        + config_failures(report, ABLATION_SPEC, Mode::Replicate);
+    Ok(finish(o, failures))
 }
 
-/// HMEAN IPC of `programs` under baseline and replication, and the loops
-/// that failed to compile.
-fn base_repl_hmeans(
-    programs: &[BenchmarkProgram],
-    machine: &MachineConfig,
-) -> (Option<f64>, Option<f64>, usize) {
-    let mut failures = 0;
-    let [base, repl] = [CompileOptions::baseline(), CompileOptions::replicate()].map(|opts| {
-        let ipcs: Vec<f64> = programs
-            .iter()
-            .map(|p| {
-                let mut acc = IpcAccumulator::new();
-                for l in &p.loops {
-                    match compile_stats(&l.ddg, machine, &opts) {
-                        Ok(s) => acc.add_loop(
-                            l.profile.visits,
-                            l.profile.iterations,
-                            s.ops_per_iter,
-                            s.ii,
-                            s.stage_count,
-                        ),
-                        Err(_) => failures += 1,
-                    }
-                }
-                acc.ipc()
-            })
-            .collect();
-        // A program whose every loop failed has no IPC, and no HMEAN.
-        ipcs.iter()
-            .all(|&ipc| ipc > 0.0)
-            .then(|| harmonic_mean(&ipcs))
-    });
-    (base, repl, failures)
-}
-
-fn bus_model(w: &Workload<'_>) -> String {
+fn bus_model(w: &Workload<'_>) -> Result<String, SuiteError> {
     let mut o = table(
         "The paper's §3 bus model holds each bus for the full transfer \
          latency. A pipelined bus accepts one transfer per cycle at the same \
@@ -448,19 +456,20 @@ fn bus_model(w: &Workload<'_>) -> String {
          latency. HMEAN IPC over the first 16 loops of each program.",
         "| machine | HMEAN base | HMEAN repl | repl gain |",
     );
-    let suite = w.suite(0, Some(ABLATION_LOOPS));
-    let mut failures = 0;
+    // A pipelined bus has no spec string: each machine runs under its
+    // row heading.
+    let mut machines = Vec::new();
     for spec in ["4c1b2l64r", "4c2b4l64r"] {
         let standard = MachineConfig::from_spec(spec).expect("spec parses");
         let pipelined = standard.clone().with_pipelined_buses();
-        for (suffix, machine) in [("", standard), (" pipelined", pipelined)] {
-            let (base, repl, failed) = base_repl_hmeans(&suite, &machine);
-            failures += failed;
-            let (b, r, g) = (ipc_cell(base), ipc_cell(repl), gain(repl, base));
-            let _ = writeln!(o, "| `{spec}`{suffix} | {b} | {r} | {g} |");
-        }
+        machines.push((format!("`{spec}`"), standard));
+        machines.push((format!("`{spec}` pipelined"), pipelined));
     }
-    finish(o, failures)
+    let side = w.run(&machines, 0, ABLATION_LOOPS)?;
+    for label in &side.specs {
+        let _ = writeln!(o, "| {label} | {} |", hmean_cells(&side, label));
+    }
+    Ok(finish(o, side.failures()))
 }
 
 /// Replicates under a non-paper `policy` through the engine's public plan
@@ -585,7 +594,7 @@ fn value_cloning(report: &SuiteReport) -> String {
     let base = report.config_hmean(spec, Mode::Baseline);
     for mode in [Mode::Baseline, Mode::ValueClone, Mode::Replicate] {
         let hmean = report.config_hmean(spec, mode);
-        let sum = |field| config_sum(report, spec, mode, field);
+        let sum = |field| report.config_sum(spec, mode, field);
         let _ = writeln!(
             o,
             "| `{}` | {} | {} | {} | {} |",
@@ -599,17 +608,7 @@ fn value_cloning(report: &SuiteReport) -> String {
     finish(o, 0)
 }
 
-/// Profile-weighted IPC, static code size, scheduled communications per
-/// original iteration and failures of one strategy in the unrolling table.
-#[derive(Default)]
-struct Unrolled {
-    acc: IpcAccumulator,
-    code_size: u64,
-    coms: f64,
-    failures: usize,
-}
-
-fn unrolling(w: &Workload<'_>) -> String {
+fn unrolling(w: &Workload<'_>) -> Result<String, SuiteError> {
     let mut o = table(
         "§6 / reference [22]: unrolling by 2 and 4 before scheduling \
          (without replication) against replication, over the first 12 loops \
@@ -621,54 +620,49 @@ fn unrolling(w: &Workload<'_>) -> String {
         "| strategy | IPC | code ops | code size | coms/iter | failed |",
     );
     let machine = MachineConfig::from_spec(ABLATION_SPEC).expect("spec parses");
-    let mut rows =
-        ["baseline", "replicate", "unroll x2", "unroll x4"].map(|name| (name, Unrolled::default()));
-    for l in w.suite(0, Some(UNROLL_LOOPS)).iter().flat_map(|p| &p.loops) {
-        let (visits, iters) = (l.profile.visits, l.profile.iterations);
-        let ops = l.ddg.node_count() as u32;
-        let [base, repl, x2, x4] = &mut rows;
-        for (t, opts) in [
-            (&mut base.1, CompileOptions::baseline()),
-            (&mut repl.1, CompileOptions::replicate()),
-        ] {
-            match compile_stats(&l.ddg, &machine, &opts) {
-                Ok(s) => {
-                    t.acc.add_loop(visits, iters, ops, s.ii, s.stage_count);
-                    t.code_size += u64::from(s.instances_per_iter + s.copies_per_iter);
-                    t.coms += f64::from(s.final_coms);
-                }
-                Err(_) => t.failures += 1,
-            }
-        }
-        for (t, factor) in [(&mut x2.1, 2), (&mut x4.1, 4)] {
+    let side = w.run(&[(ABLATION_SPEC.into(), machine.clone())], 0, UNROLL_LOOPS)?;
+    let sum = |mode, field| side.config_sum(ABLATION_SPEC, mode, field);
+    let base_size = sum(Mode::Baseline, |c| c.instances + c.final_coms);
+    let mut failures = 0;
+    let mut row = |name: &str, ipc: f64, code_size: u64, coms: f64, failed: usize| {
+        failures += failed;
+        let size = share(code_size, base_size);
+        let _ = writeln!(
+            o,
+            "| {name} | {ipc:.2} | {code_size} | {size} | {coms:.2} | {failed} |"
+        );
+    };
+    for mode in [Mode::Baseline, Mode::Replicate] {
+        let ipc = side.config_ipc(ABLATION_SPEC, mode);
+        let coms = sum(mode, |c| c.final_coms);
+        let code_size = sum(mode, |c| c.instances) + coms;
+        let failed = config_failures(&side, ABLATION_SPEC, mode);
+        row(mode.name(), ipc, code_size, coms as f64, failed);
+    }
+    let programs = w.suite(0, Some(UNROLL_LOOPS));
+    for factor in [2, 4] {
+        let (mut acc, mut code_size, mut coms, mut failed) = (IpcAccumulator::new(), 0, 0.0, 0);
+        for l in programs.iter().flat_map(|p| &p.loops) {
             match compile_unrolled(&l.ddg, &machine, factor) {
                 Ok(report) => {
                     // Profile-weighted: `visits` runs of `iters` each.
+                    let (visits, iters) = (l.profile.visits, l.profile.iterations);
                     let cycles = visits * report.texec(iters);
-                    t.acc.add(visits * iters * u64::from(ops), cycles.max(1));
-                    t.code_size += u64::from(report.code_size());
-                    t.coms += report.coms_per_orig_iter();
+                    let ops = visits * iters * l.ddg.node_count() as u64;
+                    acc.add(ops, cycles.max(1));
+                    code_size += u64::from(report.code_size());
+                    coms += report.coms_per_orig_iter();
                 }
-                Err(_) => t.failures += 1,
+                Err(_) => failed += 1,
             }
         }
+        let name = format!("unroll x{factor}");
+        row(&name, acc.ipc(), code_size, coms, failed);
     }
-    let base_size = rows[0].1.code_size;
-    for (name, t) in &rows {
-        let _ = writeln!(
-            o,
-            "| {name} | {:.2} | {} | {} | {:.2} | {} |",
-            t.acc.ipc(),
-            t.code_size,
-            share(t.code_size, base_size),
-            t.coms,
-            t.failures
-        );
-    }
-    finish(o, rows.iter().map(|(_, t)| t.failures).sum())
+    Ok(finish(o, failures))
 }
 
-fn seed_sensitivity(w: &Workload<'_>) -> String {
+fn seed_sensitivity(w: &Workload<'_>) -> Result<String, SuiteError> {
     let mut o = table(
         "The Figure 7 headline must hold on re-seeded synthetic suites, not \
          just the default one: each salt keeps every program's structural \
@@ -676,15 +670,17 @@ fn seed_sensitivity(w: &Workload<'_>) -> String {
          IPC on `4c2b4l64r` over the first 16 loops of each program.",
         "| salt | HMEAN base | HMEAN repl | speedup | failed |",
     );
-    let machine = MachineConfig::from_spec("4c2b4l64r").expect("spec parses");
+    let spec = "4c2b4l64r";
+    let machine = MachineConfig::from_spec(spec).expect("spec parses");
+    let machines = [(spec.to_string(), machine)];
     let mut failures = 0;
     for salt in 0..SALTS {
-        let (base, repl, failed) = base_repl_hmeans(&w.suite(salt, Some(ABLATION_LOOPS)), &machine);
+        let side = w.run(&machines, salt, ABLATION_LOOPS)?;
+        let failed = side.failures();
         failures += failed;
-        let (b, r, g) = (ipc_cell(base), ipc_cell(repl), gain(repl, base));
-        let _ = writeln!(o, "| {salt} | {b} | {r} | {g} | {failed} |");
+        let _ = writeln!(o, "| {salt} | {} | {failed} |", hmean_cells(&side, spec));
     }
-    finish(o, failures)
+    Ok(finish(o, failures))
 }
 
 /// `(non-trivial SCCs, those whose instances span more than one cluster)`.
@@ -720,7 +716,11 @@ fn worst_loops(w: &Workload<'_>) -> String {
     let mut failures = 0;
     for l in w.suite(0, None).iter().flat_map(|p| &p.loops) {
         let name = &l.name;
-        let Ok(base) = compile_loop(&l.ddg, &machine, &CompileOptions::baseline()) else {
+        // Both modes and the SCC census share one analysis and seed
+        // partition.
+        let ctx = CompileContext::new(&l.ddg, &machine);
+        let compile = |opts| compile_loop_ctx(&l.ddg, &machine, &opts, &ctx);
+        let Ok(base) = compile(CompileOptions::baseline()) else {
             failures += 1;
             rows.push((
                 f64::INFINITY,
@@ -733,9 +733,9 @@ fn worst_loops(w: &Workload<'_>) -> String {
             continue;
         }
         let ratio = f64::from(s.ii) / f64::from(s.mii);
-        let repl = compile_loop(&l.ddg, &machine, &CompileOptions::replicate())
+        let repl = compile(CompileOptions::replicate())
             .map_or_else(|_| "—".into(), |r| r.stats.ii.to_string());
-        let (nontrivial, split) = split_sccs(&LoopAnalysis::new(&l.ddg, &machine), &base);
+        let (nontrivial, split) = split_sccs(ctx.analysis(), &base);
         let (mii, ii, c) = (s.mii, s.ii, s.causes);
         let causes = format!(
             "{} | {} | {} | {}",

@@ -46,6 +46,9 @@ pub struct CellResult {
     pub partition_coms: u64,
     /// Communications actually scheduled on buses, summed over loops.
     pub final_coms: u64,
+    /// Scheduled functional-unit instances per iteration, summed over
+    /// loops (with [`CellResult::final_coms`], the static code size).
+    pub instances: u64,
     /// Figure 1's II bumps past the MII, `[bus, recurrence, registers,
     /// resources]`, summed over loops.
     pub ii_causes: [u64; 4],
@@ -79,6 +82,7 @@ impl CellResult {
             dyn_iters: 0,
             partition_coms: 0,
             final_coms: 0,
+            instances: 0,
             ii_causes: [0; 4],
             loops_over_mii: 0,
             added_instances: 0,
@@ -107,6 +111,7 @@ impl CellResult {
         self.dyn_iters += dyn_iters;
         self.partition_coms += u64::from(stats.partition_coms);
         self.final_coms += u64::from(stats.final_coms);
+        self.instances += u64::from(stats.instances_per_iter);
         let c = stats.causes;
         let causes = [c.bus, c.recurrence, c.registers, c.resources];
         for (sum, n) in self.ii_causes.iter_mut().zip(causes) {
@@ -147,7 +152,8 @@ impl CellResult {
     }
 }
 
-fn ratio(num: u64, den: u64) -> f64 {
+/// `num / den`, or 0 when `den` is 0.
+pub(crate) fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {
         0.0
     } else {
@@ -276,6 +282,7 @@ mod tests {
                     *sum += u64::from(n);
                 }
                 expect.loops_over_mii += u64::from(s.ii > s.mii);
+                expect.instances += u64::from(s.instances_per_iter);
                 expect.added_instances += u64::from(s.replication.added_instances());
                 expect.removed_coms += u64::from(s.replication.removed_coms());
                 let net = s.replication.net_added_by_class();
@@ -287,6 +294,7 @@ mod tests {
             let mode = cell.mode;
             assert_eq!(cell.ii_causes, expect.ii_causes, "{mode:?}");
             assert_eq!(cell.loops_over_mii, expect.loops_over_mii, "{mode:?}");
+            assert_eq!(cell.instances, expect.instances, "{mode:?}");
             assert_eq!(cell.added_instances, expect.added_instances, "{mode:?}");
             assert_eq!(cell.removed_coms, expect.removed_coms, "{mode:?}");
             assert_eq!(cell.added_ops_by_class, expect.added_ops_by_class);

@@ -1,9 +1,10 @@
 //! The typed result of a suite run and its config-level aggregates.
 
 use cvliw_replicate::Mode;
+use cvliw_sim::harmonic_mean;
 use cvliw_workloads::BenchmarkProgram;
 
-use crate::cell::CellResult;
+use crate::cell::{ratio, CellResult};
 use crate::grid::SuiteGrid;
 
 /// Everything one suite run produced: the grid it covered and one
@@ -57,70 +58,42 @@ impl SuiteReport {
             .filter(move |c| c.spec == spec && c.mode == mode)
     }
 
+    /// Sums `field` over one configuration's cells.
+    #[must_use]
+    pub fn config_sum(&self, spec: &str, mode: Mode, field: fn(&CellResult) -> u64) -> u64 {
+        self.config_cells(spec, mode).map(field).sum()
+    }
+
     /// Suite-total IPC of a configuration: all dynamic operations over all
     /// cycles (what the CLI's old `TOTAL` row reported).
     #[must_use]
     pub fn config_ipc(&self, spec: &str, mode: Mode) -> f64 {
-        let (ops, cycles) = self
-            .config_cells(spec, mode)
-            .fold((0u64, 0u64), |(o, c), cell| (o + cell.ops, c + cell.cycles));
-        if cycles == 0 {
-            0.0
-        } else {
-            ops as f64 / cycles as f64
-        }
+        let sum = |field| self.config_sum(spec, mode, field);
+        ratio(sum(|c| c.ops), sum(|c| c.cycles))
     }
 
     /// Harmonic mean of the per-program IPCs of a configuration — the
     /// paper's cross-benchmark aggregate (`HMEAN`, Figure 7). `None` when
-    /// any program's IPC is non-positive (e.g. every loop failed).
+    /// the configuration has no cells or any program's IPC is non-positive
+    /// (e.g. every loop failed).
     #[must_use]
     pub fn config_hmean(&self, spec: &str, mode: Mode) -> Option<f64> {
-        let mut n = 0usize;
-        let mut inv = 0.0f64;
-        for cell in self.config_cells(spec, mode) {
-            let ipc = cell.ipc();
-            if ipc <= 0.0 {
-                return None;
-            }
-            n += 1;
-            inv += 1.0 / ipc;
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(n as f64 / inv)
-        }
+        let ipcs: Vec<f64> = self.config_cells(spec, mode).map(CellResult::ipc).collect();
+        (!ipcs.is_empty() && ipcs.iter().all(|&ipc| ipc > 0.0)).then(|| harmonic_mean(&ipcs))
     }
 
     /// Suite-wide executed-instruction overhead of a configuration.
     #[must_use]
     pub fn config_overhead(&self, spec: &str, mode: Mode) -> f64 {
-        let (added, ops) = self
-            .config_cells(spec, mode)
-            .fold((0u64, 0u64), |(a, o), cell| {
-                (a + cell.added_ops, o + cell.ops)
-            });
-        if ops == 0 {
-            0.0
-        } else {
-            added as f64 / ops as f64
-        }
+        let sum = |field| self.config_sum(spec, mode, field);
+        ratio(sum(|c| c.added_ops), sum(|c| c.ops))
     }
 
     /// Iteration-weighted mean II of a configuration.
     #[must_use]
     pub fn config_mean_ii(&self, spec: &str, mode: Mode) -> f64 {
-        let (ii, iters) = self
-            .config_cells(spec, mode)
-            .fold((0u64, 0u64), |(w, d), cell| {
-                (w + cell.weighted_ii, d + cell.dyn_iters)
-            });
-        if iters == 0 {
-            0.0
-        } else {
-            ii as f64 / iters as f64
-        }
+        let sum = |field| self.config_sum(spec, mode, field);
+        ratio(sum(|c| c.weighted_ii), sum(|c| c.dyn_iters))
     }
 
     /// Total compile failures across every cell.

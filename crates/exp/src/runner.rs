@@ -89,9 +89,10 @@ pub fn default_jobs() -> usize {
         .min(8)
 }
 
-/// A validated, ready-to-run suite: parsed machines, generated programs and
-/// the enumerated cell list. Shared by [`run_suite`] and the bench harness
-/// so warmup and measured runs reuse one validation pass.
+/// A validated, ready-to-run suite: machines, generated programs and the
+/// enumerated cell list. Shared by [`run_suite`], the appendices' side
+/// runs and the bench harness, whose warmup and measured runs reuse one
+/// validation pass.
 pub(crate) struct PreparedSuite {
     pub machines: Vec<MachineConfig>,
     pub programs: Vec<BenchmarkProgram>,
@@ -107,6 +108,46 @@ pub(crate) struct PreparedSuite {
 }
 
 impl PreparedSuite {
+    /// A ready-to-run suite of `machines` over `programs`, labelled by
+    /// `grid`: `machines[s]` runs as `grid.specs[s]` and `programs[j]` as
+    /// `grid.programs[j]`. The labels need not parse, so a machine no spec
+    /// string expresses (a pipelined bus) runs under a name of its own.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SuiteError::EmptyGrid`] if the grid enumerates no cells.
+    pub fn new(
+        grid: &SuiteGrid,
+        machines: Vec<MachineConfig>,
+        programs: Vec<BenchmarkProgram>,
+    ) -> Result<Self, SuiteError> {
+        debug_assert_eq!(machines.len(), grid.specs.len(), "one machine per spec");
+        debug_assert_eq!(programs.len(), grid.programs.len(), "one program per name");
+        let cells = grid.cells();
+        if cells.is_empty() {
+            return Err(SuiteError::EmptyGrid);
+        }
+
+        // Longest-first dispatch: the costliest pairs go out first, so a
+        // multi-worker run starts su2cor and wave5 immediately instead of
+        // discovering them behind a short tail. This is scheduling only —
+        // every report stays byte-identical for any `--jobs`.
+        let n_programs = programs.len();
+        let cost = |k: usize| pair_cost(&programs[k % n_programs], &machines[k / n_programs]);
+        let mut dispatch: Vec<usize> = (0..machines.len() * n_programs).collect();
+        dispatch.sort_by_key(|&k| (std::cmp::Reverse(cost(k)), k));
+
+        Ok(PreparedSuite {
+            machines,
+            programs,
+            cells,
+            n_programs,
+            n_modes: grid.modes.len(),
+            refine_seeds: grid.refine_seeds,
+            dispatch,
+        })
+    }
+
     /// Number of (machine, program) work units.
     pub fn pair_count(&self) -> usize {
         self.machines.len() * self.n_programs
@@ -126,11 +167,11 @@ impl PreparedSuite {
     }
 }
 
-/// Validates the grid up front: parses every machine spec, generates every
-/// program once (workers spend their time compiling, not generating) and
-/// enumerates the cells.
-pub(crate) fn prepare(grid: &SuiteGrid) -> Result<PreparedSuite, SuiteError> {
-    let machines: Vec<MachineConfig> = grid
+/// Resolves a grid's machine specs and program names: parses every spec
+/// and generates every program once (workers spend their time compiling,
+/// not generating).
+fn resolve(grid: &SuiteGrid) -> Result<(Vec<MachineConfig>, Vec<BenchmarkProgram>), SuiteError> {
+    let machines = grid
         .specs
         .iter()
         .map(|s| {
@@ -140,7 +181,7 @@ pub(crate) fn prepare(grid: &SuiteGrid) -> Result<PreparedSuite, SuiteError> {
             })
         })
         .collect::<Result<_, _>>()?;
-    let programs: Vec<BenchmarkProgram> = grid
+    let programs = grid
         .programs
         .iter()
         .map(|name| {
@@ -151,30 +192,13 @@ pub(crate) fn prepare(grid: &SuiteGrid) -> Result<PreparedSuite, SuiteError> {
             .ok_or_else(|| SuiteError::UnknownProgram(name.clone()))
         })
         .collect::<Result<_, _>>()?;
+    Ok((machines, programs))
+}
 
-    let cells = grid.cells();
-    if cells.is_empty() {
-        return Err(SuiteError::EmptyGrid);
-    }
-
-    // Longest-first dispatch: the costliest pairs go out first, so a
-    // multi-worker run starts su2cor and wave5 immediately instead of
-    // discovering them behind a short tail. This is scheduling only —
-    // every report stays byte-identical for any `--jobs`.
-    let n_programs = grid.programs.len();
-    let cost = |k: usize| pair_cost(&programs[k % n_programs], &machines[k / n_programs]);
-    let mut dispatch: Vec<usize> = (0..machines.len() * n_programs).collect();
-    dispatch.sort_by_key(|&k| (std::cmp::Reverse(cost(k)), k));
-
-    Ok(PreparedSuite {
-        machines,
-        programs,
-        cells,
-        n_programs,
-        n_modes: grid.modes.len(),
-        refine_seeds: grid.refine_seeds,
-        dispatch,
-    })
+/// Validates the grid up front ([`resolve`]) and prepares its suite.
+pub(crate) fn prepare(grid: &SuiteGrid) -> Result<PreparedSuite, SuiteError> {
+    let (machines, programs) = resolve(grid)?;
+    PreparedSuite::new(grid, machines, programs)
 }
 
 /// One compiled unit of the pool: the per-mode outcomes of one loop, the
@@ -385,6 +409,24 @@ mod tests {
                     "{lanes} lanes leaked into {format:?} bytes"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn labelled_machines_compile_like_their_specs() {
+        // A label only names a machine's cells: the same machine under a
+        // name no spec parser accepts yields the same sums.
+        let grid = tiny_grid();
+        let (machines, programs) = resolve(&grid).unwrap();
+        let labelled = grid.clone().with_specs(vec!["my machine".into()]);
+        let prep = PreparedSuite::new(&labelled, machines, programs).unwrap();
+        let cells = run_pool(&prep, 2).results;
+        let by_spec = run_suite(&grid, 1).unwrap().cells;
+        assert_eq!(cells.len(), by_spec.len());
+        for (mut cell, expect) in cells.into_iter().zip(by_spec) {
+            assert_eq!(cell.spec, "my machine");
+            cell.spec = expect.spec.clone();
+            assert_eq!(cell, expect);
         }
     }
 

@@ -11,7 +11,7 @@
 
 use std::path::PathBuf;
 
-use cvliw_exp::{emit, run_suite, Format, SuiteGrid, SuiteReport};
+use cvliw_exp::{emit, emit_appendices, run_suite, Format, SuiteGrid, SuiteReport};
 use cvliw_replicate::Mode;
 
 /// The fixed grid the golden files were generated from: two programs with
@@ -101,6 +101,19 @@ fn topology_markdown_matches_golden() {
 fn shared_bus_grids_have_no_appendix() {
     let md = emit(&golden_report(), Format::Markdown);
     assert!(!md.contains("Appendix"), "{md}");
+}
+
+/// The book's appendices B onwards on a one-loop-per-program paper grid:
+/// pins every appendix generator's bytes, including the side runs over
+/// re-seeded suites, pipelined buses and unrolled loops.
+#[test]
+fn appendices_match_golden() {
+    let grid = SuiteGrid::paper()
+        .with_programs(vec!["tomcatv".into(), "mgrid".into()])
+        .with_max_loops(1);
+    let report = run_suite(&grid, 2).expect("capped paper grid runs");
+    let appendices = emit_appendices(&report, 2).expect("appendices render");
+    check_golden("appendices.md", &appendices);
 }
 
 #[test]

@@ -11,7 +11,8 @@ use cvliw::exp::{
 use cvliw::ir::{parse_module, print_loop, NamedLoop, ParseError};
 use cvliw::machine::{MachineConfig, SpecError};
 use cvliw::replicate::{
-    compile_loop, CompileError, CompileOptions, CompiledLoop, Mode, MAX_REFINE_SEEDS,
+    compile_loop, compile_loop_ctx, CompileContext, CompileError, CompileOptions, CompiledLoop,
+    Mode, MAX_REFINE_SEEDS,
 };
 use cvliw::sched::LoopAnalysis;
 use cvliw::sim::simulate;
@@ -495,12 +496,12 @@ fn cmd_expand(args: &Args) -> Result<(), CliError> {
 fn cmd_compare(args: &Args) -> Result<(), CliError> {
     let machine = parse_machine(args.require("machine")?)?;
     let iterations = args.get_positive_num::<u64>("iterations")?.unwrap_or(100);
-    const MODES: [(&str, Mode); 5] = [
-        ("baseline", Mode::Baseline),
-        ("value-clone", Mode::ValueClone),
-        ("replicate", Mode::Replicate),
-        ("sched-len", Mode::ReplicateSchedLen),
-        ("zero-bus", Mode::ZeroBusLatency),
+    const MODES: [Mode; 5] = [
+        Mode::Baseline,
+        Mode::ValueClone,
+        Mode::Replicate,
+        Mode::ReplicateSchedLen,
+        Mode::ZeroBusLatency,
     ];
     for l in read_loops(args)? {
         println!("loop {} on {}:", l.name, machine.spec());
@@ -508,8 +509,11 @@ fn cmd_compare(args: &Args) -> Result<(), CliError> {
             "{:<12} {:>4} {:>4} {:>7} {:>7} {:>6} {:>8} {:>7}",
             "mode", "MII", "II", "length", "stages", "coms", "+instrs", "IPC"
         );
-        for (name, mode) in MODES {
-            match compile_loop(&l.ddg, &machine, &CompileOptions { mode, max_ii: None }) {
+        // One context per loop: every mode shares its analysis and seed.
+        let ctx = CompileContext::new(&l.ddg, &machine);
+        for mode in MODES {
+            let (name, opts) = (mode.name(), CompileOptions { mode, max_ii: None });
+            match compile_loop_ctx(&l.ddg, &machine, &opts, &ctx) {
                 Ok(out) => {
                     let s = out.stats;
                     let cycles = out.schedule.texec(iterations);

@@ -95,7 +95,13 @@ fn compare_lists_all_four_modes() {
     let out = cvliw(&["compare", FIR, "--machine", "4c2b4l64r"]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
-    for mode in ["baseline", "replicate", "sched-len", "zero-bus"] {
+    for mode in [
+        "baseline",
+        "value-clone",
+        "replicate",
+        "sched-len",
+        "zero-bus",
+    ] {
         assert!(text.contains(mode), "missing {mode} in:\n{text}");
     }
 }
