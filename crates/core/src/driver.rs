@@ -428,6 +428,7 @@ impl CompileScratch {
     /// allocations — which is the whole point.
     fn reset_for_new_loop(&mut self) {
         self.refine.reset_counts();
+        self.engine.reset_counts();
         self.stage_nanos = [0; 4];
         self.cancel = CancelToken::new();
     }
@@ -483,6 +484,13 @@ pub struct WorkCounts {
     pub coarsen_rounds: u64,
     /// Moves the seed partitions' multilevel refinement accepted.
     pub seed_moves: u64,
+    /// Rounds of the §5.1 schedule-length extension (one latency pass
+    /// each).
+    pub sched_len_rounds: u64,
+    /// Candidate replications the §5.1 extension priced.
+    pub sched_len_candidates: u64,
+    /// Candidate replications the §5.1 extension committed.
+    pub sched_len_commits: u64,
 }
 
 impl WorkCounts {
@@ -495,6 +503,9 @@ impl WorkCounts {
         self.refine_bound_rejections += other.refine_bound_rejections;
         self.coarsen_rounds += other.coarsen_rounds;
         self.seed_moves += other.seed_moves;
+        self.sched_len_rounds += other.sched_len_rounds;
+        self.sched_len_candidates += other.sched_len_candidates;
+        self.sched_len_commits += other.sched_len_commits;
     }
 
     /// Adds the refinement work counted by `refine`.
@@ -504,6 +515,13 @@ impl WorkCounts {
         self.refine_bound_rejections += refine.bound_rejections();
         self.coarsen_rounds += refine.coarsen_rounds();
         self.seed_moves += refine.seed_moves();
+    }
+
+    /// Adds the §5.1 extension work counted by `engine`.
+    fn add_sched_len(&mut self, engine: &EngineScratch) {
+        self.sched_len_rounds += engine.sched_len_rounds;
+        self.sched_len_candidates += engine.sched_len_candidates;
+        self.sched_len_commits += engine.sched_len_commits;
     }
 }
 
@@ -656,14 +674,17 @@ impl CompileContext {
     }
 
     /// How many schedule attempts every compilation run through this
-    /// context ran and reused, and how much refinement scoring work it did.
+    /// context ran and reused, and how much refinement scoring and §5.1
+    /// extension work it did.
     /// Deterministic: each mode's II climb is, and the refinement chain is
     /// shared, so the counts do not depend on the order the modes run in.
     /// With seed racing, every raced seed's refinement is counted.
     #[must_use]
     pub fn work(&self) -> WorkCounts {
         let mut work = self.work.get();
-        work.add_refine(&self.scratch.borrow().refine);
+        let scratch = self.scratch.borrow();
+        work.add_refine(&scratch.refine);
+        work.add_sched_len(&scratch.engine);
         work
     }
 
@@ -1051,7 +1072,8 @@ pub fn compile_loop_ctx(
 
         let assignment = if opts.mode == Mode::ReplicateSchedLen {
             let started = Instant::now();
-            let extended = extend_for_length(ddg, machine, ii, assignment, analysis);
+            let extended =
+                extend_for_length(ddg, machine, ii, assignment, analysis, &mut scratch.engine);
             scratch.stage_nanos[Stage::Replicate as usize] += elapsed_nanos(started);
             extended
         } else {

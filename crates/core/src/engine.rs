@@ -11,26 +11,47 @@ use crate::liveness::{always_anchor_into, dead_instances_dense, DenseViewRef};
 use crate::plan::{
     plan_fits_dense, plan_weight_dense, share_counts_dense, PlanArena, PlanRef, ReplicationPlan,
 };
+use crate::sched_len::LengthScratch;
 
 /// The replication engine's persistent workspace: the always-anchor slice
 /// the liveness queries run on, the dense [`PlanArena`], the
 /// usage/extra/freed censuses and the share table. One scratch serves
-/// every engine run of a compilation (every II of every replicating mode);
-/// [`ReplicationEngine::run`] resets what each run needs, so a scratch
-/// may move freely between loops.
+/// every engine run of a compilation (every II of every replicating mode)
+/// and every run of the §5.1 extension
+/// ([`extend_for_length`](crate::extend_for_length)), which shares the
+/// anchors, census, liveness and communication buffers and counts its
+/// work here; each run resets what it needs, so a scratch may move freely
+/// between loops.
 #[derive(Clone, Debug, Default)]
 pub struct EngineScratch {
-    always_anchor: Vec<bool>,
+    pub(crate) always_anchor: Vec<bool>,
     arena: PlanArena,
     share: Vec<u32>,
-    usage: Vec<[u32; 3]>,
+    pub(crate) usage: Vec<[u32; 3]>,
     extra: Vec<[u32; 3]>,
     freed: Vec<[u32; 3]>,
-    com_src: Vec<u8>,
-    live: Vec<ClusterSet>,
-    worklist: Vec<(NodeId, u8)>,
-    dead: Vec<(NodeId, u8)>,
-    coms_buf: Vec<NodeId>,
+    pub(crate) com_src: Vec<u8>,
+    pub(crate) live: Vec<ClusterSet>,
+    pub(crate) worklist: Vec<(NodeId, u8)>,
+    pub(crate) dead: Vec<(NodeId, u8)>,
+    pub(crate) coms_buf: Vec<NodeId>,
+    /// The §5.1 extension's own buffers.
+    pub(crate) len: LengthScratch,
+    /// §5.1 extension rounds run (one latency pass each).
+    pub(crate) sched_len_rounds: u64,
+    /// §5.1 candidate replications priced.
+    pub(crate) sched_len_candidates: u64,
+    /// §5.1 candidate replications committed.
+    pub(crate) sched_len_commits: u64,
+}
+
+impl EngineScratch {
+    /// Zeroes the §5.1 extension's work counters.
+    pub(crate) fn reset_counts(&mut self) {
+        self.sched_len_rounds = 0;
+        self.sched_len_candidates = 0;
+        self.sched_len_commits = 0;
+    }
 }
 
 /// Counters describing what a replication pass did to one loop.

@@ -138,35 +138,37 @@ pub(crate) struct RegionScratch {
     list: Vec<NodeId>,
 }
 
-/// The dead set after the communication of `com` disappears, computed on
-/// the **affected region only** instead of the whole graph.
+/// The dead set after the bus anchor of `(com, c0)` disappears, computed
+/// on the **affected region only** instead of the whole graph.
 ///
-/// Precondition (checked by the callers' debug assertions against
-/// [`dead_instances_dense`]): every instance in `instances` is currently
-/// live, and the hypothetical state differs from it by (a) dropping `com`
-/// from the communicated set and (b) adding instances only in clusters
-/// other than `c0 = copy_source(com)`. Then:
+/// `live` holds the Figure-5 live instance sets of the current state (its
+/// instance sets when every instance is live). Precondition (checked by
+/// the callers' debug assertions against [`dead_instances_dense`]): the
+/// hypothetical state differs from the current one by (a) dropping the
+/// communication anchor of `(com, c0)`, where `c0` is `com`'s current copy
+/// source — `com` stops being communicated, or is read from another
+/// cluster — and (b) adding instances only in clusters other than `c0`.
+/// Then:
 ///
-/// * liveness propagates along same-cluster data edges only, so clusters
-///   other than `c0` see a monotone change (instances and anchors only
-///   grow) — nothing that exists today can die there;
-/// * within `c0` the only lost derivation is the communication anchor of
-///   `(com, c0)`, so any instance that dies lies in the backward
-///   same-cluster closure of `(com, c0)` — the region below;
-/// * a region member with a data successor **outside** the region holding
-///   an instance in `c0` stays live: that successor's own liveness cannot
-///   depend on the region (a same-cluster path from it into the region
-///   would put it in the region).
+/// * liveness propagates along same-cluster data edges only, so nothing
+///   in `c0` can come alive, and nothing that is live today in another
+///   cluster can die there (instances and anchors only grow);
+/// * within `c0` the only lost derivation is the anchor of `(com, c0)`, so
+///   any instance that dies lies in the backward same-cluster closure of
+///   `(com, c0)` through live instances — the region below;
+/// * a region member with a data successor **outside** the region live in
+///   `c0` stays live: that successor's own liveness cannot depend on the
+///   region (a same-cluster path from it into the region would put it in
+///   the region).
 ///
-/// `is_com` marks the values communicated *before* the removal (`com`
+/// `is_com` marks the values communicated *before* the change (`com`
 /// itself is excluded explicitly); `copy_src(v)` must equal the incumbent
-/// copy source of each communicated `v`. `dead` receives the dead
-/// instances in ascending node order — the order the full dense scan
-/// emits, every entry being in cluster `c0`.
+/// copy source of each communicated `v`. `dead` receives the instances
+/// that die, in ascending node order — every entry in cluster `c0`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dead_after_decommunicating(
     ddg: &Ddg,
-    instances: &[ClusterSet],
+    live: &[ClusterSet],
     com: NodeId,
     c0: u8,
     is_com: &[bool],
@@ -182,7 +184,7 @@ pub(crate) fn dead_after_decommunicating(
     let epoch = scratch.epoch;
 
     // Region: backward closure of (com, c0) along data edges whose source
-    // also holds an instance in c0.
+    // also holds a live instance in c0.
     scratch.stack.clear();
     scratch.list.clear();
     scratch.mark[com.index()] = epoch;
@@ -190,7 +192,7 @@ pub(crate) fn dead_after_decommunicating(
     while let Some(u) = scratch.stack.pop() {
         scratch.list.push(u);
         for &p in ddg.data_preds(u) {
-            if scratch.mark[p.index()] != epoch && instances[p.index()].contains(c0) {
+            if scratch.mark[p.index()] != epoch && live[p.index()].contains(c0) {
                 scratch.mark[p.index()] = epoch;
                 scratch.stack.push(p);
             }
@@ -206,7 +208,7 @@ pub(crate) fn dead_after_decommunicating(
             || ddg
                 .data_succs(u)
                 .iter()
-                .any(|&s| scratch.mark[s.index()] != epoch && instances[s.index()].contains(c0));
+                .any(|&s| scratch.mark[s.index()] != epoch && live[s.index()].contains(c0));
         if anchored {
             scratch.live[u.index()] = epoch;
             scratch.stack.push(u);

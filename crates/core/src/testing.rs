@@ -261,3 +261,166 @@ pub fn plan_weight(
     }
     weight
 }
+
+/// The §5.1 extension in its whole-graph form: per round one ASAP/ALAP
+/// solve; per candidate a full communication recount, a whole-graph
+/// Figure-5 query and a fresh latency vector. The differential tests
+/// require [`crate::extend_for_length`], which prices candidates against
+/// the round's state instead, to return the same assignment and count the
+/// same `[rounds, candidates, commits]`.
+#[must_use]
+pub fn extend_for_length_oracle(
+    ddg: &Ddg,
+    machine: &MachineConfig,
+    ii: u32,
+    mut assignment: Assignment,
+    analysis: &LoopAnalysis,
+) -> (Assignment, [u64; 3]) {
+    let node_lat = analysis.node_lat();
+    let order = analysis.topo_order();
+    let n = ddg.node_count();
+    let mut counts = [0u64; 3];
+    let mut always_anchor = Vec::new();
+    always_anchor_into(ddg, analysis.on_cycle(), &mut always_anchor);
+    let (mut asap, mut alap, mut cand_asap) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut live, mut worklist, mut dead) = (Vec::new(), Vec::new(), Vec::new());
+
+    for _ in 0..crate::sched_len::MAX_ROUNDS {
+        counts[0] += 1;
+        let edge_lat: Vec<u32> = ddg
+            .edges()
+            .map(crate::sched_len::comm_lat(machine, &assignment, node_lat))
+            .collect();
+        let Some(current_len) =
+            cvliw_ddg::longest_paths(ddg, order, ii, &edge_lat, &mut asap, Some(&mut alap))
+        else {
+            return (assignment, counts);
+        };
+        let coms = assignment.communicated(ddg);
+        let mut is_com = vec![false; n];
+        for &v in &coms {
+            is_com[v.index()] = true;
+        }
+        let usage = assignment.class_usage(ddg, machine.clusters());
+
+        let mut committed = false;
+        'edges: for (idx, e) in ddg.edges().enumerate() {
+            if !e.is_data() {
+                continue;
+            }
+            let missing = assignment
+                .instances(e.dst)
+                .difference(assignment.instances(e.src));
+            if missing.is_empty() {
+                continue;
+            }
+            let slack = alap[e.dst.index()] - asap[e.src.index()] - i64::from(edge_lat[idx])
+                + i64::from(ii) * i64::from(e.distance);
+            if slack != 0 {
+                continue;
+            }
+            let com = e.src;
+            for target in missing.iter() {
+                counts[1] += 1;
+                // Figure 4 towards `target` alone.
+                let mut visited = vec![false; n];
+                let mut adds = Vec::new();
+                let mut stack = vec![com];
+                while let Some(u) = stack.pop() {
+                    if std::mem::replace(&mut visited[u.index()], true) {
+                        continue;
+                    }
+                    if assignment.instances(u).contains(target) {
+                        continue;
+                    }
+                    adds.push(u);
+                    for &p in ddg.data_preds(u) {
+                        if !(is_com[p.index()] && p != com) {
+                            stack.push(p);
+                        }
+                    }
+                }
+                adds.sort_unstable();
+                for &u in &adds {
+                    assignment.add_instance(u, target);
+                }
+                // Figure 5 over the whole applied state; an added pair is
+                // not a removal.
+                let cand_coms = assignment.communicated(ddg);
+                let com_src: Vec<u8> = cand_coms
+                    .iter()
+                    .map(|&v| assignment.copy_source(v))
+                    .collect();
+                dead_instances_dense(
+                    ddg,
+                    DenseViewRef {
+                        instances: assignment.instance_sets(),
+                        coms: &cand_coms,
+                        com_src: &com_src,
+                    },
+                    &always_anchor,
+                    &mut live,
+                    &mut worklist,
+                    &mut dead,
+                );
+                let removable: Vec<(NodeId, u8)> = dead
+                    .iter()
+                    .copied()
+                    .filter(|&(u, c)| !(c == target && adds.binary_search(&u).is_ok()))
+                    .collect();
+                let fits = (0..machine.clusters()).all(|c| {
+                    cvliw_ddg::OpClass::ALL.into_iter().all(|class| {
+                        let extra = if c == target {
+                            adds.iter()
+                                .filter(|&&u| ddg.kind(u).class() == class)
+                                .count() as u32
+                        } else {
+                            0
+                        };
+                        let freed = removable
+                            .iter()
+                            .filter(|&&(u, rc)| rc == c && ddg.kind(u).class() == class)
+                            .count() as u32;
+                        let cap = u32::from(machine.fu_count_in(c, class)) * ii;
+                        usage[c as usize][class.index()] + extra <= cap + freed
+                    })
+                });
+                let shorter = fits
+                    && cand_coms.len() as u32 <= machine.coms_capacity_per_ii(ii)
+                    && {
+                        let cand_lat: Vec<u32> = ddg
+                            .edges()
+                            .map(crate::sched_len::comm_lat(machine, &assignment, node_lat))
+                            .collect();
+                        matches!(
+                            cvliw_ddg::longest_paths(ddg, order, ii, &cand_lat, &mut cand_asap, None),
+                            Some(len) if len < current_len
+                        )
+                    };
+                if shorter {
+                    counts[2] += 1;
+                    committed = true;
+                    break 'edges;
+                }
+                for &u in &adds {
+                    assignment.remove_instance(u, target);
+                }
+            }
+        }
+        if !committed {
+            break;
+        }
+    }
+    (assignment, counts)
+}
+
+/// The `[rounds, candidates, commits]` the §5.1 extension counted in
+/// `scratch`, in the order [`extend_for_length_oracle`] returns them.
+#[must_use]
+pub fn sched_len_counts(scratch: &crate::EngineScratch) -> [u64; 3] {
+    [
+        scratch.sched_len_rounds,
+        scratch.sched_len_candidates,
+        scratch.sched_len_commits,
+    ]
+}

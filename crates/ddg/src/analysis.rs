@@ -155,113 +155,140 @@ impl Sccs {
     }
 }
 
-/// ASAP/ALAP issue-time bounds of every node for a candidate initiation
-/// interval, produced by [`time_bounds`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TimeBounds {
-    /// Earliest legal issue cycle per node.
-    pub asap: Vec<i64>,
-    /// Latest issue cycle per node such that the critical path is not
-    /// lengthened beyond [`TimeBounds::length`].
-    pub alap: Vec<i64>,
-    /// `max(asap)`: the span of issue cycles of one iteration.
-    pub length: i64,
-}
-
-/// Computes recurrence-aware ASAP and ALAP issue times for initiation
-/// interval `ii`, with per-edge latencies given by `lat`.
+/// The recurrence-aware longest-path kernel: earliest (ASAP) and, when
+/// `alap` is given, latest (ALAP) issue times of every node for initiation
+/// interval `ii`, with per-edge latencies given as a dense slice aligned
+/// with `ddg.edges()` order.
 ///
 /// Every dependence `src → dst` (distance `d`) imposes
-/// `t(dst) ≥ t(src) + lat - ii·d`. Returns `None` if the constraints are
-/// unsatisfiable, i.e. some recurrence has positive cycle weight at this
-/// `ii` (meaning `ii < RecMII`).
-#[must_use]
-pub fn time_bounds(ddg: &Ddg, ii: u32, lat: impl Fn(&Edge) -> u32) -> Option<TimeBounds> {
-    let n = ddg.node_count();
-    let weight = |e: &Edge| -> i64 { i64::from(lat(e)) - i64::from(ii) * i64::from(e.distance) };
-
-    // Longest-path fixpoint (Bellman-Ford from a virtual source at 0).
-    let mut asap = vec![0i64; n];
-    let mut changed = true;
-    let mut passes = 0usize;
-    while changed {
-        changed = false;
-        passes += 1;
-        if passes > n + 1 {
-            return None; // positive cycle: ii below RecMII
-        }
-        for e in ddg.edges() {
-            let t = asap[e.src.index()] + weight(e);
-            if t > asap[e.dst.index()] {
-                asap[e.dst.index()] = t;
-                changed = true;
-            }
-        }
-    }
-
-    let length = asap.iter().copied().max().unwrap_or(0);
-
-    let mut alap = vec![length; n];
-    let mut changed = true;
-    let mut passes = 0usize;
-    while changed {
-        changed = false;
-        passes += 1;
-        if passes > n + 1 {
-            return None;
-        }
-        for e in ddg.edges() {
-            let t = alap[e.dst.index()] - weight(e);
-            if t < alap[e.src.index()] {
-                alap[e.src.index()] = t;
-                changed = true;
-            }
-        }
-    }
-
-    Some(TimeBounds { asap, alap, length })
-}
-
-/// The ASAP half of [`time_bounds`] into a caller-owned buffer: earliest
-/// legal issue cycles for initiation interval `ii` with per-edge latencies
-/// given as a dense slice aligned with `ddg.edges()` order.
+/// `t(dst) ≥ t(src) + lat − ii·d`. ASAP is the least solution at or above
+/// 0; ALAP is the greatest solution at or below `max(asap)`, so a node's
+/// mobility `alap − asap` is how far it can slip without lengthening the
+/// iteration. Both are unique, so any relaxation order reaches them; this
+/// one sweeps the nodes in `order`, a topological order of the distance-0
+/// subgraph ([`topo_order`], or `LoopAnalysis::topo_order()`), pushing
+/// along out-edges for ASAP and, in reverse, along in-edges for ALAP. A
+/// distance-0 edge therefore always relaxes into a node the sweep has not
+/// reached yet, and another sweep runs only while the previous one moved
+/// a value through a loop-carried edge: a loop without carried edges
+/// settles in one sweep each way.
 ///
 /// Returns the estimated issue span (`max(asap)`), or `None` when the
-/// constraints are unsatisfiable (some recurrence has positive cycle weight
-/// at this `ii`). Exactly equivalent to `time_bounds(..).map(|tb|
-/// tb.length)` with `asap` matching `tb.asap` — same relaxation order, same
-/// pass bound — but it skips the ALAP sweep entirely and reuses `asap`
-/// instead of allocating, which matters because partition refinement calls
-/// this once per candidate move.
+/// constraints are unsatisfiable (some recurrence has positive cycle
+/// weight at this `ii`): like a Bellman-Ford fixpoint, a solve still
+/// moving values after `n + 1` sweeps has a positive cycle — and so does
+/// one still moving after `c + 2`, for a loop with `c` loop-carried edges,
+/// since only those can point backwards in `order`. On `None` the buffers
+/// hold no meaningful times.
 ///
 /// # Panics
 ///
-/// Panics in debug builds if `edge_lat` is not aligned with `ddg.edges()`.
+/// Panics in debug builds if `edge_lat` is not aligned with `ddg.edges()`
+/// or `order` does not rank every node.
 #[must_use]
-pub fn asap_times_into(ddg: &Ddg, ii: u32, edge_lat: &[u32], asap: &mut Vec<i64>) -> Option<i64> {
+pub fn longest_paths(
+    ddg: &Ddg,
+    order: &[NodeId],
+    ii: u32,
+    edge_lat: &[u32],
+    asap: &mut Vec<i64>,
+    alap: Option<&mut Vec<i64>>,
+) -> Option<i64> {
+    asap_sweeps(ddg, order, ii, edge_lat, asap)?;
+    let length = asap.iter().copied().max().unwrap_or(0);
+    if let Some(alap) = alap {
+        alap_sweeps(ddg, order, ii, edge_lat, length, alap)?;
+    }
+    Some(length)
+}
+
+/// The ASAP half of [`longest_paths`]: the number of sweeps it took, or
+/// `None` on a positive cycle.
+fn asap_sweeps(
+    ddg: &Ddg,
+    order: &[NodeId],
+    ii: u32,
+    edge_lat: &[u32],
+    asap: &mut Vec<i64>,
+) -> Option<usize> {
     debug_assert_eq!(edge_lat.len(), ddg.edge_count(), "one latency per edge");
+    debug_assert_eq!(order.len(), ddg.node_count(), "one rank per node");
     let n = ddg.node_count();
     asap.clear();
     asap.resize(n, 0);
-
     let ii = i64::from(ii);
-    let mut changed = true;
-    let mut passes = 0usize;
-    while changed {
-        changed = false;
-        passes += 1;
-        if passes > n + 1 {
+    // Only a loop-carried edge can point backwards in `order`, and a
+    // simple path crosses at most `min(carried edges, n − 1)` of them;
+    // without a positive cycle every value is such a path's weight, so it
+    // is final one sweep after that many, and the next sweep moves
+    // nothing. A solve still moving after that proves a positive cycle.
+    // Sweep 1 visits every edge, so it counts the carried ones.
+    let mut cap = n + 1;
+    let mut sweeps = 0;
+    loop {
+        sweeps += 1;
+        if sweeps > cap {
             return None; // positive cycle: ii below RecMII
         }
-        for (e, &lat) in ddg.edges().zip(edge_lat) {
-            let t = asap[e.src.index()] + i64::from(lat) - ii * i64::from(e.distance);
-            if t > asap[e.dst.index()] {
-                asap[e.dst.index()] = t;
-                changed = true;
+        let mut carried = false;
+        let mut carried_edges = 0;
+        for &v in order {
+            let t0 = asap[v.index()];
+            for &id in ddg.out_edge_ids(v) {
+                let e = ddg.edge(id);
+                carried_edges += usize::from(e.distance > 0);
+                let t = t0 + i64::from(edge_lat[id as usize]) - ii * i64::from(e.distance);
+                if t > asap[e.dst.index()] {
+                    asap[e.dst.index()] = t;
+                    carried |= e.distance > 0;
+                }
             }
         }
+        if !carried {
+            return Some(sweeps);
+        }
+        if sweeps == 1 {
+            cap = cap.min(carried_edges + 2);
+        }
     }
-    Some(asap.iter().copied().max().unwrap_or(0))
+}
+
+/// The ALAP half of [`longest_paths`], anchored at `length`: the number
+/// of sweeps it took, or `None` on a positive cycle.
+fn alap_sweeps(
+    ddg: &Ddg,
+    order: &[NodeId],
+    ii: u32,
+    edge_lat: &[u32],
+    length: i64,
+    alap: &mut Vec<i64>,
+) -> Option<usize> {
+    let n = ddg.node_count();
+    alap.clear();
+    alap.resize(n, length);
+    let ii = i64::from(ii);
+    let mut sweeps = 0;
+    loop {
+        sweeps += 1;
+        if sweeps > n + 1 {
+            return None;
+        }
+        let mut carried = false;
+        for &v in order.iter().rev() {
+            let t0 = alap[v.index()];
+            for &id in ddg.in_edge_ids(v) {
+                let e = ddg.edge(id);
+                let t = t0 - i64::from(edge_lat[id as usize]) + ii * i64::from(e.distance);
+                if t < alap[e.src.index()] {
+                    alap[e.src.index()] = t;
+                    carried |= e.distance > 0;
+                }
+            }
+        }
+        if !carried {
+            return Some(sweeps);
+        }
+    }
 }
 
 /// Longest-path **depth** (from sources) and **height** (to sinks) of every
@@ -392,6 +419,21 @@ mod tests {
         assert_eq!(comps, [[c0, c1], [a0, a1]]);
     }
 
+    /// ASAP, ALAP and length of `ddg` at `ii` with one latency per edge.
+    fn bounds(ddg: &Ddg, ii: u32, lat: impl Fn(&Edge) -> u32) -> Option<(Vec<i64>, Vec<i64>, i64)> {
+        let edge_lat: Vec<u32> = ddg.edges().map(lat).collect();
+        let (mut asap, mut alap) = (Vec::new(), Vec::new());
+        let length = longest_paths(
+            ddg,
+            &topo_order(ddg),
+            ii,
+            &edge_lat,
+            &mut asap,
+            Some(&mut alap),
+        )?;
+        Some((asap, alap, length))
+    }
+
     #[test]
     fn time_bounds_on_chain() {
         let mut b = Ddg::builder();
@@ -400,10 +442,10 @@ mod tests {
         let z = b.add_node(OpKind::FpAdd);
         b.data(x, y).data(y, z);
         let ddg = b.build().unwrap();
-        let tb = time_bounds(&ddg, 1, |_| 3).unwrap();
-        assert_eq!(tb.asap, vec![0, 3, 6]);
-        assert_eq!(tb.alap, vec![0, 3, 6]);
-        assert_eq!(tb.length, 6);
+        let (asap, alap, length) = bounds(&ddg, 1, |_| 3).unwrap();
+        assert_eq!(asap, vec![0, 3, 6]);
+        assert_eq!(alap, vec![0, 3, 6]);
+        assert_eq!(length, 6);
     }
 
     #[test]
@@ -421,8 +463,8 @@ mod tests {
             OpKind::FpAdd => 3,
             _ => 2,
         };
-        let tb = time_bounds(&ddg, 1, lat).unwrap();
-        let mobility = |n: NodeId| tb.alap[n.index()] - tb.asap[n.index()];
+        let (asap, alap, _) = bounds(&ddg, 1, lat).unwrap();
+        let mobility = |n: NodeId| alap[n.index()] - asap[n.index()];
         assert_eq!(mobility(long), 0);
         assert_eq!(mobility(short), 15); // 18 - 3
         assert_eq!(mobility(a), 0);
@@ -431,10 +473,10 @@ mod tests {
     #[test]
     fn time_bounds_infeasible_below_recmii() {
         let ddg = ring(); // cycle latency 3, distance 1 → RecMII = 3
-        assert!(time_bounds(&ddg, 2, unit_lat).is_none());
-        let tb = time_bounds(&ddg, 3, unit_lat).unwrap();
+        assert!(bounds(&ddg, 2, unit_lat).is_none());
+        let (asap, _, _) = bounds(&ddg, 3, unit_lat).unwrap();
         // At exactly RecMII the recurrence is tight.
-        assert!(tb.asap.iter().all(|&t| t >= 0));
+        assert!(asap.iter().all(|&t| t >= 0));
     }
 
     #[test]
@@ -446,10 +488,50 @@ mod tests {
         let b = bld.add_node(OpKind::FpAdd);
         bld.data_dist(a, b, 1);
         let ddg = bld.build().unwrap();
-        let tb = time_bounds(&ddg, 10, |_| 3).unwrap();
-        assert_eq!(tb.asap[b.index()], 0);
-        let tb = time_bounds(&ddg, 1, |_| 3).unwrap();
-        assert_eq!(tb.asap[b.index()], 2); // 3 - 1
+        assert_eq!(bounds(&ddg, 10, |_| 3).unwrap().0[b.index()], 0);
+        assert_eq!(bounds(&ddg, 1, |_| 3).unwrap().0[b.index()], 2); // 3 - 1
+    }
+
+    /// Without loop-carried edges every dependence points forward in the
+    /// sweep order, so one sweep settles each direction — on a graph whose
+    /// node ids run against the topological order, where an edge-order
+    /// sweep would need one pass per chain link.
+    #[test]
+    fn a_loop_without_carried_edges_settles_in_one_sweep_each_way() {
+        const N: usize = 24;
+        let mut b = Ddg::builder();
+        let nodes: Vec<_> = (0..N).map(|_| b.add_node(OpKind::FpAdd)).collect();
+        for w in nodes.windows(2).rev() {
+            b.data(w[1], w[0]);
+        }
+        b.data(nodes[N - 1], nodes[N / 2]);
+        let ddg = b.build().unwrap();
+        let order = topo_order(&ddg);
+        let edge_lat = vec![3u32; ddg.edge_count()];
+        let (mut asap, mut alap) = (Vec::new(), Vec::new());
+        assert_eq!(asap_sweeps(&ddg, &order, 1, &edge_lat, &mut asap), Some(1));
+        let length = asap.iter().copied().max().unwrap();
+        assert_eq!(length, 3 * (N as i64 - 1));
+        assert_eq!(
+            alap_sweeps(&ddg, &order, 1, &edge_lat, length, &mut alap),
+            Some(1)
+        );
+        assert_eq!(asap, alap, "a chain has no slack");
+
+        // A loop-carried edge that moves a value costs one more sweep.
+        let mut b = Ddg::builder();
+        let y = b.add_node(OpKind::FpAdd);
+        let nodes: Vec<_> = (0..N).map(|_| b.add_node(OpKind::FpAdd)).collect();
+        let z = b.add_node(OpKind::FpAdd);
+        for w in nodes.windows(2) {
+            b.data(w[0], w[1]);
+        }
+        b.data_dist(nodes[N - 1], y, 1).data(y, z);
+        let ddg = b.build().unwrap();
+        let order = topo_order(&ddg);
+        let edge_lat = vec![3u32; ddg.edge_count()];
+        assert_eq!(asap_sweeps(&ddg, &order, 1, &edge_lat, &mut asap), Some(2));
+        assert_eq!(asap[z.index()], 3 * (N as i64 - 1) + 3 - 1 + 3);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Incrementally maintained recurrence-aware ASAP times.
 //!
 //! Partition refinement evaluates hundreds of candidate single-group moves
-//! per II, and each evaluation used to re-run the full Bellman-Ford
-//! fixpoint of [`asap_times_into`] from zero. A candidate move only
+//! per II, and each evaluation used to re-run the full
+//! [`longest_paths`] fixpoint from zero. A candidate move only
 //! changes the latency of the edges incident to the moved group, so
 //! [`IncrementalAsap`] maintains the fixpoint across speculations: it
 //! updates only the **affected cone** with a dirty-node worklist seeded
@@ -49,14 +49,14 @@
 //! weight, which the base length bounds. So no value of a feasible
 //! candidate exceeds `length + Δ`, and since the iterates stay at or below
 //! the least fixpoint, an iterate above that ceiling proves the candidate
-//! infeasible — exactly when [`asap_times_into`] reports it. A pop budget
+//! infeasible — exactly when [`longest_paths`] reports it. A pop budget
 //! still bounds the incremental attempt and falls back to the full sweep,
 //! and so does a speculation on an infeasible base state. Either way the
 //! result is **exactly** what the full recompute would produce; debug
 //! assertions in the caller (partition refinement) verify that per
 //! candidate.
 
-use crate::analysis::asap_times_into;
+use crate::analysis::longest_paths;
 use crate::graph::{Ddg, NodeId};
 
 /// Pop budget multiplier: speculations that have not converged after
@@ -83,9 +83,9 @@ pub struct IncrementalAsap {
     cone: Vec<u32>,
     in_cone: Vec<bool>,
     /// Topological rank of each node in the distance-0 subgraph, and the
-    /// node at each rank.
+    /// node at each rank (the sweep order of the full solves).
     rank: Vec<u32>,
-    by_rank: Vec<u32>,
+    by_rank: Vec<NodeId>,
     /// Dirty-node worklist: a bitset over ranks, popped lowest rank first
     /// (the fixpoint is order-independent; the order only saves pops).
     pending: Vec<u64>,
@@ -120,7 +120,14 @@ impl IncrementalAsap {
         debug_assert!(self.undo.is_empty() && !self.swapped_full);
         let n = ddg.node_count();
         debug_assert_eq!(topo.len(), n, "one rank per node");
-        match asap_times_into(ddg, ii, edge_lat, &mut self.asap) {
+        self.rank.clear();
+        self.rank.resize(n, 0);
+        self.by_rank.clear();
+        self.by_rank.extend_from_slice(topo);
+        for (r, &v) in topo.iter().enumerate() {
+            self.rank[v.index()] = r as u32;
+        }
+        match longest_paths(ddg, &self.by_rank, ii, edge_lat, &mut self.asap, None) {
             Some(length) => {
                 self.feasible = true;
                 self.length = length;
@@ -136,13 +143,6 @@ impl IncrementalAsap {
         self.in_cone.resize(n, false);
         self.saved.clear();
         self.saved.resize(n, false);
-        self.rank.clear();
-        self.rank.resize(n, 0);
-        self.by_rank.clear();
-        for (r, &v) in topo.iter().enumerate() {
-            self.rank[v.index()] = r as u32;
-            self.by_rank.push(v.index() as u32);
-        }
         self.pending.clear();
         self.pending.resize(n.div_ceil(64), 0);
         self.lo = self.pending.len();
@@ -214,7 +214,7 @@ impl IncrementalAsap {
     /// latency differs from the state of the last
     /// [`IncrementalAsap::rebuild`], each edge once. Returns the new
     /// `max(asap)` or `None` when the candidate system is infeasible,
-    /// exactly as [`asap_times_into`] would. The caller must end every
+    /// exactly as [`longest_paths`] would. The caller must end every
     /// speculation with [`IncrementalAsap::rollback`] or
     /// [`IncrementalAsap::commit`].
     pub fn speculate(
@@ -374,7 +374,8 @@ impl IncrementalAsap {
             }
             None => {
                 if !self.swapped_full {
-                    let full = asap_times_into(ddg, ii, edge_lat, &mut self.asap);
+                    let full =
+                        longest_paths(ddg, &self.by_rank, ii, edge_lat, &mut self.asap, None);
                     debug_assert!(
                         full.is_none(),
                         "the ceiling proved the candidate infeasible"
@@ -390,7 +391,7 @@ impl IncrementalAsap {
     }
 
     fn speculate_full(&mut self, ddg: &Ddg, ii: u32, edge_lat: &[u32]) -> Option<i64> {
-        let res = asap_times_into(ddg, ii, edge_lat, &mut self.full_tmp);
+        let res = longest_paths(ddg, &self.by_rank, ii, edge_lat, &mut self.full_tmp, None);
         std::mem::swap(&mut self.asap, &mut self.full_tmp);
         self.swapped_full = true;
         res
@@ -428,7 +429,7 @@ impl IncrementalAsap {
             if word != 0 {
                 self.pending[self.lo] = word & (word - 1);
                 let r = self.lo * 64 + word.trailing_zeros() as usize;
-                return Some(self.by_rank[r]);
+                return Some(self.by_rank[r].index() as u32);
             }
             self.lo += 1;
         }
@@ -454,7 +455,7 @@ mod tests {
 
     fn full(ddg: &Ddg, ii: u32, lat: &[u32]) -> (Option<i64>, Vec<i64>) {
         let mut asap = Vec::new();
-        let r = asap_times_into(ddg, ii, lat, &mut asap);
+        let r = longest_paths(ddg, &topo_order(ddg), ii, lat, &mut asap, None);
         (r, asap)
     }
 

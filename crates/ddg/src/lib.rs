@@ -67,12 +67,10 @@ mod incremental;
 mod op;
 mod recurrence;
 
-pub use analysis::{
-    asap_times_into, depth_height, sccs, time_bounds, topo_order, Sccs, TimeBounds,
-};
+pub use analysis::{depth_height, longest_paths, sccs, topo_order, Sccs};
 pub use dot::to_dot;
 pub use error::DdgError;
 pub use graph::{Ddg, DdgBuilder, DepKind, Edge, Node, NodeId};
 pub use incremental::IncrementalAsap;
 pub use op::{LatencyClass, OpClass, OpKind, ParseOpKindError};
-pub use recurrence::{is_feasible_ii, rec_mii, scc_rec_mii};
+pub use recurrence::{rec_mii, scc_rec_mii};

@@ -1,17 +1,7 @@
 //! Recurrence-induced minimum initiation interval (RecMII).
 
-use crate::analysis::{sccs, time_bounds};
+use crate::analysis::sccs;
 use crate::graph::{Ddg, Edge, NodeId};
-
-/// Whether an initiation interval satisfies every recurrence of the loop.
-///
-/// `ii` is feasible when no dependence cycle has positive weight under
-/// `lat(e) - ii·distance(e)`, i.e. each recurrence circuit `C` satisfies
-/// `ii ≥ ceil(Σ lat / Σ distance)`.
-#[must_use]
-pub fn is_feasible_ii(ddg: &Ddg, ii: u32, lat: impl Fn(&Edge) -> u32) -> bool {
-    time_bounds(ddg, ii, lat).is_some()
-}
 
 /// The recurrence-constrained lower bound on the initiation interval:
 /// the maximum over all dependence circuits of
@@ -120,8 +110,12 @@ mod tests {
         let ddg = bld.build().unwrap();
         let lat = move |e: &Edge| if e.src == a { 3 } else { 5 };
         assert_eq!(rec_mii(&ddg, lat), 4);
-        assert!(!is_feasible_ii(&ddg, 3, lat));
-        assert!(is_feasible_ii(&ddg, 4, lat));
+        let edge_lat: Vec<u32> = ddg.edges().map(lat).collect();
+        let order = crate::topo_order(&ddg);
+        let feasible =
+            |ii| crate::longest_paths(&ddg, &order, ii, &edge_lat, &mut Vec::new(), None).is_some();
+        assert!(!feasible(3));
+        assert!(feasible(4));
     }
 
     #[test]

@@ -1,14 +1,93 @@
 //! Property tests for the graph analyses: topological order, ASAP/ALAP
 //! time bounds, and the recurrence-constrained MII — including the
-//! per-component RecMII against the whole-graph binary search it replaced,
-//! and the flat (CSR) strongly-connected-component pass against the
-//! one-`Vec`-per-component Tarjan it replaced, both kept here as oracles.
+//! topological longest-path kernel against the edge-order Bellman-Ford it
+//! replaced, the per-component RecMII against the whole-graph binary
+//! search it replaced, and the flat (CSR) strongly-connected-component
+//! pass against the one-`Vec`-per-component Tarjan it replaced, all kept
+//! here as oracles.
 
 use cvliw_ddg::{
-    is_feasible_ii, rec_mii, scc_rec_mii, sccs, time_bounds, topo_order, Ddg, DepKind, Edge,
-    NodeId, OpKind,
+    longest_paths, rec_mii, scc_rec_mii, sccs, topo_order, Ddg, DepKind, Edge, NodeId, OpKind,
 };
 use proptest::prelude::*;
+
+/// ASAP/ALAP issue-time bounds of every node, as [`time_bounds`] computes
+/// them.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct TimeBounds {
+    asap: Vec<i64>,
+    alap: Vec<i64>,
+    length: i64,
+}
+
+/// The simplest executable form of the bounds, and the oracle of
+/// [`longest_paths`]: an edge-order Bellman-Ford from a virtual source at
+/// 0 for ASAP, and again from `max(asap)` downwards for ALAP, each giving
+/// up after `n + 1` passes (a positive cycle: `ii` below RecMII).
+fn time_bounds(ddg: &Ddg, ii: u32, lat: impl Fn(&Edge) -> u32) -> Option<TimeBounds> {
+    let n = ddg.node_count();
+    let weight = |e: &Edge| -> i64 { i64::from(lat(e)) - i64::from(ii) * i64::from(e.distance) };
+
+    let mut asap = vec![0i64; n];
+    let mut changed = true;
+    let mut passes = 0usize;
+    while changed {
+        changed = false;
+        passes += 1;
+        if passes > n + 1 {
+            return None;
+        }
+        for e in ddg.edges() {
+            let t = asap[e.src.index()] + weight(e);
+            if t > asap[e.dst.index()] {
+                asap[e.dst.index()] = t;
+                changed = true;
+            }
+        }
+    }
+
+    let length = asap.iter().copied().max().unwrap_or(0);
+
+    let mut alap = vec![length; n];
+    let mut changed = true;
+    let mut passes = 0usize;
+    while changed {
+        changed = false;
+        passes += 1;
+        if passes > n + 1 {
+            return None;
+        }
+        for e in ddg.edges() {
+            let t = alap[e.dst.index()] - weight(e);
+            if t < alap[e.src.index()] {
+                alap[e.src.index()] = t;
+                changed = true;
+            }
+        }
+    }
+
+    Some(TimeBounds { asap, alap, length })
+}
+
+/// Whether an initiation interval satisfies every recurrence of the loop:
+/// no dependence cycle has positive weight under `lat(e) − ii·distance(e)`.
+fn is_feasible_ii(ddg: &Ddg, ii: u32, lat: impl Fn(&Edge) -> u32) -> bool {
+    time_bounds(ddg, ii, lat).is_some()
+}
+
+/// [`longest_paths`] in the oracle's shape, ASAP and ALAP both asked for.
+fn kernel_bounds(ddg: &Ddg, ii: u32, edge_lat: &[u32]) -> Option<TimeBounds> {
+    let (mut asap, mut alap) = (Vec::new(), Vec::new());
+    let length = longest_paths(
+        ddg,
+        &topo_order(ddg),
+        ii,
+        edge_lat,
+        &mut asap,
+        Some(&mut alap),
+    )?;
+    Some(TimeBounds { asap, alap, length })
+}
 
 fn arb_kind() -> impl Strategy<Value = OpKind> {
     prop::sample::select(OpKind::ALL.to_vec())
@@ -222,6 +301,38 @@ fn nested_sccs(ddg: &Ddg) -> Vec<Vec<NodeId>> {
     result
 }
 
+/// Graphs for the kernel differential: recurrences, self-loops and memory
+/// edges, a random latency on every edge, and node ids shuffled so that
+/// id order is not a topological order.
+fn arb_kernel_case() -> impl Strategy<Value = (Ddg, Vec<u32>)> {
+    (1usize..16)
+        .prop_flat_map(|n| {
+            let keys = prop::collection::vec(0u64..1 << 32, n);
+            let edges = prop::collection::vec((0..n, 0..n, 0u32..4, prop::bool::ANY), 0..(4 * n));
+            let lats = prop::collection::vec(0u32..12, 4 * n);
+            (Just(n), keys, edges, lats)
+        })
+        .prop_map(|(n, keys, edges, lats)| {
+            let mut by_key: Vec<usize> = (0..n).collect();
+            by_key.sort_by_key(|&p| (keys[p], p));
+            let mut b = Ddg::builder();
+            let ids: Vec<NodeId> = (0..n).map(|_| b.add_node(OpKind::FpAdd)).collect();
+            let id_of = |p: usize| ids[by_key.iter().position(|&q| q == p).expect("a permutation")];
+            for (src, dst, dist, mem) in edges {
+                if dist == 0 && src >= dst {
+                    continue; // distance-0 edges point forward in position
+                }
+                let kind = if mem { DepKind::Mem } else { DepKind::Data };
+                b.edge(id_of(src), id_of(dst), kind, dist);
+            }
+            let ddg = b.build().expect("distance-0 edges point forward");
+            let edge_lat = (0..ddg.edge_count())
+                .map(|e| lats[e % lats.len()])
+                .collect();
+            (ddg, edge_lat)
+        })
+}
+
 /// Unit latency for every edge — keeps the properties easy to state.
 fn unit(_: &Edge) -> u32 {
     1
@@ -229,6 +340,25 @@ fn unit(_: &Edge) -> u32 {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The topological kernel solves exactly what the edge-order oracle
+    /// does — ASAP, ALAP, length, and `None` below the RecMII — from one
+    /// II under the loop's RecMII to three above it.
+    #[test]
+    fn kernel_equals_the_edge_order_oracle(case in arb_kernel_case()) {
+        let (ddg, edge_lat) = case;
+        let lat = |e: &Edge| {
+            let id = ddg.edges().position(|x| std::ptr::eq(x, e)).expect("an edge of ddg");
+            edge_lat[id]
+        };
+        let rec = whole_graph_rec_mii(&ddg, lat);
+        for ii in rec.saturating_sub(1).max(1)..=rec + 3 {
+            prop_assert_eq!(kernel_bounds(&ddg, ii, &edge_lat), time_bounds(&ddg, ii, lat), "ii {}", ii);
+        }
+        if rec > 1 {
+            prop_assert!(kernel_bounds(&ddg, rec - 1, &edge_lat).is_none());
+        }
+    }
 
     #[test]
     fn flat_sccs_match_the_nested_oracle(case in arb_recurrent_ddg(), plain in arb_ddg()) {

@@ -1,5 +1,6 @@
 //! Differential properties of [`IncrementalAsap`] against the full
-//! [`asap_times_into`] sweep.
+//! [`longest_paths`] solve (itself pinned to the edge-order Bellman-Ford
+//! oracle in `analysis_props.rs`).
 //!
 //! The graphs are generated on logical positions (distance-0 edges point
 //! forward) and then given permuted node ids, so id order is not a
@@ -9,7 +10,12 @@
 //! relaxation, and above it; several speculations with random raised and
 //! lowered edge sets run on one maintained state, each rolled back.
 
-use cvliw_ddg::{asap_times_into, topo_order, Ddg, DepKind, IncrementalAsap, NodeId, OpKind};
+use cvliw_ddg::{longest_paths, topo_order, Ddg, DepKind, IncrementalAsap, NodeId, OpKind};
+
+/// The full ASAP solve of `lat` at `ii` into `asap`.
+fn full_asap(ddg: &Ddg, ii: u32, lat: &[u32], asap: &mut Vec<i64>) -> Option<i64> {
+    longest_paths(ddg, &topo_order(ddg), ii, lat, asap, None)
+}
 use proptest::prelude::*;
 
 /// A graph, its base per-edge latencies, the II offset above RecMII and
@@ -63,7 +69,7 @@ fn rec_ii(ddg: &Ddg, lat: &[u32]) -> u32 {
     let (mut lo, mut hi) = (1u32, lat.iter().sum::<u32>() + 1);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if asap_times_into(ddg, mid, lat, &mut buf).is_some() {
+        if full_asap(ddg, mid, lat, &mut buf).is_some() {
             hi = mid;
         } else {
             lo = mid + 1;
@@ -80,7 +86,7 @@ proptest! {
         let (ddg, base, above, specs) = case;
         let ii = rec_ii(&ddg, &base) + above;
         let mut want = Vec::new();
-        let base_len = asap_times_into(&ddg, ii, &base, &mut want);
+        let base_len = full_asap(&ddg, ii, &base, &mut want);
         prop_assert!(base_len.is_some());
         let base_asap = want.clone();
 
@@ -101,7 +107,7 @@ proptest! {
                 .map(|e| (e as u32, base[e]))
                 .collect();
             let got = inc.speculate(&ddg, ii, &lat, &changed_edges);
-            let expected = asap_times_into(&ddg, ii, &lat, &mut want);
+            let expected = full_asap(&ddg, ii, &lat, &mut want);
             prop_assert_eq!(got, expected);
             if got.is_some() {
                 prop_assert_eq!(inc.asap(), &want[..]);

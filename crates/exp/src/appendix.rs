@@ -146,6 +146,8 @@ pub fn emit_appendices(report: &SuiteReport, jobs: usize) -> Result<String, Suit
         programs: &report.programs,
         max_loops: report.max_loops,
     };
+    // One walk over the suite's MII partitions feeds two appendices.
+    let mii_runs = OnceLock::new();
     let sections: [(&str, Body<'_>); 14] = [
         ("Causes for increasing the II (Figure 1)", &|| {
             Ok(ii_causes(report))
@@ -168,10 +170,10 @@ pub fn emit_appendices(report: &SuiteReport, jobs: usize) -> Result<String, Suit
             bus_model(&w)
         }),
         ("Ablation: subgraph selection policy", &|| {
-            Ok(selection_policy(&w))
+            Ok(selection_policy(mii_runs.get_or_init(|| mii_ablations(&w))))
         }),
         ("Ablation: macro-node vs subgraph replication", &|| {
-            Ok(macro_nodes(&w))
+            Ok(macro_nodes(mii_runs.get_or_init(|| mii_ablations(&w))))
         }),
         ("Ablation: value cloning vs subgraph replication", &|| {
             Ok(value_cloning(report))
@@ -511,16 +513,9 @@ fn tally(sum: &mut [u64; 3], stats: &ReplicationStats) {
     sum[2] += u64::from(stats.added_instances());
 }
 
-fn selection_policy(w: &Workload<'_>) -> String {
-    let mut o = table(
-        "§3.3 picks the subgraph to replicate by its load-sharing-removal \
-         weight. Other rules, at the MII partition of every loop on \
-         `4c1b2l64r`: fewest added instances first, lowest communication \
-         first, and the heaviest weight first (adversarial). *stuck loops* \
-         still exceed the bus capacity when no candidate fits.",
-        "| policy | removed % | instr/com | added | stuck loops |",
-    );
-    let policies: [(&str, Option<Policy>); 4] = [
+/// The selection rules of the policy ablation, the paper's weight first.
+fn policies() -> [(&'static str, Option<Policy>); 4] {
+    [
         ("weight", None),
         (
             "fewest",
@@ -531,29 +526,65 @@ fn selection_policy(w: &Workload<'_>) -> String {
             "heaviest",
             Some(|c| c.sort_by(|(a, _), (b, _)| b.partial_cmp(a).expect("finite weights"))),
         ),
-    ];
-    let mut sums = [([0u64; 3], 0u64); 4];
+    ]
+}
+
+/// The replication runs at the MII partition of every uncapped suite loop
+/// on `4c1b2l64r`, which the policy and macro-node ablations both read.
+struct MiiAblations {
+    /// Per rule of [`policies`]: `[coms before, removed, added instances]`
+    /// sums and the loops left stuck. The `weight` rule is the §3 engine.
+    policies: [([u64; 3], u64); 4],
+    /// The same sums for macro-node replication.
+    macro_node: [u64; 3],
+}
+
+/// One walk over [`Workload::each_mii_partition`]: every policy's engine
+/// run and the macro-node replication of each loop.
+fn mii_ablations(w: &Workload<'_>) -> MiiAblations {
+    let policies = policies();
+    let mut out = MiiAblations {
+        policies: [([0; 3], 0); 4],
+        macro_node: [0; 3],
+    };
+    let mut scratch = EngineScratch::default();
     w.each_mii_partition(|ddg, machine, analysis, partition| {
-        for ((_, policy), (sum, stuck)) in policies.iter().zip(&mut sums) {
+        let mii = analysis.mii();
+        for ((_, policy), (sum, stuck)) in policies.iter().zip(&mut out.policies) {
             let assignment = partition.to_assignment();
-            let mut engine =
-                ReplicationEngine::new(ddg, machine, analysis.mii(), assignment, analysis);
+            let mut engine = ReplicationEngine::new(ddg, machine, mii, assignment, analysis);
             let outcome = match policy {
-                None => engine.run(&mut EngineScratch::default()),
+                None => engine.run(&mut scratch),
                 Some(policy) => run_policy(&mut engine, *policy),
             };
             *stuck += u64::from(outcome != ReplicationOutcome::Fits);
             tally(sum, &engine.into_parts().1);
         }
+        tally(
+            &mut out.macro_node,
+            &macro_replicate(ddg, machine, mii, partition, analysis).1,
+        );
     });
-    for ((name, _), ([before, removed, added], stuck)) in policies.iter().zip(sums) {
+    out
+}
+
+fn selection_policy(runs: &MiiAblations) -> String {
+    let mut o = table(
+        "§3.3 picks the subgraph to replicate by its load-sharing-removal \
+         weight. Other rules, at the MII partition of every loop on \
+         `4c1b2l64r`: fewest added instances first, lowest communication \
+         first, and the heaviest weight first (adversarial). *stuck loops* \
+         still exceed the bus capacity when no candidate fits.",
+        "| policy | removed % | instr/com | added | stuck loops |",
+    );
+    for ((name, _), ([before, removed, added], stuck)) in policies().iter().zip(runs.policies) {
         let (rm, ipc) = (share(removed, before), per(added, removed));
         let _ = writeln!(o, "| {name} | {rm} | {ipc} | {added} | {stuck} |");
     }
     finish(o, 0)
 }
 
-fn macro_nodes(w: &Workload<'_>) -> String {
+fn macro_nodes(runs: &MiiAblations) -> String {
     let mut o = table(
         "§5.2: replicating the partitioner's coarsening macro-nodes (one \
          replication may remove several communications) against the §3 \
@@ -562,19 +593,8 @@ fn macro_nodes(w: &Workload<'_>) -> String {
          instructions to pay off.",
         "| strategy | removed % | added | instr/com |",
     );
-    let (mut fine, mut coarse) = ([0u64; 3], [0u64; 3]);
-    w.each_mii_partition(|ddg, machine, analysis, partition| {
-        let mii = analysis.mii();
-        let assignment = partition.to_assignment();
-        let mut engine = ReplicationEngine::new(ddg, machine, mii, assignment, analysis);
-        engine.run(&mut EngineScratch::default());
-        tally(&mut fine, &engine.into_parts().1);
-        tally(
-            &mut coarse,
-            &macro_replicate(ddg, machine, mii, partition, analysis).1,
-        );
-    });
-    for (name, [before, removed, added]) in [("subgraph", fine), ("macro-node", coarse)] {
+    let fine = runs.policies[0].0;
+    for (name, [before, removed, added]) in [("subgraph", fine), ("macro-node", runs.macro_node)] {
         let (rm, ipc) = (share(removed, before), per(added, removed));
         let _ = writeln!(o, "| {name} | {rm} | {added} | {ipc} |");
     }

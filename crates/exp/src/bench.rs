@@ -263,7 +263,22 @@ pub fn emit_bench_json(report: &BenchReport) -> String {
         report.work.refine_bound_rejections
     );
     let _ = writeln!(o, "    \"coarsen_rounds\": {},", report.work.coarsen_rounds);
-    let _ = writeln!(o, "    \"seed_moves\": {}", report.work.seed_moves);
+    let _ = writeln!(o, "    \"seed_moves\": {},", report.work.seed_moves);
+    let _ = writeln!(
+        o,
+        "    \"sched_len_rounds\": {},",
+        report.work.sched_len_rounds
+    );
+    let _ = writeln!(
+        o,
+        "    \"sched_len_candidates\": {},",
+        report.work.sched_len_candidates
+    );
+    let _ = writeln!(
+        o,
+        "    \"sched_len_commits\": {}",
+        report.work.sched_len_commits
+    );
     // Per-stage share of the median total wall clock. On one worker the
     // shares nearly sum to 1; with more workers (or seed racing) the
     // buckets are CPU time against an elapsed total, so the sum exceeds it.
@@ -440,6 +455,10 @@ mod tests {
             first.coarsen_rounds > 0 && first.seed_moves > 0,
             "no seed partition coarsened or moved: {first:?}"
         );
+        assert!(
+            first.sched_len_rounds > 0 && first.sched_len_candidates > 0,
+            "the schedule-length extension priced nothing: {first:?}"
+        );
     }
 
     #[test]
@@ -469,7 +488,19 @@ mod tests {
             "\"coarsen_rounds\": {},",
             report.work.coarsen_rounds
         )));
-        assert!(section.contains(&format!("\"seed_moves\": {}\n", report.work.seed_moves)));
+        assert!(section.contains(&format!("\"seed_moves\": {},", report.work.seed_moves)));
+        assert!(section.contains(&format!(
+            "\"sched_len_rounds\": {},",
+            report.work.sched_len_rounds
+        )));
+        assert!(section.contains(&format!(
+            "\"sched_len_candidates\": {},",
+            report.work.sched_len_candidates
+        )));
+        assert!(section.contains(&format!(
+            "\"sched_len_commits\": {}\n",
+            report.work.sched_len_commits
+        )));
         for stage in Stage::ALL {
             assert!(!section.contains(&format!("\"{}\":", stage.name())));
         }

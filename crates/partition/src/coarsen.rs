@@ -119,6 +119,9 @@ pub(crate) struct CoarsenScratch {
     merged_into: Vec<u32>,
     /// Old macro index → new macro index of this round's merge.
     remap: Vec<u32>,
+    /// ASAP and ALAP times behind the edge weights' slacks.
+    asap: Vec<i64>,
+    alap: Vec<i64>,
 }
 
 /// Marker of [`CoarsenScratch::merged_into`] for a surviving macro.
@@ -157,9 +160,14 @@ pub fn coarsen(
         matched,
         merged_into,
         remap,
+        asap,
+        alap,
     } = &mut scratch.coarsen;
     pairs.clear();
-    for (e, w) in ddg.edges().zip(edge_weights(ddg, machine, ii, analysis)) {
+    for (e, w) in ddg
+        .edges()
+        .zip(edge_weights(ddg, machine, ii, analysis, asap, alap))
+    {
         let (a, b) = (e.src.index() as u32, e.dst.index() as u32);
         if a != b {
             pairs.push((a.min(b), a.max(b), w + 1));
@@ -361,7 +369,9 @@ mod tests {
         let ddg = b.build().unwrap();
         let m = machine("2c1b2l64r");
         let analysis = LoopAnalysis::new(&ddg, &m);
-        let weights: Vec<u64> = edge_weights(&ddg, &m, 3, &analysis).collect();
+        let (mut asap, mut alap) = (Vec::new(), Vec::new());
+        let weights: Vec<u64> =
+            edge_weights(&ddg, &m, 3, &analysis, &mut asap, &mut alap).collect();
         let mut scratch = RefineScratch::default();
         let mut h = Hierarchy::default();
         coarsen(&ddg, &m, 3, &analysis, &mut scratch, &mut h);

@@ -197,7 +197,9 @@ pub fn coarsen_oracle(
     ii: u32,
     analysis: &LoopAnalysis,
 ) -> NestedHierarchy {
-    let weights: Vec<u64> = edge_weights(ddg, machine, ii, analysis).collect();
+    let (mut asap, mut alap) = (Vec::new(), Vec::new());
+    let weights: Vec<u64> =
+        edge_weights(ddg, machine, ii, analysis, &mut asap, &mut alap).collect();
     let n = ddg.node_count();
     let clusters = machine.clusters() as usize;
     let mut macro_of: Vec<usize> = (0..n).collect();

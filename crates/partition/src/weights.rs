@@ -1,7 +1,7 @@
 //! Slack-based edge weights: the cost of paying a bus latency on a
 //! dependence (reference [1] of the paper).
 
-use cvliw_ddg::{time_bounds, Ddg};
+use cvliw_ddg::{longest_paths, Ddg};
 use cvliw_machine::MachineConfig;
 use cvliw_sched::LoopAnalysis;
 
@@ -22,20 +22,32 @@ const BASE_WEIGHT: u64 = 1;
 /// Memory-ordering edges get weight 0: cutting them costs nothing because
 /// the memory hierarchy is centralized. Data edges cost more the less slack
 /// they have at the loop's MII-feasible II, and far more when they sit on a
-/// recurrence. The RecMII and recurrence membership are read from the cached
-/// [`LoopAnalysis`]; only the II-dependent slack bounds are evaluated per
-/// call.
+/// recurrence. The RecMII, recurrence membership, edge latencies and
+/// topological order are read from the cached [`LoopAnalysis`]; only the
+/// II-dependent slack bounds are solved per call, into the caller's `asap`
+/// and `alap` buffers.
 pub(crate) fn edge_weights<'a>(
     ddg: &'a Ddg,
     machine: &MachineConfig,
     ii: u32,
     analysis: &'a LoopAnalysis,
+    asap: &'a mut Vec<i64>,
+    alap: &'a mut Vec<i64>,
 ) -> impl Iterator<Item = u64> + 'a {
-    let lat = analysis.lat();
+    let lat = analysis.edge_lat();
     let feasible_ii = ii.max(analysis.rec_mii());
     // An II at or above RecMII always has time bounds; without them no
     // edge would have a measurable slack, so none would pay a shortfall.
-    let bounds = time_bounds(ddg, feasible_ii, &lat);
+    let bounded = longest_paths(
+        ddg,
+        analysis.topo_order(),
+        feasible_ii,
+        lat,
+        asap,
+        Some(&mut *alap),
+    )
+    .is_some();
+    let (asap, alap): (&'a [i64], &'a [i64]) = (asap, alap);
     let of = analysis.scc_of();
     let on_cycle = analysis.on_cycle();
     // The conservative scalar communication cost: the worst transfer
@@ -43,7 +55,7 @@ pub(crate) fn edge_weights<'a>(
     // machines, so the paper configurations score identically).
     let bus_lat = machine.max_transfer_latency();
     let bus = u64::from(bus_lat);
-    ddg.edges().map(move |e| {
+    ddg.edges().zip(lat).map(move |(e, &lat)| {
         if !e.is_data() {
             return 0;
         }
@@ -52,11 +64,13 @@ pub(crate) fn edge_weights<'a>(
         if same_scc && on_cycle[e.src.index()] {
             w += RECURRENCE_PENALTY * bus;
         }
-        let shortfall = bounds.as_ref().map_or(0, |b| {
-            let slack = b.alap[e.dst.index()] - b.asap[e.src.index()] - i64::from(lat(e))
+        let shortfall = if bounded {
+            let slack = alap[e.dst.index()] - asap[e.src.index()] - i64::from(lat)
                 + i64::from(feasible_ii) * i64::from(e.distance);
             (i64::from(bus_lat) - slack).max(0) as u64
-        });
+        } else {
+            0
+        };
         w + SLACK_PENALTY * shortfall
     })
 }
@@ -72,7 +86,9 @@ mod tests {
 
     fn weights(ddg: &Ddg, ii: u32) -> Vec<u64> {
         let m = machine();
-        edge_weights(ddg, &m, ii, &LoopAnalysis::new(ddg, &m)).collect()
+        let analysis = LoopAnalysis::new(ddg, &m);
+        let (mut asap, mut alap) = (Vec::new(), Vec::new());
+        edge_weights(ddg, &m, ii, &analysis, &mut asap, &mut alap).collect()
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! is added to cross-cluster dependences, roughly how long would one
 //! iteration be, and how hard would it press on the register files.
 
-use cvliw_ddg::{asap_times_into, Ddg, OpClass};
+use cvliw_ddg::{longest_paths, Ddg, OpClass};
 use cvliw_machine::MachineConfig;
 
 use crate::assign::{Assignment, ClusterSet};
@@ -88,10 +88,9 @@ impl PseudoSchedule {
 
 /// Builds the pseudo-schedule estimate of an assignment into caller-owned
 /// scratch buffers — the allocation-free scoring path of partition
-/// refinement. Producer latencies come from the cached [`LoopAnalysis`];
-/// the ASAP fixpoint uses the same relaxation order and pass bound as
-/// [`cvliw_ddg::time_bounds`], and the ALAP sweep — whose output no score
-/// reads — is skipped.
+/// refinement. Producer latencies and the sweep order come from the
+/// cached [`LoopAnalysis`]; the ASAP fixpoint is [`longest_paths`], and
+/// the ALAP sweep — whose output no score reads — is skipped.
 #[must_use]
 pub fn pseudo_schedule(
     ddg: &Ddg,
@@ -134,11 +133,17 @@ pub fn pseudo_schedule(
             }
         }));
 
-    let (recurrences_ok, est_length) =
-        match asap_times_into(ddg, ii, &scratch.edge_lat, &mut scratch.asap) {
-            Some(length) => (true, length),
-            None => (false, i64::MAX),
-        };
+    let (recurrences_ok, est_length) = match longest_paths(
+        ddg,
+        analysis.topo_order(),
+        ii,
+        &scratch.edge_lat,
+        &mut scratch.asap,
+        None,
+    ) {
+        Some(length) => (true, length),
+        None => (false, i64::MAX),
+    };
 
     let reg_overflow = if recurrences_ok {
         let asap = &scratch.asap;
